@@ -1,9 +1,12 @@
-"""Deterministic JSON rendering with floats at 9 significant digits."""
+"""Deterministic JSON rendering with floats at 9 significant digits, and the
+``<path>.json`` sidecars that give the shape of raw binary payloads."""
 
 from __future__ import annotations
 
 import json
 import math
+
+from .errors import ParseError
 
 
 def fmt_float(x: float) -> str:
@@ -61,3 +64,27 @@ def _write(obj, out: list, indent, depth: int) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def write_sidecar(path, sizes: dict) -> None:
+    """Write the integer sizes of the payload at ``path`` to ``<path>.json``."""
+    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sizes, fh)
+        fh.write("\n")
+
+
+def read_sidecar(path, minimums: dict) -> tuple:
+    """Sizes named by ``minimums`` from ``<path>.json``, each checked against its minimum."""
+    sidecar = str(path) + ".json"
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        sizes = tuple(int(meta[key]) for key in minimums)
+    except FileNotFoundError as exc:
+        raise ParseError(f"{path}: missing sidecar {sidecar}") from exc
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad sidecar: {exc}") from exc
+    if any(size < low for size, low in zip(sizes, minimums.values())):
+        bounds = " and ".join(f"{key} >= {low}" for key, low in minimums.items())
+        raise ParseError(f"{path}: sidecar must have {bounds}")
+    return sizes

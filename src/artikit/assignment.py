@@ -8,17 +8,16 @@ deterministic across implementations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import expit
 
+from ._fmt import read_sidecar, write_sidecar
 from .errors import ParseError
+from .losses import DICE_EPS, PROB_CLAMP
 
-PROB_CLAMP = 1e-7
-DICE_EPS = 1e-6
 HARD_MASK_THRESHOLD = 0.5
 #: query-set size of the stock pipeline (the upper bound on parts)
 DEFAULT_NUM_QUERIES = 100
@@ -281,10 +280,6 @@ def filter_queries(queries: QuerySet, threshold: float = 0.5) -> QuerySet:
 # a JSON sidecar {"rows": R, "M": M} at <path>.json
 
 
-def _sidecar_path(path) -> str:
-    return str(path) + ".json"
-
-
 def save_masks(masks, path) -> None:
     """Write hard masks as packed bits or soft masks as f32 rows."""
     arr = np.asarray(masks)
@@ -295,9 +290,7 @@ def save_masks(masks, path) -> None:
             fh.write(np.packbits(arr, axis=1, bitorder="little").tobytes())
         else:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump({"rows": int(arr.shape[0]), "M": int(arr.shape[1])}, fh)
-        fh.write("\n")
+    write_sidecar(path, {"rows": int(arr.shape[0]), "M": int(arr.shape[1])})
 
 
 def load_masks(path):
@@ -306,16 +299,7 @@ def load_masks(path):
     Bitset files decode to bool arrays, f32 files to float arrays.  The two
     encodings are distinguished by file size, which can never collide.
     """
-    try:
-        with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        rows, m = int(meta["rows"]), int(meta["M"])
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: missing sidecar {_sidecar_path(path)}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad sidecar: {exc}") from exc
-    if rows < 0 or m < 1:
-        raise ParseError(f"{path}: sidecar must have rows >= 0 and M >= 1")
+    rows, m = read_sidecar(path, {"rows": 0, "M": 1})
     with open(path, "rb") as fh:
         blob = fh.read()
     if rows == 0:

@@ -42,7 +42,7 @@ from .kinematics import (
 )
 from .losses import selftest
 from .meshio import load_point_cloud_ply, save_point_cloud_ply
-from .metrics import MASK_CLAMP, evaluate
+from .metrics import evaluate
 from .model import load_model
 
 EXIT_OK = 0
@@ -166,9 +166,8 @@ def cmd_match(args) -> int:
         raise ParseError(
             f"mask point counts differ: {pred.shape[1]} vs {gt.shape[1]}"
         )
-    soft = pred if pred_soft else np.clip(pred.astype(np.float64), MASK_CLAMP, 1.0 - MASK_CLAMP)
     hard = (pred > 0.5) if pred_soft else pred
-    match = hungarian(matching_cost(soft, gt.astype(np.float64)))
+    match = hungarian(matching_cost(pred, gt.astype(np.float64)))
     targets = confidence_targets(hard, gt.astype(bool), match)
     _emit(
         {

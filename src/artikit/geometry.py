@@ -16,13 +16,13 @@ Coordinate conventions (fixed so fixtures are portable across implementations):
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
 from .model import TriMesh
 
@@ -372,30 +372,17 @@ def global_pool_concat(h, f_geo) -> np.ndarray:
 # feature-set interchange: raw little-endian float32 plus a JSON sidecar
 
 
-def _sidecar_path(path) -> str:
-    return str(path) + ".json"
-
-
 def save_features(features, path) -> None:
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise ValueError(f"features must have shape (M, dim), got {feats.shape}")
     with open(path, "wb") as fh:
         fh.write(np.ascontiguousarray(feats, dtype="<f4").tobytes())
-    with open(_sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump({"M": int(feats.shape[0]), "dim": int(feats.shape[1])}, fh)
-        fh.write("\n")
+    write_sidecar(path, {"M": int(feats.shape[0]), "dim": int(feats.shape[1])})
 
 
 def load_features(path) -> np.ndarray:
-    try:
-        with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        m, dim = int(meta["M"]), int(meta["dim"])
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: missing sidecar {_sidecar_path(path)}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad sidecar: {exc}") from exc
+    m, dim = read_sidecar(path, {"M": 0, "dim": 0})
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) != 4 * m * dim:

@@ -21,6 +21,7 @@ from .model import (
     JointSpec,
     JointType,
     KinematicTree,
+    _tree_cycles,
     require_valid,
 )
 
@@ -110,9 +111,10 @@ def sample_states(limits: JointLimits, jtype: JointType, n: int = 6) -> np.ndarr
 def part_transforms(model: ArticulatedModel, state) -> dict:
     """Composed rigid transform per part id at the given state.
 
-    ``state`` maps part id -> joint value and must cover every part.
+    ``state`` maps part id -> joint value and must cover every part.  The
+    model must already be valid (see ``require_valid``); it is not checked
+    here, so callers validate once rather than once per state.
     """
-    require_valid(model)
     parts = {p.id: p for p in model.parts}
     missing = [pid for pid in parts if pid not in state]
     if missing:
@@ -140,6 +142,7 @@ def part_transforms(model: ArticulatedModel, state) -> dict:
 
 def articulate(model: ArticulatedModel, state) -> np.ndarray:
     """Pose the model's canonical points at the given state; base points stay."""
+    require_valid(model)
     transforms = part_transforms(model, state)
     out = model.points.copy()
     for part in model.parts:
@@ -266,7 +269,7 @@ def build_tree(dist: ParentDistribution) -> KinematicTree:
         return ROOT_ID if col == root_col else col
 
     direct = {i: to_parent(int(np.argmax(probs[i]))) for i in range(n)}
-    if not _tree_has_cycle(direct):
+    if not _tree_cycles(direct):
         return KinematicTree(direct)
 
     order = sorted(range(n), key=lambda i: (-float(probs[i].max()), i))
@@ -284,18 +287,6 @@ def build_tree(dist: ParentDistribution) -> KinematicTree:
                 committed[i] = parent
                 break
     return KinematicTree(committed)
-
-
-def _tree_has_cycle(parent: dict) -> bool:
-    for start in parent:
-        seen = set()
-        cur = start
-        while cur != ROOT_ID:
-            if cur in seen:
-                return True
-            seen.add(cur)
-            cur = parent.get(cur, ROOT_ID)
-    return False
 
 
 # ---------------------------------------------------------------------------

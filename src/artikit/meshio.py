@@ -67,9 +67,6 @@ def save_obj(mesh: TriMesh, path) -> None:
 # ---------------------------------------------------------------------------
 # PLY
 
-_PLY_MAGIC = b"ply"
-
-
 def _ply_header(n_vertices: int, n_faces: int | None) -> bytes:
     lines = [
         "ply",
@@ -107,10 +104,12 @@ def save_point_cloud_ply(points, path) -> None:
 
 def _parse_ply_header(blob: bytes, path) -> tuple:
     end = blob.find(b"end_header\n")
-    if not blob.startswith(_PLY_MAGIC) or end < 0:
+    if end < 0:
         raise ParseError(f"{path}: not a PLY file")
     header = blob[: end + len(b"end_header\n")]
     lines = header.decode("ascii", errors="replace").splitlines()
+    if lines[0].strip() != "ply":
+        raise ParseError(f"{path}: not a PLY file: first line must be 'ply', got {lines[0]!r}")
     if "format binary_little_endian 1.0" not in lines[1]:
         raise ParseError(f"{path}: only binary_little_endian PLY is supported")
 
@@ -123,14 +122,21 @@ def _parse_ply_header(blob: bytes, path) -> tuple:
         if not fields or fields[0] == "comment":
             continue
         if fields[0] == "element":
+            if len(fields) != 3 or not fields[2].isdigit():
+                raise ParseError(f"{path}: element line must be 'element <name> <count>' "
+                                 f"with a nonnegative integer count, got {line!r}")
             current = fields[1]
+            count = int(fields[2])
             if current == "vertex":
-                n_vertices = int(fields[2])
+                n_vertices = count
             elif current == "face":
-                n_faces = int(fields[2])
+                n_faces = count
             else:
                 raise ParseError(f"{path}: unsupported element {current!r}")
         elif fields[0] == "property":
+            if len(fields) < 3:
+                raise ParseError(f"{path}: property line must name a type and a field, "
+                                 f"got {line!r}")
             if current == "vertex":
                 if fields[1] != "float":
                     raise ParseError(f"{path}: vertex properties must be float32")

@@ -23,7 +23,6 @@ from .geometry import nearest_neighbor_distances, sample_surface_points
 from .kinematics import part_transforms, sample_states
 from .model import ROOT_ID, ArticulatedModel, JointType, require_valid
 
-MASK_CLAMP = 1e-7
 _PARALLEL_EPS = 1e-9
 
 #: joint types whose axis direction is meaningful
@@ -41,27 +40,34 @@ def _cloud(points, name) -> np.ndarray:
     return pts
 
 
+def _positive_tau(tau) -> float:
+    tau = float(tau)
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return tau
+
+
+def _cd_fscore(a: np.ndarray, b: np.ndarray, tau: float):
+    """(Chamfer distance, F-score at tau) of two non-empty (M, 3) clouds."""
+    d_ab = nearest_neighbor_distances(a, b)
+    d_ba = nearest_neighbor_distances(b, a)
+    cd = float(np.mean(d_ab**2) + np.mean(d_ba**2))
+    precision = float(np.mean(d_ab < tau))
+    recall = float(np.mean(d_ba < tau))
+    if precision + recall == 0.0:
+        return cd, 0.0
+    return cd, 2.0 * precision * recall / (precision + recall)
+
+
 def chamfer(a, b) -> float:
     """Symmetric sum of mean squared nearest-neighbor distances."""
-    pa = _cloud(a, "a")
-    pb = _cloud(b, "b")
-    d_ab = nearest_neighbor_distances(pa, pb)
-    d_ba = nearest_neighbor_distances(pb, pa)
-    return float(np.mean(d_ab**2) + np.mean(d_ba**2))
+    return _cd_fscore(_cloud(a, "a"), _cloud(b, "b"), math.inf)[0]
 
 
 def fscore(a, b, tau: float = 0.05) -> float:
     """Harmonic mean of precision and recall at distance threshold tau."""
-    tau = float(tau)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    pa = _cloud(a, "a")
-    pb = _cloud(b, "b")
-    precision = float(np.mean(nearest_neighbor_distances(pa, pb) < tau))
-    recall = float(np.mean(nearest_neighbor_distances(pb, pa) < tau))
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    tau = _positive_tau(tau)
+    return _cd_fscore(_cloud(a, "a"), _cloud(b, "b"), tau)[1]
 
 
 def axis_error(a_p, a_g) -> float:
@@ -256,7 +262,10 @@ def evaluate(
     then averaged.  Kinematics: parts are Hungarian-matched on canonical hard
     masks; type accuracy and per-pair axis/pivot errors are aggregated over
     the pairs where they are defined.
+
+    Both models are validated here, once; ``tau`` must be positive.
     """
+    tau = _positive_tau(tau)
     require_valid(pred)
     require_valid(gt)
 
@@ -274,12 +283,7 @@ def evaluate(
     for k in range(int(n_states)):
         pred_cloud = pred_src.posed({pid: v[k] for pid, v in pred_values.items()})
         gt_cloud = gt_src.posed({pid: v[k] for pid, v in gt_values.items()})
-        d_pg = nearest_neighbor_distances(pred_cloud, gt_cloud)
-        d_gp = nearest_neighbor_distances(gt_cloud, pred_cloud)
-        cd = float(np.mean(d_pg**2) + np.mean(d_gp**2))
-        precision = float(np.mean(d_pg < tau))
-        recall = float(np.mean(d_gp < tau))
-        fs = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+        cd, fs = _cd_fscore(pred_cloud, gt_cloud, tau)
         per_state.append({"cd": cd, "fscore": fs})
 
     cd_mean = float(sum(s["cd"] for s in per_state) / len(per_state))
@@ -290,10 +294,7 @@ def evaluate(
     pred_masks = _transfer_masks(pred_src, gt_src, pred_ids)
     gt_masks = gt_src.part_masks(gt_ids)
 
-    costs = matching_cost(
-        np.clip(pred_masks.astype(np.float64), MASK_CLAMP, 1.0 - MASK_CLAMP), gt_masks
-    )
-    match = hungarian(costs)
+    match = hungarian(matching_cost(pred_masks, gt_masks))
     iou = confidence_targets(pred_masks, gt_masks, match)
 
     pred_types = [pred.part_by_id(pid).joint.jtype for pid in pred_ids]

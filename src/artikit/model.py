@@ -444,6 +444,8 @@ def model_from_dict(data: dict) -> ArticulatedModel:
     except (ValueError, TypeError) as exc:
         raise ParseError(f"points: {exc}") from exc
 
+    if not isinstance(raw_parts, list):
+        raise ParseError("parts: expected an array")
     parts = []
     for k, raw in enumerate(raw_parts):
         where = f"parts[{k}]"

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,13 @@ from artikit.model import (
     PartSpec,
     ROOT_ID,
 )
+
+# CLI tests run ``python -m artikit`` in child processes, which do not see the
+# ``pythonpath`` entry of the pytest config; hand them the source tree too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_PATHS = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+if _SRC not in _PATHS:
+    os.environ["PYTHONPATH"] = os.pathsep.join([_SRC] + _PATHS)
 
 _JOINT_CYCLE = (JointType.REVOLUTE, JointType.PRISMATIC, JointType.CONTINUOUS)
 

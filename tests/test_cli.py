@@ -92,6 +92,21 @@ class TestEvaluate:
         assert run(["evaluate", cabinet_file, missing]) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_non_list_parts_exits_2(self, cabinet_file, tmp_path, capsys):
+        doc = model_to_dict(build_cabinet())
+        doc["parts"] = 5
+        path = tmp_path / "parts5.json"
+        path.write_text(json.dumps(doc))
+        assert run(["evaluate", path, cabinet_file]) == 2
+        assert "parts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["0", "-0.05"])
+    def test_non_positive_tau_exits_2(self, cabinet_file, capsys, tau):
+        assert run(["evaluate", cabinet_file, cabinet_file, "--tau", tau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tau must be positive" in captured.err
+
 
 class TestTree:
     def test_root_dominant_star(self, tmp_path, capsys):

@@ -298,3 +298,11 @@ class TestFormats:
         (tmp_path / "h.f32.json").write_text('{"M": 5, "dim": 3}')
         with pytest.raises(ParseError, match="bytes"):
             load_features(path)
+
+    def test_features_sidecar_negative_sizes(self, tmp_path):
+        # 4 * (-2) * (-2) = 16 bytes would match the payload size
+        path = tmp_path / "h.f32"
+        path.write_bytes(bytes(16))
+        (tmp_path / "h.f32.json").write_text('{"M": -2, "dim": -2}')
+        with pytest.raises(ParseError, match="M >= 0 and dim >= 0"):
+            load_features(path)

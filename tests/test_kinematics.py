@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from artikit.errors import ValidationError
 from artikit.kinematics import (
     AffinityMatrix,
     ParentDistribution,
@@ -164,6 +165,13 @@ class TestArticulate:
     def test_missing_state_value(self, cabinet):
         with pytest.raises(ValueError, match="missing state value"):
             articulate(cabinet, {0: 0.0})
+
+    def test_cyclic_model_rejected(self, cabinet):
+        cyclic = ArticulatedModel(
+            cabinet.points, cabinet.parts, KinematicTree({0: 1, 1: 0}), cabinet.base_indices
+        )
+        with pytest.raises(ValidationError, match="cycle"):
+            articulate(cyclic, canonical_state(cyclic))
 
 
 class TestTreeOps:

@@ -68,6 +68,23 @@ def test_ply_truncated(tetra, tmp_path):
         load_ply(path)
 
 
+@pytest.mark.parametrize(
+    "header, field",
+    [
+        (b"plyend_header\n", "first line"),
+        (b"ply\nformat binary_little_endian 1.0\nelement vertex x\n"
+         b"property float x\nproperty float y\nproperty float z\nend_header\n",
+         "count, got 'element vertex x'"),
+    ],
+    ids=["first-line", "vertex-count"],
+)
+def test_ply_malformed_header_names_field(tmp_path, header, field):
+    path = tmp_path / "bad.ply"
+    path.write_bytes(header)
+    with pytest.raises(ParseError, match=field):
+        load_ply(path)
+
+
 def test_load_mesh_dispatch(tetra, tmp_path):
     obj_path = tmp_path / "a.obj"
     ply_path = tmp_path / "a.ply"

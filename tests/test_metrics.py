@@ -227,3 +227,26 @@ class TestEvaluate:
         )
         with pytest.raises(ValidationError):
             evaluate(broken, cabinet, n_states=2, n_points=10)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.05, math.nan])
+    def test_non_positive_tau_rejected(self, cabinet, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            evaluate(cabinet, cabinet, n_states=2, tau=tau)
+
+    def test_models_validated_once_each(self, cabinet, monkeypatch):
+        import artikit.kinematics
+        import artikit.metrics
+
+        calls = []
+        real = artikit.metrics.require_valid
+
+        def counting(model):
+            calls.append(model)
+            real(model)
+
+        monkeypatch.setattr(artikit.metrics, "require_valid", counting)
+        monkeypatch.setattr(artikit.kinematics, "require_valid", counting)
+        pred = build_cabinet(door_axis=(math.sin(0.1), 0.0, math.cos(0.1)))
+        evaluate(pred, cabinet, n_states=6)
+        assert len(calls) == 2
+        assert calls[0] is pred and calls[1] is cabinet
