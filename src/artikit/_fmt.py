@@ -1,5 +1,5 @@
-"""Deterministic JSON rendering with floats at 9 significant digits, and the
-``<path>.json`` sidecars that give the shape of raw binary payloads."""
+"""Deterministic JSON rendering with floats at 9 significant digits, the one JSON file reader,
+and the ``<path>.json`` sidecars that give the shape of raw binary payloads."""
 
 from __future__ import annotations
 
@@ -73,18 +73,29 @@ def write_sidecar(path, sizes: dict) -> None:
         fh.write("\n")
 
 
+def read_json(path):
+    """The decoded JSON document at ``path``; a missing or malformed file raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ParseError(f"{path}: file not found") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
+        # longer than the interpreter's digit limit; RecursionError, nesting
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def read_sidecar(path, minimums: dict) -> tuple:
     """Sizes named by ``minimums`` from ``<path>.json``, each checked against its minimum."""
-    sidecar = str(path) + ".json"
+    meta = read_json(str(path) + ".json")
     try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
         sizes = tuple(int(meta[key]) for key in minimums)
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: missing sidecar {sidecar}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad sidecar: {exc}") from exc
     if any(size < low for size, low in zip(sizes, minimums.values())):
         bounds = " and ".join(f"{key} >= {low}" for key, low in minimums.items())
         raise ParseError(f"{path}: sidecar must have {bounds}")
+    if max(sizes) >= 2**32:
+        raise ParseError(f"{path}: sidecar sizes must be below 2**32, got {sizes}")
     return sizes

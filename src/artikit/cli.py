@@ -17,7 +17,6 @@ if _threads and _threads.strip() != "0":
         os.environ.setdefault(_var, _threads.strip())
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -66,16 +65,10 @@ def _diag(message: str) -> None:
 
 
 def _load_json_array(path, ndim: int, name: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    data = _fmt.read_json(path)
     try:
         arr = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {name} must be a numeric array") from exc
     if arr.ndim != ndim:
         raise ParseError(f"{path}: {name} must be {ndim}-dimensional, got shape {arr.shape}")

@@ -39,6 +39,11 @@ GRID_MAGIC = b"ARTIKITVOXELGRID"  # exactly 16 bytes
 _GRID_HEADER = struct.Struct("<IIQ")
 
 
+def _grid_record(dim: int) -> np.dtype:
+    """One active cell of a grid file: its (i, j, k) and its ``dim`` features."""
+    return np.dtype([("ijk", "<u2", (3,)), ("f", "<f4", (dim,))])
+
+
 def _as_points(points, name="points") -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1 and pts.shape == (3,):
@@ -49,9 +54,10 @@ def _as_points(points, name="points") -> np.ndarray:
 
 
 def _check_in_cube(pts: np.ndarray) -> np.ndarray:
-    """Error on points outside the cube beyond tolerance, then clamp."""
-    if pts.size and np.max(np.abs(pts)) > CUBE_HALF + _CUBE_TOL:
-        bad = int(np.flatnonzero(np.max(np.abs(pts), axis=1) > CUBE_HALF + _CUBE_TOL)[0])
+    """Error on non-finite points and points outside the cube beyond tolerance, then clamp."""
+    inside = np.abs(pts) <= CUBE_HALF + _CUBE_TOL
+    if not np.all(inside):
+        bad = int(np.flatnonzero(~inside.all(axis=1))[0])
         raise GeometryError(
             f"point {bad} outside the canonical cube [-0.5, 0.5]^3: {pts[bad].tolist()}"
         )
@@ -75,11 +81,6 @@ class SparseVoxelGrid:
     """
 
     def __init__(self, resolution=DEFAULT_VOXEL_RESOLUTION, cells=None, feature_dim=None):
-        resolution = int(resolution)
-        if not 1 <= resolution <= 0xFFFF:
-            raise ValueError(f"resolution must be in [1, 65535], got {resolution}")
-        self._resolution = resolution
-
         cells = dict(cells) if cells else {}
         if cells:
             dims = {np.asarray(v).shape for v in cells.values()}
@@ -90,28 +91,48 @@ class SparseVoxelGrid:
                 raise ValueError(f"feature_dim={feature_dim} disagrees with cells ({dim})")
         else:
             dim = int(feature_dim) if feature_dim is not None else DEFAULT_FEATURE_DIM
-        if dim < 1:
+        ijk = np.array(list(cells) or np.zeros((0, 3)), dtype=np.int64)
+        feats = np.array(list(cells.values()) or np.zeros((0, dim)), dtype=np.float32)
+        # adopt the state of the one validating constructor
+        vars(self).update(vars(self.from_arrays(resolution, ijk, feats)))
+
+    @classmethod
+    def from_arrays(cls, resolution, ijk, features) -> "SparseVoxelGrid":
+        """A grid from integer cell coordinates (n, 3) and their features (n, d).
+
+        The arrays are copied; the cells may come in any order but must be
+        distinct and inside the grid.
+        """
+        resolution = int(resolution)
+        if not 1 <= resolution <= 0xFFFF:
+            raise ValueError(f"resolution must be in [1, 65535], got {resolution}")
+        ijk = np.asarray(ijk, dtype=np.int64)
+        feats = np.asarray(features, dtype=np.float32)
+        if ijk.ndim != 2 or ijk.shape[1] != 3 or feats.ndim != 2 or len(feats) != len(ijk):
+            raise ValueError(f"want cells (n, 3) and features (n, d), got {ijk.shape} "
+                             f"and {feats.shape}")
+        if feats.shape[1] < 1:
             raise ValueError("feature dimension must be positive")
-        self._dim = dim
 
-        ijk = np.zeros((len(cells), 3), dtype=np.int64)
-        feats = np.zeros((len(cells), dim), dtype=np.float32)
-        for row, (key, vec) in enumerate(cells.items()):
-            i, j, k = (int(c) for c in key)
-            if not (0 <= i < resolution and 0 <= j < resolution and 0 <= k < resolution):
-                raise ValueError(f"cell {(i, j, k)} outside grid of resolution {resolution}")
-            ijk[row] = (i, j, k)
-            feats[row] = np.asarray(vec, dtype=np.float32)
-
+        outside = np.flatnonzero(((ijk < 0) | (ijk >= resolution)).any(axis=1))
+        if outside.size:
+            cell = tuple(int(c) for c in ijk[outside[0]])
+            raise ValueError(f"cell {cell} outside grid of resolution {resolution}")
         keys = (ijk[:, 0] * resolution + ijk[:, 1]) * resolution + ijk[:, 2]
-        if np.unique(keys).size != keys.size:
-            raise ValueError("duplicate cell keys")
         order = np.argsort(keys)
-        self._keys = keys[order]
-        self._ijk = ijk[order]
-        self._feats = feats[order]
-        for arr in (self._keys, self._ijk, self._feats):
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate cell keys")
+
+        grid = cls.__new__(cls)
+        grid._resolution = resolution
+        grid._dim = feats.shape[1]
+        grid._keys = keys
+        grid._ijk = ijk[order]
+        grid._feats = feats[order]
+        for arr in (grid._keys, grid._ijk, grid._feats):
             arr.setflags(write=False)
+        return grid
 
     @property
     def resolution(self) -> int:
@@ -124,11 +145,6 @@ class SparseVoxelGrid:
     @property
     def n_active(self) -> int:
         return self._keys.size
-
-    def items(self):
-        """Active cells in (i, j, k) order."""
-        for row in range(self.n_active):
-            yield tuple(int(c) for c in self._ijk[row]), self._feats[row]
 
     def features_at(self, ijk: np.ndarray) -> np.ndarray:
         """Features for integer cell coordinates (M, 3); absent cells give zero."""
@@ -157,12 +173,11 @@ class SparseVoxelGrid:
 
 def save_grid(grid: SparseVoxelGrid, path) -> None:
     """Write the binary grid format: magic, header {R:u32, d:u32, n:u64}, records."""
+    records = np.rec.fromarrays([grid._ijk, grid._feats], dtype=_grid_record(grid.feature_dim))
     with open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
         fh.write(_GRID_HEADER.pack(grid.resolution, grid.feature_dim, grid.n_active))
-        for (i, j, k), vec in grid.items():
-            fh.write(struct.pack("<HHH", i, j, k))
-            fh.write(np.asarray(vec, dtype="<f4").tobytes())
+        fh.write(records.tobytes())
 
 
 def load_grid(path) -> SparseVoxelGrid:
@@ -175,18 +190,12 @@ def load_grid(path) -> SparseVoxelGrid:
         raise ParseError(f"{path}: truncated header")
     resolution, dim, n_active = _GRID_HEADER.unpack_from(blob, offset)
     offset += _GRID_HEADER.size
-    record = 6 + 4 * dim
-    if len(blob) < offset + record * n_active:
-        raise ParseError(f"{path}: truncated records (want {n_active})")
-    cells = {}
-    for _ in range(n_active):
-        i, j, k = struct.unpack_from("<HHH", blob, offset)
-        offset += 6
-        vec = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset)
-        offset += 4 * dim
-        cells[(i, j, k)] = vec
     try:
-        return SparseVoxelGrid(resolution, cells, feature_dim=dim)
+        record = _grid_record(dim)  # ValueError when one record would pass 2 GiB
+        if len(blob) < offset + record.itemsize * n_active:
+            raise ParseError(f"{path}: truncated records (want {n_active})")
+        cells = np.frombuffer(blob, dtype=record, count=n_active, offset=offset)
+        return SparseVoxelGrid.from_arrays(resolution, cells["ijk"], cells["f"])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -377,7 +386,7 @@ def save_features(features, path) -> None:
     if feats.ndim != 2:
         raise ValueError(f"features must have shape (M, dim), got {feats.shape}")
     with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(feats, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(feats, dtype="<f4"))
     write_sidecar(path, {"M": int(feats.shape[0]), "dim": int(feats.shape[1])})
 
 

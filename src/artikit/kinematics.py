@@ -16,6 +16,7 @@ import numpy as np
 
 from .model import (
     ROOT_ID,
+    UNIT_AXIS_TOL,
     ArticulatedModel,
     JointLimits,
     JointSpec,
@@ -45,7 +46,7 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
 
 def _check_axis(joint: JointSpec) -> None:
     norm = float(np.linalg.norm(joint.axis))
-    if abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > UNIT_AXIS_TOL:
         raise ValueError(f"joint axis not unit length (norm={norm:.6g})")
 
 

@@ -10,8 +10,6 @@ Point clouds are written as vertex-only binary PLY files.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .errors import ParseError
@@ -67,6 +65,10 @@ def save_obj(mesh: TriMesh, path) -> None:
 # ---------------------------------------------------------------------------
 # PLY
 
+#: one face record: the vertex count (always 3) and the vertex indices
+_PLY_FACE = np.dtype([("n", "u1"), ("v", "<i4", (3,))])
+
+
 def _ply_header(n_vertices: int, n_faces: int | None) -> bytes:
     lines = [
         "ply",
@@ -88,8 +90,8 @@ def save_ply(mesh: TriMesh, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_ply_header(mesh.vertices.shape[0], mesh.faces.shape[0]))
         fh.write(np.ascontiguousarray(mesh.vertices, dtype="<f4").tobytes())
-        for face in mesh.faces:
-            fh.write(struct.pack("<B3i", 3, int(face[0]), int(face[1]), int(face[2])))
+        counts = np.full(mesh.faces.shape[0], 3)
+        fh.write(np.rec.fromarrays([counts, mesh.faces], dtype=_PLY_FACE).tobytes())
 
 
 def save_point_cloud_ply(points, path) -> None:
@@ -114,7 +116,7 @@ def _parse_ply_header(blob: bytes, path) -> tuple:
         raise ParseError(f"{path}: only binary_little_endian PLY is supported")
 
     n_vertices = None
-    n_faces = None
+    n_faces = 0
     current = None
     vertex_props = []
     for line in lines[2:]:
@@ -164,20 +166,12 @@ def load_ply(path) -> TriMesh:
     vertices = vertices.reshape(n_vertices, 3).astype(np.float64)
     offset += need
 
-    faces = []
-    if n_faces:
-        for k in range(n_faces):
-            if len(blob) < offset + 1:
-                raise ParseError(f"{path}: truncated face data")
-            (count,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            if count != 3:
-                raise ParseError(f"{path}: only triangular faces supported")
-            if len(blob) < offset + 12:
-                raise ParseError(f"{path}: truncated face data")
-            faces.append(struct.unpack_from("<3i", blob, offset))
-            offset += 12
-    return TriMesh(vertices, np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+    if len(blob) < offset + n_faces * _PLY_FACE.itemsize:
+        raise ParseError(f"{path}: truncated face data")
+    faces = np.frombuffer(blob, dtype=_PLY_FACE, count=n_faces, offset=offset)
+    if np.any(faces["n"] != 3):
+        raise ParseError(f"{path}: only triangular faces supported")
+    return TriMesh(vertices, faces["v"])
 
 
 def load_point_cloud_ply(path) -> np.ndarray:

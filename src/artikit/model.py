@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fmt import fmt_float, read_json
 from .errors import ParseError, ValidationError
 
 ROOT_ID = -1
@@ -441,7 +442,7 @@ def model_from_dict(data: dict) -> ArticulatedModel:
 
     try:
         points = _points(points, "points")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"points: {exc}") from exc
 
     if not isinstance(raw_parts, list):
@@ -477,7 +478,7 @@ def model_from_dict(data: dict) -> ArticulatedModel:
                 point_indices=_require(raw, "point_indices", where),
                 joint=joint,
             )
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"{where}: {exc}") from exc
         parts.append(part)
 
@@ -487,7 +488,7 @@ def model_from_dict(data: dict) -> ArticulatedModel:
     for key, value in raw_tree.items():
         try:
             tree[int(key)] = int(value)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"tree: bad entry {key!r}: {value!r}") from exc
 
     try:
@@ -497,7 +498,7 @@ def model_from_dict(data: dict) -> ArticulatedModel:
             tree=KinematicTree(tree),
             base_indices=base_indices,
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"document: {exc}") from exc
 
     require_valid(model)
@@ -506,14 +507,7 @@ def model_from_dict(data: dict) -> ArticulatedModel:
 
 def load_model(path) -> ArticulatedModel:
     """Load and validate an articulation JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(read_json(path))
 
 
 def save_model(model: ArticulatedModel, path) -> None:
@@ -535,12 +529,8 @@ _URDF_TYPE = {
 }
 
 
-def _f9(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def _xyz(vec) -> str:
-    return " ".join(_f9(c) for c in vec)
+    return " ".join(fmt_float(c) for c in vec)
 
 
 def export_urdf(model: ArticulatedModel, mesh_paths=None, name="artikit_object") -> str:
@@ -591,8 +581,8 @@ def export_urdf(model: ArticulatedModel, mesh_paths=None, name="artikit_object")
                 joint,
                 "limit",
                 {
-                    "lower": _f9(j.limits.lower),
-                    "upper": _f9(j.limits.upper),
+                    "lower": fmt_float(j.limits.lower),
+                    "upper": fmt_float(j.limits.upper),
                     "effort": "100",
                     "velocity": "1",
                 },

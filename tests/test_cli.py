@@ -235,12 +235,68 @@ class TestFeatures:
         pts.write_text(json.dumps([[0.7, 0.0, 0.0]]))
         assert run(["features", grid, pts, "--out", tmp_path / "f"]) == 3
 
+    def test_nan_point_exits_3(self, tmp_path, capsys):
+        grid = self.grid_file(tmp_path)
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]))
+        assert run(["features", grid, pts, "--out", tmp_path / "f"]) == 3
+        assert "point 1 outside the canonical cube" in capsys.readouterr().err
+
     def test_bad_grid_exits_2(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
         pts = tmp_path / "pts.json"
         pts.write_text(json.dumps([[0.0, 0.0, 0.0]]))
         assert run(["features", bad, pts, "--out", tmp_path / "f"]) == 2
+
+
+def _model_text(edit):
+    doc = model_to_dict(build_cabinet())
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _deep(depth=100_000):
+    return "[" * depth + "]" * depth
+
+
+# case -> (file name, file text, role of the file).  Each text nests deeper
+# than the JSON decoder's recursion limit, holds an integer longer than the
+# interpreter converts, or decodes to a number (inf, 10**23, 10**400) that
+# cannot become the integer or float it stands for.
+_BAD_JSON = {
+    "model-id": ("m.json", _model_text(lambda d: d["parts"][0].update(id=math.inf)), "model"),
+    "model-point-index": (
+        "m.json", _model_text(lambda d: d["parts"][0]["point_indices"].append(10**23)), "model"),
+    "model-tree": ("m.json", _model_text(lambda d: d["tree"].update({"0": math.inf})), "model"),
+    "model-base-index": (
+        "m.json", _model_text(lambda d: d.update(base_indices=[math.inf])), "model"),
+    "model-nested": ("m.json", _deep(), "model"),
+    "sidecar-rows": ("pred.bits.json", '{"rows": 1e999, "M": 8}', "sidecar"),
+    "sidecar-nested": ("pred.bits.json", _deep(), "sidecar"),
+    "points-401-digits": ("pts.json", f"[[{10**400}, 0, 0]]", "points"),
+    "points-5000-digits": ("pts.json", f"[[{'1' * 5000}, 0, 0]]", "points"),
+    "points-nested": ("pts.json", _deep(), "points"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_JSON))
+def test_unconvertible_json_exits_2(tmp_path, capsys, case):
+    name, text, role = _BAD_JSON[case]
+    bad = tmp_path / name
+    if role == "model":
+        save_model(build_cabinet(), tmp_path / "gt.json")
+        argv = ["evaluate", bad, tmp_path / "gt.json"]
+    elif role == "sidecar":
+        save_masks(np.ones((1, 8), dtype=bool), tmp_path / "pred.bits")
+        save_masks(np.ones((1, 8), dtype=bool), tmp_path / "gt.bits")
+        argv = ["match", tmp_path / "pred.bits", tmp_path / "gt.bits"]
+    else:
+        save_grid(SparseVoxelGrid(8, {(2, 5, 1): [1.0]}), tmp_path / "grid.bin")
+        argv = ["features", tmp_path / "grid.bin", bad, "--out", tmp_path / "f"]
+    bad.write_text(text)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestLossesSelftest:

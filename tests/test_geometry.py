@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -255,6 +256,43 @@ class TestPooling:
 
 
 # ---------------------------------------------------------------------------
+# sparse voxel grid construction
+
+
+class TestSparseVoxelGrid:
+    def test_from_arrays_equals_dict_grid(self):
+        rng = np.random.default_rng(4)
+        flat = rng.choice(16**3, size=300, replace=False)
+        ijk = np.stack([flat // 256, flat // 16 % 16, flat % 16], axis=1)
+        feats = rng.normal(size=(300, 5))
+        cells = {tuple(int(c) for c in key): vec for key, vec in zip(ijk, feats)}
+        order = rng.permutation(300)
+        grid = SparseVoxelGrid.from_arrays(16, ijk[order], feats[order])
+        assert grid == SparseVoxelGrid(16, cells)
+        assert grid.n_active == 300 and grid.feature_dim == 5
+
+    @pytest.mark.parametrize(
+        "resolution, ijk, dim, message",
+        [
+            (0, [], 1, r"resolution must be in \[1, 65535\], got 0"),
+            (8, [(0, 0, 0)], 0, "feature dimension must be positive"),
+            (8, [(0, 0, 0), (1, 8, 2), (-1, 0, 0)], 1,
+             r"cell \(1, 8, 2\) outside grid of resolution 8"),
+            (8, [(3, 1, 4), (1, 5, 2), (3, 1, 4)], 1, "duplicate cell keys"),
+        ],
+        ids=["resolution", "dim", "outside", "duplicate"],
+    )
+    def test_rejects_bad_cells(self, resolution, ijk, dim, message):
+        ijk = np.array(ijk, dtype=np.int64).reshape(-1, 3)
+        with pytest.raises(ValueError, match=message):
+            SparseVoxelGrid.from_arrays(resolution, ijk, np.ones((len(ijk), dim)))
+        if len(set(map(tuple, ijk.tolist()))) == len(ijk):  # a dict cannot repeat a key
+            cells = {tuple(key): np.ones(dim) for key in ijk.tolist()}
+            with pytest.raises(ValueError, match=message):
+                SparseVoxelGrid(resolution, cells, feature_dim=dim)
+
+
+# ---------------------------------------------------------------------------
 # interchange formats
 
 
@@ -283,6 +321,32 @@ class TestFormats:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ParseError, match="truncated"):
             load_grid(path)
+
+    def test_grid_repeated_cell_rejected(self, tmp_path):
+        grid = SparseVoxelGrid(8, {(1, 2, 3): [1.0], (4, 5, 6): [2.0]})
+        path = tmp_path / "g.bin"
+        save_grid(grid, path)
+        blob = bytearray(path.read_bytes())
+        header = len(blob) - 2 * 10  # two records of 3 x u16 + 1 x f32
+        blob[header + 10 : header + 16] = blob[header : header + 6]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="duplicate cell keys"):
+            load_grid(path)
+
+    @pytest.mark.parametrize("sizes", [(0, 2**32), (2**70, 0)], ids=["huge-dim", "huge-M"])
+    def test_features_sidecar_huge_size_with_empty_payload(self, tmp_path, sizes):
+        # the payload holds 4 * M * dim = 0 bytes, but no array has such a side
+        path = tmp_path / "h.f32"
+        path.write_bytes(b"")
+        (tmp_path / "h.f32.json").write_text(json.dumps({"M": sizes[0], "dim": sizes[1]}))
+        with pytest.raises(ParseError, match="below 2"):
+            load_features(path)
+
+    def test_features_missing_sidecar_names_it(self, tmp_path):
+        path = tmp_path / "h.f32"
+        path.write_bytes(bytes(8))
+        with pytest.raises(ParseError, match=r"h\.f32\.json: file not found"):
+            load_features(path)
 
     def test_features_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -68,6 +68,17 @@ def test_ply_truncated(tetra, tmp_path):
         load_ply(path)
 
 
+@pytest.mark.parametrize("cut, message", [(0, "triangular"), (10, "truncated")])
+def test_ply_quad_face(tetra, tmp_path, cut, message):
+    path = tmp_path / "t.ply"
+    save_ply(tetra, path)
+    blob = bytearray(path.read_bytes())
+    blob[-13] = 4  # vertex count of the last face record
+    path.write_bytes(bytes(blob[: len(blob) - cut]))
+    with pytest.raises(ParseError, match=message):
+        load_ply(path)
+
+
 @pytest.mark.parametrize(
     "header, field",
     [

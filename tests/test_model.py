@@ -185,6 +185,12 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError, match="not found"):
             load_model(tmp_path / "nope.json")
 
+    def test_not_utf8_file(self, cabinet, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps(model_to_dict(cabinet)).encode("utf-16"))
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_model(path)
+
 
 class TestUrdfExport:
     def test_counts(self, cabinet):
