@@ -404,13 +404,13 @@ def _require(mapping, key, where):
 
 def model_to_dict(model: ArticulatedModel) -> dict:
     return {
-        "points": [[float(c) for c in row] for row in model.points],
-        "base_indices": [int(i) for i in model.base_indices],
+        "points": model.points.tolist(),
+        "base_indices": model.base_indices.tolist(),
         "parts": [
             {
                 "id": part.id,
                 "label": part.label,
-                "point_indices": [int(i) for i in part.point_indices],
+                "point_indices": part.point_indices.tolist(),
                 "joint": {
                     "type": part.joint.jtype.value,
                     "axis": [float(c) for c in part.joint.axis],
@@ -511,11 +511,18 @@ def load_model(path) -> ArticulatedModel:
 
 
 def save_model(model: ArticulatedModel, path) -> None:
-    """Write the articulation JSON document; load(save(m)) == m field-for-field."""
+    """Write the articulation JSON document; load(save(m)) == m field-for-field.
+
+    The layout is ``json``'s two-space indent, except that each point takes
+    one line, ``[x, y, z]`` with the floats ``json`` writes.
+    """
     require_valid(model)
+    doc = model_to_dict(model)
+    # float reprs hold no "]", so "], [" only ever separates two points
+    points = json.dumps(doc.pop("points"))[1:-1].replace("], [", "],\n    [")
+    rest = json.dumps(doc, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "points": [\n    ' + points + "\n  ],\n" + rest[2:] + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,27 @@ def build_random_model(rng, n_parts, points_per_part=30, n_base=10):
 @pytest.fixture
 def cabinet():
     return build_cabinet()
+
+
+def criterion3_matrices():
+    """Yield (label, cost) for the criterion-3 assignment corpus: 1015 random
+    matrices of up to 8x8, then ten constructed ones with exact ties."""
+    rng = np.random.default_rng(303)
+    shapes = [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(990)]
+    shapes += [(8, 3), (3, 8), (8, 5), (2, 7), (7, 2)] * 5
+    constructed = [
+        np.ones((3, 3)),
+        np.zeros((4, 4)),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+        np.array([[2.0], [2.0], [5.0]]),
+        np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+        np.array([[1.0, 2.0], [3.0, 0.0]]),
+        np.round(rng.random((5, 5)) * 4) / 4.0,  # heavy exact ties
+        np.round(rng.random((6, 4)) * 2) / 2.0,
+        np.round(rng.random((4, 6)) * 2) / 2.0,
+        np.round(rng.random((7, 7)) * 8) / 8.0,
+    ]
+    for n, k in shapes:
+        yield f"{n}x{k}", rng.random((n, k))
+    for cost in constructed:
+        yield f"constructed {cost.shape}", cost

@@ -9,6 +9,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def nn_brute_force(from_points, to_points):
@@ -71,6 +72,57 @@ def brute_force_assignment(cost):
                 if best is None or cand < best:
                     best = cand
     return best
+
+
+def hungarian_reference(cost):
+    """Lexicographic minimum-cost assignment by one full solve per candidate.
+
+    Row by row, every free column (and, when the remaining rows can still
+    take every free column, skipping the row) is scored as its cost plus an
+    optimal assignment of the remaining submatrix, summed in ascending row
+    order; the first minimum is committed.  Returns (pairs, unmatched
+    queries, total cost) with the fields of ``MatchResult``.
+    """
+    matrix = np.asarray(cost, dtype=np.float64)
+    n, k = matrix.shape
+
+    def row_order_total(pairs):
+        total = 0.0
+        for q, g in sorted(pairs):
+            total += float(matrix[q, g])
+        return total
+
+    def optimal_rest(rows, cols):
+        if not rows or not cols:
+            return []
+        r_idx, c_idx = linear_sum_assignment(matrix[np.ix_(rows, cols)])
+        return [(rows[r], cols[c]) for r, c in zip(r_idx, c_idx)]
+
+    committed = []
+    free_cols = list(range(k))
+    for row in range(n):
+        if not free_cols:
+            break
+        rows_left = list(range(row + 1, n))
+        best_col = None
+        best_total = None
+        for col in free_cols:
+            rest_cols = [c for c in free_cols if c != col]
+            total = row_order_total(committed + [(row, col)] + optimal_rest(rows_left, rest_cols))
+            if best_total is None or total < best_total:
+                best_total = total
+                best_col = col
+        if len(rows_left) >= len(free_cols):
+            skip_total = row_order_total(committed + optimal_rest(rows_left, free_cols))
+            if skip_total < best_total:
+                best_col = None
+        if best_col is not None:
+            committed.append((row, best_col))
+            free_cols.remove(best_col)
+
+    matched = {q for q, _ in committed}
+    unmatched = tuple(q for q in range(n) if q not in matched)
+    return tuple(committed), unmatched, row_order_total(committed)
 
 
 def bce_mean(pred, gt, clamp=1e-7):

@@ -48,7 +48,7 @@ from artikit.model import (
     load_model,
     save_model,
 )
-from tests.conftest import build_cabinet, build_random_model
+from tests.conftest import build_cabinet, build_random_model, criterion3_matrices
 from tests.oracles import bce_mean, brute_force_assignment, check_urdf, nn_brute_force, trilinear_oracle
 
 
@@ -106,36 +106,14 @@ def test_c02_constructed_perturbation_fixtures():
 
 
 def test_c03_hungarian_equals_brute_force():
-    rng = np.random.default_rng(303)
-    shapes = [(int(rng.integers(1, 8)), int(rng.integers(1, 8))) for _ in range(990)]
-    shapes += [(8, 3), (3, 8), (8, 5), (2, 7), (7, 2)] * 5
-    constructed = [
-        np.ones((3, 3)),
-        np.zeros((4, 4)),
-        np.array([[1.0, 1.0], [1.0, 1.0]]),
-        np.array([[2.0], [2.0], [5.0]]),
-        np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
-        np.array([[1.0, 2.0], [3.0, 0.0]]),
-        np.round(rng.random((5, 5)) * 4) / 4.0,  # heavy exact ties
-        np.round(rng.random((6, 4)) * 2) / 2.0,
-        np.round(rng.random((4, 6)) * 2) / 2.0,
-        np.round(rng.random((7, 7)) * 8) / 8.0,
-    ]
     mismatches = []
     count = 0
-    for n, k in shapes:
-        cost = rng.random((n, k))
+    for label, cost in criterion3_matrices():
         got = hungarian(cost)
         total, pairs = brute_force_assignment(cost)
         count += 1
         if abs(got.total_cost - total) > 1e-12 or list(got.pairs) != pairs:
-            mismatches.append(f"{n}x{k}: {got.pairs} vs {pairs}")
-    for cost in constructed:
-        got = hungarian(cost)
-        total, pairs = brute_force_assignment(cost)
-        count += 1
-        if abs(got.total_cost - total) > 1e-12 or list(got.pairs) != pairs:
-            mismatches.append(f"constructed {cost.shape}: {got.pairs} vs {pairs}")
+            mismatches.append(f"{label}: {got.pairs} vs {pairs}")
     report(
         f"criterion 3: hungarian == exhaustive search on {count} matrices (lex ties)",
         count >= 1000 and not mismatches,

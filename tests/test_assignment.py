@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artikit import assignment
 from artikit.assignment import (
     MatchResult,
     QuerySet,
@@ -17,7 +18,8 @@ from artikit.assignment import (
     save_masks,
 )
 from artikit.errors import ParseError
-from tests.oracles import brute_force_assignment
+from tests.conftest import criterion3_matrices
+from tests.oracles import brute_force_assignment, hungarian_reference
 
 
 def make_queries(n=4, d=3, c=5, seed=0):
@@ -167,6 +169,68 @@ class TestHungarian:
             rows, cols = linear_sum_assignment(cost)
             assert got.total_cost == pytest.approx(float(cost[rows, cols].sum()), abs=1e-9)
             assert len(got.pairs) == min(shape)
+
+
+def _cost(kind, shape, seed=41):
+    """Fixed-seed cost matrices: continuous, twin rows, or integers in [0, 2) or [0, 5)."""
+    rng = np.random.default_rng(seed)
+    n, k = shape
+    if kind == "continuous":
+        return rng.random(shape)
+    if kind == "twin":
+        return np.repeat(rng.random(((n + 1) // 2, k)), 2, axis=0)[:n]
+    return rng.integers(0, {"int2": 2, "int5": 5}[kind], shape).astype(np.float64)
+
+
+SHAPES = [(100, 100), (60, 100), (100, 60)]
+SHAPE_IDS = ["100x100", "60x100", "100x60"]
+
+
+class TestHungarianEqualsReference:
+    """The pruned ``hungarian`` gives the one-solve-per-candidate result exactly."""
+
+    @staticmethod
+    def assert_same(cost):
+        got = hungarian(cost)
+        assert (got.pairs, got.unmatched_queries, got.total_cost) == hungarian_reference(cost)
+
+    def test_criterion3_corpus(self):
+        for _, cost in criterion3_matrices():
+            self.assert_same(cost)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize("kind", ["int2", "int5", "twin"])
+    def test_tie_heavy(self, kind, shape):
+        self.assert_same(_cost(kind, shape))
+
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_small_ties(self, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        k = data.draw(st.integers(1, 10), label="k")
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=n * k, max_size=n * k))
+        # with the 1e300 step, min(N, K) * max|cost| reaches 1e300 (unless
+        # every value is 0), beyond which every candidate is solved
+        step = data.draw(st.sampled_from([1.0, 0.1, 1e300]), label="step")
+        self.assert_same(np.array(values, dtype=np.float64).reshape(n, k) * step)
+
+
+class TestHungarianSolveCount:
+    """Without exact ties, a row costs about two LSA solves, not one per free column."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize("kind", ["continuous", "twin"])
+    def test_at_most_three_solves_per_row(self, monkeypatch, kind, shape):
+        solves = []
+        solve = assignment.linear_sum_assignment
+
+        def counting(matrix):
+            solves.append(matrix.shape)
+            return solve(matrix)
+
+        monkeypatch.setattr(assignment, "linear_sum_assignment", counting)
+        hungarian(_cost(kind, shape))
+        assert len(solves) <= 3 * shape[0]
 
 
 class TestConfidenceTargets:

@@ -20,7 +20,7 @@ from artikit.model import (
     save_model,
     validate_model,
 )
-from tests.conftest import build_cabinet
+from tests.conftest import build_cabinet, build_random_model
 from tests.oracles import check_urdf
 
 
@@ -139,6 +139,26 @@ class TestJsonRoundTrip:
         path = tmp_path / "cab.json"
         save_model(cabinet, path)
         assert load_model(path) == cabinet
+
+    def test_save_load_identity_at_100k_points(self, tmp_path):
+        model = build_random_model(np.random.default_rng(5), 8, points_per_part=12_499, n_base=8)
+        assert model.num_points == 100_000
+        path = tmp_path / "big.json"
+        save_model(model, path)
+        assert load_model(path) == model
+
+    def test_one_point_per_line(self, cabinet, tmp_path):
+        path = tmp_path / "cab.json"
+        save_model(cabinet, path)
+        text = path.read_text()
+        doc = json.loads(text)
+        assert doc == model_to_dict(cabinet)
+        assert list(doc) == ["points", "base_indices", "parts", "tree"]
+        lines = text.splitlines()
+        first = lines.index('  "points": [') + 1
+        rows = lines[first : first + cabinet.num_points]
+        assert [json.loads(row.strip().rstrip(",")) for row in rows] == cabinet.points.tolist()
+        assert lines[first + cabinet.num_points] == "  ],"
 
     def test_dict_round_trip(self, cabinet):
         assert model_from_dict(model_to_dict(cabinet)) == cabinet
