@@ -19,8 +19,6 @@ from .errors import ParseError
 from .losses import DICE_EPS, PROB_CLAMP
 
 HARD_MASK_THRESHOLD = 0.5
-#: query-set size of the stock pipeline (the upper bound on parts)
-DEFAULT_NUM_QUERIES = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +106,6 @@ class MatchResult:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "unmatched_queries", unmatched)
         object.__setattr__(self, "total_cost", float(self.total_cost))
-
-    def gt_for_query(self) -> dict:
-        return dict(self.pairs)
 
 
 def compute_mask_logits(contents, features) -> SoftMaskSet:

@@ -9,6 +9,9 @@ Coordinate conventions (fixed so fixtures are portable across implementations):
     clamped to [0, R - 1]; the object is compactly supported, nothing wraps.
   * Triplane order is XY, YZ, ZX with plane axes (x,y), (y,z), (z,x); plane
     arrays are indexed [u, v].
+  * Trilinear and bilinear blends visit the 2^n corners in binary order, last
+    axis fastest, weigh each by the product of its per-axis weights in axis
+    order, and sum them into zeros in that order (``_corners``).
   * Random sampling uses NumPy's PCG64 generator (``np.random.default_rng``)
     with draw order: face picks, then the sqrt-shaped barycentric coordinate,
     then the second barycentric coordinate.
@@ -16,6 +19,9 @@ Coordinate conventions (fixed so fixtures are portable across implementations):
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -33,7 +39,6 @@ _CUBE_TOL = 1e-9
 DEFAULT_VOXEL_RESOLUTION = 64
 DEFAULT_TRIPLANE_RESOLUTION = 128
 DEFAULT_FEATURE_DIM = 8
-LIFTED_FEATURE_DIM = 448
 
 GRID_MAGIC = b"ARTIKITVOXELGRID"  # exactly 16 bytes
 _GRID_HEADER = struct.Struct("<IIQ")
@@ -265,6 +270,34 @@ def sample_surface_points(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
     return (1.0 - r1) * a + r1 * (1.0 - r2) * b + r1 * r2 * c
 
 
+def _corners(coords, resolution: int):
+    """Yield ``(node index per axis, weight)`` for the 2^n grid corners around
+    each point, given one cube-coordinate array per axis.
+
+    Corners come in binary order (the last axis varies fastest), node indices
+    are clamped to ``R - 1``, and each weight is the product of the per-axis
+    weights taken in axis order.  This order fixes the float results.
+    """
+    nodes, weights = [], []  # per axis: (lower, upper) node and (lower, upper) weight
+    for c in coords:
+        i0, frac = _grid_coords(c, resolution)
+        nodes.append((i0, np.minimum(i0 + 1, resolution - 1)))
+        weights.append((1.0 - frac, frac))
+    for offsets in itertools.product((0, 1), repeat=len(nodes)):
+        yield (
+            tuple(n[o] for n, o in zip(nodes, offsets)),
+            functools.reduce(operator.mul, (w[o] for w, o in zip(weights, offsets))),
+        )
+
+
+def _blend(corners, lookup, shape) -> np.ndarray:
+    """Sum of corner weight times ``lookup(nodes)`` over the corners."""
+    out = np.zeros(shape, dtype=np.float64)
+    for nodes, w in corners:
+        out += w[:, None] * lookup(nodes)
+    return out
+
+
 def trilinear_interpolate(grid: SparseVoxelGrid, points) -> np.ndarray:
     """Blend the 8 surrounding cell features at each point; absent cells are zero.
 
@@ -273,19 +306,11 @@ def trilinear_interpolate(grid: SparseVoxelGrid, points) -> np.ndarray:
     pts = _check_in_cube(_as_points(points))
     if pts.shape[0] == 0:
         return np.zeros((0, grid.feature_dim))
-    i0, frac = _grid_coords(pts, grid.resolution)
-
-    out = np.zeros((pts.shape[0], grid.feature_dim), dtype=np.float64)
-    for dx in (0, 1):
-        wx = frac[:, 0] if dx else 1.0 - frac[:, 0]
-        for dy in (0, 1):
-            wy = frac[:, 1] if dy else 1.0 - frac[:, 1]
-            for dz in (0, 1):
-                wz = frac[:, 2] if dz else 1.0 - frac[:, 2]
-                w = wx * wy * wz
-                corner = i0 + np.array([dx, dy, dz], dtype=np.int64)
-                out += w[:, None] * grid.features_at(corner)
-    return out
+    return _blend(
+        _corners(pts.T, grid.resolution),
+        lambda nodes: grid.features_at(np.stack(nodes, axis=-1)),
+        (pts.shape[0], grid.feature_dim),
+    )
 
 
 def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -> TriplaneStack:
@@ -309,18 +334,10 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
 
     acc = np.zeros((3, r, r, dim), dtype=np.float64)
     wacc = np.zeros((3, r, r), dtype=np.float64)
-    for plane, (a0, a1) in enumerate(_PLANE_AXES):
-        u0, fu = _grid_coords(pts[:, a0], r)
-        v0, fv = _grid_coords(pts[:, a1], r)
-        for du in (0, 1):
-            wu = fu if du else 1.0 - fu
-            for dv in (0, 1):
-                wv = fv if dv else 1.0 - fv
-                w = wu * wv
-                iu = np.minimum(u0 + du, r - 1)
-                iv = np.minimum(v0 + dv, r - 1)
-                np.add.at(acc[plane], (iu, iv), w[:, None] * feats)
-                np.add.at(wacc[plane], (iu, iv), w)
+    for plane, axes in enumerate(_PLANE_AXES):
+        for nodes, w in _corners([pts[:, a] for a in axes], r):
+            np.add.at(acc[plane], nodes, w[:, None] * feats)
+            np.add.at(wacc[plane], nodes, w)
 
     planes = np.zeros_like(acc)
     mask = wacc > 0.0
@@ -331,21 +348,14 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
 def triplane_gather(stack: TriplaneStack, points) -> np.ndarray:
     """Bilinearly sample all three planes and concatenate XY || YZ || ZX."""
     pts = _check_in_cube(_as_points(points))
-    r = stack.resolution
     dim = stack.feature_dim
     out = np.zeros((pts.shape[0], 3 * dim), dtype=np.float64)
-    for plane, (a0, a1) in enumerate(_PLANE_AXES):
-        u0, fu = _grid_coords(pts[:, a0], r)
-        v0, fv = _grid_coords(pts[:, a1], r)
-        sample = np.zeros((pts.shape[0], dim), dtype=np.float64)
-        for du in (0, 1):
-            wu = fu if du else 1.0 - fu
-            for dv in (0, 1):
-                wv = fv if dv else 1.0 - fv
-                iu = np.minimum(u0 + du, r - 1)
-                iv = np.minimum(v0 + dv, r - 1)
-                sample += (wu * wv)[:, None] * stack.planes[plane, iu, iv]
-        out[:, plane * dim : (plane + 1) * dim] = sample
+    for plane, axes in enumerate(_PLANE_AXES):
+        out[:, plane * dim : (plane + 1) * dim] = _blend(
+            _corners([pts[:, a] for a in axes], stack.resolution),
+            stack.planes[plane].__getitem__,
+            (pts.shape[0], dim),
+        )
     return out
 
 

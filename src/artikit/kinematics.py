@@ -141,16 +141,24 @@ def part_transforms(model: ArticulatedModel, state) -> dict:
     return composed
 
 
+def pose(points, owner, transforms) -> np.ndarray:
+    """Move the points each part owns by that part's transform; the rest stay.
+
+    ``owner`` maps part id -> point indices and ``transforms`` maps part id ->
+    ``(R, t)`` as from ``part_transforms``.
+    """
+    out = points.copy()
+    for pid, idx in owner.items():
+        rot, trans = transforms[pid]
+        out[idx] = points[idx] @ rot.T + trans
+    return out
+
+
 def articulate(model: ArticulatedModel, state) -> np.ndarray:
     """Pose the model's canonical points at the given state; base points stay."""
     require_valid(model)
-    transforms = part_transforms(model, state)
-    out = model.points.copy()
-    for part in model.parts:
-        rot, trans = transforms[part.id]
-        idx = part.point_indices
-        out[idx] = model.points[idx] @ rot.T + trans
-    return out
+    owner = {part.id: part.point_indices for part in model.parts}
+    return pose(model.points, owner, part_transforms(model, state))
 
 
 def canonical_state(model: ArticulatedModel) -> dict:

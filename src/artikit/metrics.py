@@ -20,7 +20,7 @@ from . import _fmt
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .errors import GeometryError
 from .geometry import nearest_neighbor_distances, sample_surface_points
-from .kinematics import part_transforms, sample_states
+from .kinematics import part_transforms, pose, sample_states
 from .model import ROOT_ID, ArticulatedModel, JointType, require_valid
 
 _PARALLEL_EPS = 1e-9
@@ -160,21 +160,14 @@ class _ShapeSource:
         self.model = model
         if meshes is None:
             self.points = np.asarray(model.points, dtype=np.float64)
-            self.owner = {part.id: np.asarray(part.point_indices) for part in model.parts}
-            base = np.asarray(model.base_indices)
+            self.owner = {part.id: part.point_indices for part in model.parts}
         else:
-            self.points, self.owner, base = _sample_from_meshes(model, meshes, n_points, seed)
-        self.base = base
+            self.points, self.owner = _sample_from_meshes(model, meshes, n_points, seed)
         if self.points.shape[0] == 0:
             raise GeometryError("model has no surface points to evaluate")
 
     def posed(self, state) -> np.ndarray:
-        transforms = part_transforms(self.model, state)
-        out = self.points.copy()
-        for pid, idx in self.owner.items():
-            rot, trans = transforms[pid]
-            out[idx] = self.points[idx] @ rot.T + trans
-        return out
+        return pose(self.points, self.owner, part_transforms(self.model, state))
 
     def part_masks(self, part_ids) -> np.ndarray:
         masks = np.zeros((len(part_ids), self.points.shape[0]), dtype=bool)
@@ -205,7 +198,6 @@ def _sample_from_meshes(model, meshes, n_points, seed):
 
     chunks = []
     owner = {}
-    base = np.zeros(0, dtype=np.int64)
     offset = 0
     for pos, mid in enumerate(ids):
         if counts[pos] == 0:
@@ -215,14 +207,12 @@ def _sample_from_meshes(model, meshes, n_points, seed):
             chunks.append(chunk)
             idx = np.arange(offset, offset + chunk.shape[0], dtype=np.int64)
             offset += chunk.shape[0]
-        if mid == ROOT_ID:
-            base = idx
-        else:
+        if mid != ROOT_ID:
             owner[mid] = idx
     for part in model.parts:
         owner.setdefault(part.id, np.zeros(0, dtype=np.int64))
     points = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 3))
-    return points, owner, base
+    return points, owner
 
 
 def _transfer_masks(pred_src: _ShapeSource, gt_src: _ShapeSource, pred_ids):

@@ -157,24 +157,6 @@ class KinematicTree:
             self, "parent", {int(k): int(v) for k, v in self.parent.items()}
         )
 
-    def children(self, part_id: int) -> list:
-        return sorted(k for k, v in self.parent.items() if v == part_id)
-
-    def path_to_root(self, part_id: int) -> list:
-        """Part ids from ``part_id`` up to (excluding) ROOT. Raises on cycles."""
-        path = []
-        seen = set()
-        cur = part_id
-        while cur != ROOT_ID:
-            if cur in seen:
-                raise ValidationError(f"tree: cycle reached from part {part_id}")
-            seen.add(cur)
-            path.append(cur)
-            if cur not in self.parent:
-                raise ValidationError(f"tree: unknown part id {cur}")
-            cur = self.parent[cur]
-        return path
-
 
 @dataclass(frozen=True, eq=False)
 class ArticulatedModel:
@@ -528,14 +510,6 @@ def save_model(model: ArticulatedModel, path) -> None:
 # ---------------------------------------------------------------------------
 # URDF export
 
-_URDF_TYPE = {
-    JointType.FIXED: "fixed",
-    JointType.REVOLUTE: "revolute",
-    JointType.PRISMATIC: "prismatic",
-    JointType.CONTINUOUS: "continuous",
-}
-
-
 def _xyz(vec) -> str:
     return " ".join(fmt_float(c) for c in vec)
 
@@ -576,7 +550,7 @@ def export_urdf(model: ArticulatedModel, mesh_paths=None, name="artikit_object")
         joint = ET.SubElement(
             robot,
             "joint",
-            {"name": f"joint_{part.id}", "type": _URDF_TYPE[j.jtype]},
+            {"name": f"joint_{part.id}", "type": j.jtype.value},
         )
         ET.SubElement(joint, "origin", {"xyz": _xyz(j.pivot), "rpy": "0 0 0"})
         ET.SubElement(joint, "parent", {"link": link_name(model.tree.parent[part.id])})

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import artikit.kinematics
+import artikit.metrics
+import artikit.model
 from artikit.assignment import save_masks
 from artikit.cli import build_parser, main
 from artikit.geometry import SparseVoxelGrid, load_features, save_grid
@@ -69,6 +72,20 @@ class TestArticulate:
         last = load_point_cloud_ply(out / "state_01.ply")
         door_idx = model.parts[1].point_indices
         assert np.abs(last[door_idx] - model.points[door_idx].astype(np.float32)).max() > 1e-3
+
+    def test_validates_the_model_once(self, cabinet_file, tmp_path, monkeypatch):
+        calls = []
+        real = artikit.model.require_valid
+
+        def counting(model):
+            calls.append(model)
+            real(model)
+
+        # every module that looks require_valid up as its own global
+        for module in (artikit.model, artikit.kinematics, artikit.metrics):
+            monkeypatch.setattr(module, "require_valid", counting)
+        assert run(["articulate", cabinet_file, "--out", tmp_path / "s", "--states", 6]) == 0
+        assert len(calls) == 1
 
 
 class TestEvaluate:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -208,6 +209,73 @@ class TestTriplane:
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             triplane_scatter(np.zeros((2, 3)), np.zeros((3, 2)), resolution=4)
+
+
+# ---------------------------------------------------------------------------
+# byte-exact kernel outputs: the corner order and the weight products fix the
+# float results, so any reordering shows up here even when the oracles agree
+
+
+def _kernel_points(rng, resolutions):
+    """Interior points, points on each cube face, points exactly on the nodes of
+    every resolution, and the eight cube corners."""
+    interior = rng.random((400, 3)) - 0.5
+    faces = rng.random((120, 3)) - 0.5
+    rows = np.arange(120)
+    faces[rows, rows % 3] = np.where(rows % 2, 0.5, -0.5)
+    nodes = [node_position(np.floor(rng.random((40, 3)) * r), r) for r in resolutions]
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=3)))
+    return np.concatenate([interior, faces, *nodes, corners])
+
+
+def _kernel_outputs():
+    """name -> float64 output of every feature kernel on fixed-seed finite inputs."""
+    rng = np.random.default_rng(2024)
+    out = {}
+    for r in (1, 2, 64):
+        keys = np.unique(np.floor(rng.random(min(3000, r**3)) * r**3).astype(np.int64))
+        ijk = np.stack([keys // (r * r), keys // r % r, keys % r], axis=1)
+        feats = (rng.random((len(keys), 4)) * 2.0 - 1.0).astype(np.float32)
+        grid = SparseVoxelGrid.from_arrays(r, ijk, feats)
+        out[f"trilinear-R{r}"] = trilinear_interpolate(grid, _kernel_points(rng, (r,)))
+    for r in (1, 2, 128):
+        pts = _kernel_points(rng, (r,))
+        stack = triplane_scatter(pts, rng.random((len(pts), 5)) - 0.5, resolution=r)
+        out[f"scatter-planes-R{r}"] = stack.planes
+        out[f"scatter-weights-R{r}"] = stack.weights
+        out[f"gather-R{r}"] = triplane_gather(stack, _kernel_points(rng, (r,)))
+    return out
+
+
+# computed with the per-kernel corner loops that `_corners` replaced; the shared
+# kernel must reproduce their bytes
+KERNEL_SHA256 = {
+    "trilinear-R1": "6171256255e2b94e4bb28aa6e38bd451ffd383ac31c05a9ca08cda49292eb233",
+    "trilinear-R2": "e055e2a321242be567c80aaf8454e3607940d80b2de40caa0e896a3869340fd8",
+    "trilinear-R64": "6d8ef77f6c56d4eb6ef20e7ee63c0539b54c6a400bd81f1efad28f0f4975a6fa",
+    "scatter-planes-R1": "0cd8077f3530f358904754366173e11aca6a4eb6cdd1668122c6d27ce1d2de49",
+    "scatter-planes-R2": "36b805e7c53c1caa8f334a03ae487b794afcf0fee95299016735ca6abeae66f1",
+    "scatter-planes-R128": "0fc9cab25be9fcf190a0c039b4b73f22826e556c6618331d9db0ecfeb5a0b085",
+    "scatter-weights-R1": "0f7879a944983e7a08c8c204d119f8ef70fb7ef85415f07b77ab729adfa4277d",
+    "scatter-weights-R2": "2f871af2d520c23a9130c0651148772f18be2939a7a291f21bb08752d946b9bf",
+    "scatter-weights-R128": "c1bf00a80f137c5c4af9c72465708d2ef5d4b8dd4e4ae295aae0955aa7a5889e",
+    "gather-R1": "2753b0a408e2ae3701e0113cf7850ad9009dea8e74686b8ca080ad140bbc2a8e",
+    "gather-R2": "9d45dadfa847c2af29f535f05ce0b817bac76a308a049c19bf9375c1b032a7f7",
+    "gather-R128": "2e7488e0f1a410131dd02c43a4e165b55736073a4db272e62551fdc2aa69156b",
+}
+
+
+class TestKernelDigests:
+    @pytest.fixture(scope="class")
+    def outputs(self):
+        return _kernel_outputs()
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SHA256))
+    def test_output_bytes(self, outputs, name):
+        arr = outputs[name]
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert np.isfinite(arr).all()
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == KERNEL_SHA256[name]
 
 
 # ---------------------------------------------------------------------------

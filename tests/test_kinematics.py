@@ -16,6 +16,8 @@ from artikit.kinematics import (
     limits_to_range,
     pairwise_affinity,
     parent_distribution,
+    part_transforms,
+    pose,
     sample_states,
 )
 from artikit.model import (
@@ -165,6 +167,18 @@ class TestArticulate:
     def test_missing_state_value(self, cabinet):
         with pytest.raises(ValueError, match="missing state value"):
             articulate(cabinet, {0: 0.0})
+
+    def test_pose_moves_only_owned_points(self, cabinet):
+        state = {0: 0.0, 1: 0.7}
+        door = cabinet.parts[1].point_indices
+        owner = {1: door}
+        posed = pose(cabinet.points, owner, part_transforms(cabinet, state))
+        rest = np.setdiff1d(np.arange(cabinet.num_points), door)
+        np.testing.assert_array_equal(posed[rest], cabinet.points[rest])
+        # the body is fixed to ROOT, so the door moves by its own joint alone
+        want = apply_joint(cabinet.parts[1].joint, 0.7, cabinet.points[door])
+        np.testing.assert_allclose(posed[door], want, rtol=0, atol=1e-15)
+        assert np.abs(posed[door] - cabinet.points[door]).max() > 1e-3
 
     def test_cyclic_model_rejected(self, cabinet):
         cyclic = ArticulatedModel(
