@@ -5,6 +5,16 @@ part-mask matching, reference loss kernels, and the state-averaged
 evaluation protocol, plus JSON/URDF/PLY interchange and a CLI.
 """
 
+import os
+
+# Honor ARTIKIT_THREADS before any submodule imports numpy, which sizes its
+# BLAS thread pool once, on import.  Best effort: has no effect if the host
+# process imported numpy before artikit.
+_threads = os.environ.get("ARTIKIT_THREADS")
+if _threads and _threads.strip() != "0":
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads.strip())
+
 __version__ = "0.1.0"
 
 from .errors import ArtikitError, GeometryError, ParseError, ValidationError

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import expit
 
 from ._fmt import read_sidecar, write_sidecar
 from .errors import ParseError
@@ -78,6 +76,8 @@ class SoftMaskSet:
     @property
     def soft(self) -> np.ndarray:
         """Sigmoid of the logits: per-point soft assignment in (0, 1)."""
+        from scipy.special import expit
+
         return expit(self.logits)
 
     @property
@@ -236,6 +236,14 @@ def hungarian(cost) -> MatchResult:
         unmatched_queries=unmatched,
         total_cost=_row_order_total(matrix, committed),
     )
+
+
+def linear_sum_assignment(cost):
+    """SciPy's rectangular assignment solver, imported on first use so that
+    commands which match nothing never load SciPy."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _optimal_rest(matrix: np.ndarray, rows, cols) -> list:

@@ -7,15 +7,6 @@ Floats are printed with 9 significant digits so outputs are byte-stable.
 
 from __future__ import annotations
 
-import os
-
-# Honor ARTIKIT_THREADS before numpy spins up its BLAS thread pool.  Best
-# effort: has no effect if numpy was already imported by the host process.
-_threads = os.environ.get("ARTIKIT_THREADS")
-if _threads and _threads.strip() != "0":
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads.strip())
-
 import argparse
 import sys
 from pathlib import Path

@@ -26,7 +26,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
@@ -42,6 +41,9 @@ DEFAULT_FEATURE_DIM = 8
 
 GRID_MAGIC = b"ARTIKITVOXELGRID"  # exactly 16 bytes
 _GRID_HEADER = struct.Struct("<IIQ")
+#: largest feature dimension a grid file may declare; a query of M points
+#: then yields at most M x 1024 float64 features
+MAX_GRID_FEATURE_DIM = 1024
 
 
 def _grid_record(dim: int) -> np.dtype:
@@ -118,6 +120,10 @@ class SparseVoxelGrid:
                              f"and {feats.shape}")
         if feats.shape[1] < 1:
             raise ValueError("feature dimension must be positive")
+        non_finite = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if non_finite.size:
+            cell = tuple(int(c) for c in ijk[non_finite[0]])
+            raise ValueError(f"cell {cell} has a non-finite feature")
 
         outside = np.flatnonzero(((ijk < 0) | (ijk >= resolution)).any(axis=1))
         if outside.size:
@@ -195,8 +201,10 @@ def load_grid(path) -> SparseVoxelGrid:
         raise ParseError(f"{path}: truncated header")
     resolution, dim, n_active = _GRID_HEADER.unpack_from(blob, offset)
     offset += _GRID_HEADER.size
+    if dim > MAX_GRID_FEATURE_DIM:
+        raise ParseError(f"{path}: feature dimension {dim} exceeds {MAX_GRID_FEATURE_DIM}")
     try:
-        record = _grid_record(dim)  # ValueError when one record would pass 2 GiB
+        record = _grid_record(dim)
         if len(blob) < offset + record.itemsize * n_active:
             raise ParseError(f"{path}: truncated records (want {n_active})")
         cells = np.frombuffer(blob, dtype=record, count=n_active, offset=offset)
@@ -332,12 +340,21 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
         raise ValueError(f"resolution must be >= 1, got {r}")
     dim = feats.shape[1]
 
-    acc = np.zeros((3, r, r, dim), dtype=np.float64)
-    wacc = np.zeros((3, r, r), dtype=np.float64)
+    # One bincount per column sums each node's corner contributions in corner
+    # order, then point order, from zero: the order of eight np.add.at calls.
+    acc = np.empty((3, r * r, dim), dtype=np.float64)
+    wacc = np.empty((3, r * r), dtype=np.float64)
     for plane, axes in enumerate(_PLANE_AXES):
-        for nodes, w in _corners([pts[:, a] for a in axes], r):
-            np.add.at(acc[plane], nodes, w[:, None] * feats)
-            np.add.at(wacc[plane], nodes, w)
+        corners = list(_corners([pts[:, a] for a in axes], r))
+        flat = np.concatenate([u * r + v for (u, v), _ in corners])
+        weights = np.concatenate([w for _, w in corners])
+        wacc[plane] = np.bincount(flat, weights=weights, minlength=r * r)
+        for col in range(dim):
+            acc[plane, :, col] = np.bincount(
+                flat, weights=weights * np.tile(feats[:, col], len(corners)), minlength=r * r
+            )
+    acc = acc.reshape(3, r, r, dim)
+    wacc = wacc.reshape(3, r, r)
 
     planes = np.zeros_like(acc)
     mask = wacc > 0.0
@@ -359,19 +376,36 @@ def triplane_gather(stack: TriplaneStack, points) -> np.ndarray:
     return out
 
 
-def nearest_neighbor_distances(from_points, to_points) -> np.ndarray:
-    """Exact Euclidean distance from each query point to its nearest target.
+def cKDTree(points):
+    """SciPy's KD-tree over ``points``, the one place artikit builds one.
+
+    SciPy is imported here, on first use, so commands that make no
+    nearest-neighbour query never load it.
+    """
+    from scipy.spatial import cKDTree as kdtree
+
+    return kdtree(points)
+
+
+def nearest_neighbors(from_points, to_points):
+    """Exact Euclidean distance from each query point to its nearest target,
+    and that target's index.
 
     KD-tree accelerated; results match the brute-force minimum exactly.
     """
     src = _as_points(from_points, "from_points")
     dst = _as_points(to_points, "to_points")
     if dst.shape[0] == 0:
-        raise ValueError("nearest_neighbor_distances: 'to_points' must be non-empty")
+        raise ValueError("nearest_neighbors: 'to_points' must be non-empty")
     if src.shape[0] == 0:
-        return np.zeros(0)
-    distances, _ = cKDTree(dst).query(src, k=1)
-    return np.asarray(distances, dtype=np.float64)
+        return np.zeros(0), np.zeros(0, dtype=np.intp)
+    distances, indices = cKDTree(dst).query(src, k=1)
+    return np.asarray(distances, dtype=np.float64), indices
+
+
+def nearest_neighbor_distances(from_points, to_points) -> np.ndarray:
+    """The distance half of ``nearest_neighbors``."""
+    return nearest_neighbors(from_points, to_points)[0]
 
 
 def global_pool_concat(h, f_geo) -> np.ndarray:

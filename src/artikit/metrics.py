@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _fmt
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .errors import GeometryError
-from .geometry import nearest_neighbor_distances, sample_surface_points
+from .geometry import nearest_neighbor_distances, nearest_neighbors, sample_surface_points
 from .kinematics import part_transforms, pose, sample_states
 from .model import ROOT_ID, ArticulatedModel, JointType, require_valid
 
@@ -227,7 +226,7 @@ def _transfer_masks(pred_src: _ShapeSource, gt_src: _ShapeSource, pred_ids):
     labels = np.full(pred_src.points.shape[0], -1, dtype=np.int64)
     for row, pid in enumerate(pred_ids):
         labels[pred_src.owner[pid]] = row
-    _, nearest = cKDTree(pred_src.points).query(gt_src.points, k=1)
+    _, nearest = nearest_neighbors(gt_src.points, pred_src.points)
     gt_labels = labels[nearest]
     masks = np.zeros((len(pred_ids), gt_src.points.shape[0]), dtype=bool)
     for row in range(len(pred_ids)):

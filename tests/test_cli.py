@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ import artikit.metrics
 import artikit.model
 from artikit.assignment import save_masks
 from artikit.cli import build_parser, main
-from artikit.geometry import SparseVoxelGrid, load_features, save_grid
+from artikit.geometry import (
+    GRID_MAGIC,
+    MAX_GRID_FEATURE_DIM,
+    SparseVoxelGrid,
+    load_features,
+    save_grid,
+)
 from artikit.meshio import load_point_cloud_ply
 from artikit.model import model_to_dict, save_model
 from tests.conftest import build_cabinet
@@ -265,6 +272,25 @@ class TestFeatures:
         pts = tmp_path / "pts.json"
         pts.write_text(json.dumps([[0.0, 0.0, 0.0]]))
         assert run(["features", bad, pts, "--out", tmp_path / "f"]) == 2
+
+    def test_non_finite_grid_feature_exits_2(self, tmp_path, capsys):
+        grid = self.grid_file(tmp_path)
+        blob = grid.read_bytes()
+        # the one cell's features follow the magic, the header and its (i, j, k)
+        grid.write_bytes(blob[:38] + struct.pack("<2f", math.inf, math.nan) + blob[46:])
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[0.0, 0.0, 0.0]]))
+        assert run(["features", grid, pts, "--out", tmp_path / "f"]) == 2
+        assert "cell (2, 5, 1) has a non-finite feature" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
+    def test_grid_dim_above_cap_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "huge.bin"
+        grid.write_bytes(GRID_MAGIC + struct.pack("<IIQ", 8, 2**29 - 2, 0))
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[0.0, 0.0, 0.0]]))
+        assert run(["features", grid, pts, "--out", tmp_path / "f"]) == 2
+        assert f"exceeds {MAX_GRID_FEATURE_DIM}" in capsys.readouterr().err
 
 
 def _model_text(edit):

@@ -3,11 +3,13 @@
 Each example truncates a file, flips bytes in it, or edits one of its header or
 sidecar fields.  The loaders may accept the result or reject it with
 ParseError or ValidationError, and nothing else; the CLI exits 0, 2 or 3.
+A grid edited to hold a value outside its domain must raise ParseError.
 """
 
 import contextlib
 import io
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -19,8 +21,9 @@ from hypothesis import strategies as st
 
 from artikit.assignment import load_masks, save_masks
 from artikit.cli import _load_points_file, main
-from artikit.errors import ValidationError
+from artikit.errors import ParseError, ValidationError
 from artikit.geometry import (
+    MAX_GRID_FEATURE_DIM,
     SparseVoxelGrid,
     load_features,
     load_grid,
@@ -149,6 +152,20 @@ def _edit_grid_header(data, blob: bytes) -> bytes:
     return blob[:offset] + struct.pack(fmt, value) + blob[offset + struct.calcsize(fmt):]
 
 
+def _edit_grid_values(data, blob: bytes) -> bytes:
+    """Put a value outside its domain into a valid grid file: a non-finite
+    cell feature, or a header ``dim`` above the cap with no cells to read."""
+    _, dim, n_active = struct.unpack_from("<IIQ", blob, 16)
+    if data.draw(st.booleans()):
+        cell = data.draw(st.integers(0, n_active - 1))
+        offset = 32 + cell * (6 + 4 * dim) + 6 + 4 * data.draw(st.integers(0, dim - 1))
+        value = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        return blob[:offset] + struct.pack("<f", value) + blob[offset + 4:]
+    huge = data.draw(st.sampled_from([MAX_GRID_FEATURE_DIM + 1, 2**29 - 2, 2**32 - 1])
+                     | st.integers(MAX_GRID_FEATURE_DIM + 1, 2**32 - 1))
+    return blob[:20] + struct.pack("<IQ", huge, 0) + blob[32:]
+
+
 def _edit_ply_header(data, blob: bytes) -> bytes:
     end = blob.index(b"end_header\n")
     lines = blob[:end].decode("ascii").split("\n")
@@ -170,7 +187,7 @@ def _mutate(data, filename: str, blob: bytes) -> bytes:
     if filename.endswith(".json"):
         kinds.append("json")
     elif filename.endswith(".bin"):
-        kinds.append("grid-header")
+        kinds += ["grid-header", "grid-values"]
     elif filename.endswith(".ply"):
         kinds.append("ply-header")
     kind = data.draw(st.sampled_from(kinds))
@@ -187,6 +204,8 @@ def _mutate(data, filename: str, blob: bytes) -> bytes:
         return _edit_json(data, blob)
     if kind == "grid-header":
         return _edit_grid_header(data, blob)
+    if kind == "grid-values":
+        return _edit_grid_values(data, blob)
     return _edit_ply_header(data, blob)
 
 
@@ -214,6 +233,17 @@ def test_loader_raises_only_parse_or_validation_errors(fmt, data):
             FORMATS[fmt][2](path)
         except ValidationError:  # ParseError is a ValidationError
             pass
+
+
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+def test_grid_values_out_of_domain_raise_parse_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.bin"
+        _grid(path)
+        path.write_bytes(_edit_grid_values(data, path.read_bytes()))
+        with pytest.raises(ParseError):
+            load_grid(path)
 
 
 # ---------------------------------------------------------------------------
