@@ -7,13 +7,31 @@ evaluation protocol, plus JSON/URDF/PLY interchange and a CLI.
 
 import os
 
+
+def _threads_setting() -> int:
+    """``ARTIKIT_THREADS`` as a thread count; 0 when it is unset, 0, or not a
+    decimal integer (such a value is ignored)."""
+    text = os.environ.get("ARTIKIT_THREADS", "").strip()
+    return int(text) if text.isascii() and text.isdigit() else 0
+
+
+def _thread_budget() -> int:
+    """Threads the nearest-neighbour work may use: the CPUs this process may
+    run on, capped by ``ARTIKIT_THREADS`` when that is set.  Read at each call."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(_threads_setting() or cpus, cpus)
+
+
 # Honor ARTIKIT_THREADS before any submodule imports numpy, which sizes its
 # BLAS thread pool once, on import.  Best effort: has no effect if the host
 # process imported numpy before artikit.
-_threads = os.environ.get("ARTIKIT_THREADS")
-if _threads and _threads.strip() != "0":
+_threads = _threads_setting()
+if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads.strip())
+        os.environ.setdefault(_var, str(_threads))
 
 __version__ = "0.1.0"
 

@@ -126,7 +126,7 @@ def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
 
     Predictions are clamped to [1e-7, 1 - 1e-7] before the log terms.
     """
-    pred = np.asarray(pred_soft, dtype=np.float64)
+    pred = np.array(pred_soft, dtype=np.float64)  # private copy, clipped in place
     gt = np.asarray(gt_masks, dtype=np.float64)
     if pred.ndim != 2 or gt.ndim != 2:
         raise ValueError("masks must be 2-d arrays")
@@ -135,12 +135,14 @@ def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
     m = pred.shape[1]
     if m == 0:
         raise ValueError("masks must cover at least one point")
-    pred = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP, out=pred)
 
-    log_p = np.log(pred)
-    log_np = np.log1p(-pred)
-    # bce[i, j] = -(log_p[i] . gt[j] + log_np[i] . (1 - gt[j])) / M
-    bce = -(log_p @ gt.T + log_np @ (1.0 - gt).T) / m
+    # bce[i, j] = -(log p[i] . gt[j] + log(1 - p[i]) . (1 - gt[j])) / M, with
+    # one (N, M) buffer holding log p, then log(1 - p)
+    logs = np.log(pred)
+    bce = logs @ gt.T
+    np.log1p(np.negative(pred, out=logs), out=logs)
+    bce = -(bce + logs @ (1.0 - gt).T) / m
 
     inter = pred @ gt.T
     denom = pred.sum(axis=1)[:, None] + gt.sum(axis=1)[None, :] + DICE_EPS

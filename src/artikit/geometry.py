@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _thread_budget
 from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
 from .model import TriMesh
@@ -44,6 +45,9 @@ _GRID_HEADER = struct.Struct("<IIQ")
 #: largest feature dimension a grid file may declare; a query of M points
 #: then yields at most M x 1024 float64 features
 MAX_GRID_FEATURE_DIM = 1024
+#: largest triplane resolution; a stack then holds at most 3 x 2048^2 nodes,
+#: 96 MiB of float64 per feature channel
+MAX_TRIPLANE_RESOLUTION = 2048
 
 
 def _grid_record(dim: int) -> np.dtype:
@@ -336,8 +340,8 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
             f"point/feature count mismatch: {pts.shape[0]} vs {feats.shape[0]}"
         )
     r = int(resolution)
-    if r < 1:
-        raise ValueError(f"resolution must be >= 1, got {r}")
+    if not 1 <= r <= MAX_TRIPLANE_RESOLUTION:
+        raise ValueError(f"resolution must be in [1, {MAX_TRIPLANE_RESOLUTION}], got {r}")
     dim = feats.shape[1]
 
     # One bincount per column sums each node's corner contributions in corner
@@ -391,7 +395,10 @@ def nearest_neighbors(from_points, to_points):
     """Exact Euclidean distance from each query point to its nearest target,
     and that target's index.
 
-    KD-tree accelerated; results match the brute-force minimum exactly.
+    KD-tree accelerated; results match the brute-force minimum exactly.  The
+    query points are split across the thread budget (``ARTIKIT_THREADS``);
+    each point is searched on its own, so distances, indices and ties do not
+    depend on the split.
     """
     src = _as_points(from_points, "from_points")
     dst = _as_points(to_points, "to_points")
@@ -399,7 +406,7 @@ def nearest_neighbors(from_points, to_points):
         raise ValueError("nearest_neighbors: 'to_points' must be non-empty")
     if src.shape[0] == 0:
         return np.zeros(0), np.zeros(0, dtype=np.intp)
-    distances, indices = cKDTree(dst).query(src, k=1)
+    distances, indices = cKDTree(dst).query(src, k=1, workers=_thread_budget())
     return np.asarray(distances, dtype=np.float64), indices
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fmt
+from . import _fmt, _thread_budget
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .errors import GeometryError
 from .geometry import nearest_neighbor_distances, nearest_neighbors, sample_surface_points
@@ -47,9 +47,22 @@ def _positive_tau(tau) -> float:
 
 
 def _cd_fscore(a: np.ndarray, b: np.ndarray, tau: float):
-    """(Chamfer distance, F-score at tau) of two non-empty (M, 3) clouds."""
-    d_ab = nearest_neighbor_distances(a, b)
-    d_ba = nearest_neighbor_distances(b, a)
+    """(Chamfer distance, F-score at tau) of two non-empty (M, 3) clouds.
+
+    With a thread budget above 1, the b -> a distances (tree build and query)
+    run on a helper thread while this thread computes a -> b; SciPy releases
+    the interpreter lock for both.  The results are the serial ones.
+    """
+    if _thread_budget() == 1:
+        d_ab = nearest_neighbor_distances(a, b)
+        d_ba = nearest_neighbor_distances(b, a)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1) as helper:
+            backward = helper.submit(nearest_neighbor_distances, b, a)
+            d_ab = nearest_neighbor_distances(a, b)
+            d_ba = backward.result()
     cd = float(np.mean(d_ab**2) + np.mean(d_ba**2))
     precision = float(np.mean(d_ab < tau))
     recall = float(np.mean(d_ba < tau))

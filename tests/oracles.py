@@ -131,6 +131,22 @@ def bce_mean(pred, gt, clamp=1e-7):
     return float(np.mean(-(gt * np.log(pred) + (1.0 - gt) * np.log(1.0 - pred))))
 
 
+def matching_cost_reference(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0, clamp=1e-7,
+                            dice_eps=1e-6):
+    """``assignment.matching_cost`` as one expression per term, with every
+    intermediate kept alive: the same BLAS calls on the same inputs."""
+    pred = np.clip(np.asarray(pred_soft, dtype=np.float64), clamp, 1.0 - clamp)
+    gt = np.asarray(gt_masks, dtype=np.float64)
+    m = pred.shape[1]
+    log_p = np.log(pred)
+    log_np = np.log1p(-pred)
+    bce = -(log_p @ gt.T + log_np @ (1.0 - gt).T) / m
+    inter = pred @ gt.T
+    denom = pred.sum(axis=1)[:, None] + gt.sum(axis=1)[None, :] + dice_eps
+    dice = 1.0 - 2.0 * inter / denom
+    return float(w_bce) * bce + float(w_dice) * dice
+
+
 # ---------------------------------------------------------------------------
 # URDF grammar checker
 

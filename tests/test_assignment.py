@@ -19,7 +19,7 @@ from artikit.assignment import (
 )
 from artikit.errors import ParseError
 from tests.conftest import criterion3_matrices
-from tests.oracles import brute_force_assignment, hungarian_reference
+from tests.oracles import brute_force_assignment, hungarian_reference, matching_cost_reference
 
 
 def make_queries(n=4, d=3, c=5, seed=0):
@@ -100,6 +100,20 @@ class TestMatchingCost:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             matching_cost(np.zeros((1, 4)), np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("kind", ["f64", "f32", "bool"])
+    def test_equals_reference_bit_for_bit(self, kind):
+        rng = np.random.default_rng(11)
+        gt = rng.random((12, 5000)) < 0.3
+        pred = rng.random((16, 5000))
+        pred[:, :20] = 0.0  # clamped from below and above
+        pred[:, 20:40] = 1.0
+        pred = {"f64": pred, "f32": pred.astype(np.float32), "bool": pred < 0.4}[kind]
+        before = pred.copy()
+        for gt_in, weights in ((gt, {}), (gt.astype(np.float64), {"w_bce": 0.7, "w_dice": 1.3})):
+            cost = matching_cost(pred, gt_in, **weights)
+            assert cost.tobytes() == matching_cost_reference(pred, gt_in, **weights).tobytes()
+        np.testing.assert_array_equal(pred, before)  # the caller's array is not clipped
 
 
 class TestHungarian:

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,13 +16,14 @@ from artikit.cli import build_parser, main
 from artikit.geometry import (
     GRID_MAGIC,
     MAX_GRID_FEATURE_DIM,
+    MAX_TRIPLANE_RESOLUTION,
     SparseVoxelGrid,
     load_features,
     save_grid,
 )
 from artikit.meshio import load_point_cloud_ply
 from artikit.model import model_to_dict, save_model
-from tests.conftest import build_cabinet
+from tests.conftest import build_cabinet, build_random_model
 
 
 @pytest.fixture
@@ -292,6 +296,18 @@ class TestFeatures:
         assert run(["features", grid, pts, "--out", tmp_path / "f"]) == 2
         assert f"exceeds {MAX_GRID_FEATURE_DIM}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resolution", [0, MAX_TRIPLANE_RESOLUTION + 1, 100_000_000])
+    def test_triplane_resolution_out_of_range_exits_2(self, tmp_path, capsys, resolution):
+        grid = self.grid_file(tmp_path)
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[0.0, 0.0, 0.0]]))
+        argv = ["features", grid, pts, "--out", tmp_path / "f",
+                "--triplane-resolution", resolution]
+        assert run(argv) == 2
+        assert f"resolution must be in [1, {MAX_TRIPLANE_RESOLUTION}], got {resolution}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "f").exists()
+
 
 def _model_text(edit):
     doc = model_to_dict(build_cabinet())
@@ -365,3 +381,26 @@ class TestDefaults:
         assert ma.threshold == 0.5
         fe = parser.parse_args(["features", "g", "p", "--out", "d"])
         assert fe.triplane_resolution == 128
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "ARTIKIT_THREADS")
+
+
+def test_evaluate_stdout_does_not_depend_on_artikit_threads(tmp_path):
+    """Serial (1), the usable CPUs (unset) and an ignored value give the same bytes."""
+    rng = np.random.default_rng(5)
+    save_model(build_random_model(rng, 4, points_per_part=600), tmp_path / "pred.json")
+    save_model(build_random_model(rng, 3, points_per_part=800), tmp_path / "gt.json")
+    base_env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    outputs = {}
+    for value in (None, "1", "two", "-1"):
+        env = dict(base_env) if value is None else {**base_env, "ARTIKIT_THREADS": value}
+        proc = subprocess.run(
+            [sys.executable, "-m", "artikit", "evaluate",
+             str(tmp_path / "pred.json"), str(tmp_path / "gt.json")],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), (value, proc.stderr)
+        outputs[value] = proc.stdout
+    assert len(set(outputs.values())) == 1
+    assert json.loads(outputs[None])["per_state"]

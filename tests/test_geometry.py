@@ -1,18 +1,21 @@
 import hashlib
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from artikit.errors import GeometryError, ParseError
+from artikit import geometry
 from artikit.geometry import (
     SparseVoxelGrid,
     global_pool_concat,
     load_features,
     load_grid,
     nearest_neighbor_distances,
+    nearest_neighbors,
     sample_surface_points,
     save_features,
     save_grid,
@@ -303,6 +306,46 @@ class TestNearestNeighbor:
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             nearest_neighbor_distances([[0, 0, 0]], np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_split_query_equals_serial_on_exact_ties(self, monkeypatch, threads):
+        rng = np.random.default_rng(21)
+        base = rng.uniform(-0.5, 0.5, size=(400, 3))
+        targets = np.concatenate([base, base[::-1], base[:50]])  # every target repeated
+        queries = np.concatenate([base, rng.uniform(-0.5, 0.5, size=(5000, 3)), base[::7]])
+        monkeypatch.setenv("ARTIKIT_THREADS", "1")
+        serial = nearest_neighbors(queries, targets)
+        monkeypatch.setenv("ARTIKIT_THREADS", threads)
+        split = nearest_neighbors(queries, targets)
+        assert split[0].tobytes() == serial[0].tobytes()
+        np.testing.assert_array_equal(split[1], serial[1])
+
+    @pytest.mark.parametrize("value, workers", [
+        ("1", 1), ("2", 2), (" 2 ", 2), ("1000000", None), ("0", None), (None, None),
+        ("two", None), ("-1", None), ("1.5", None), ("\u00b2", None),
+    ])
+    def test_query_workers_follow_artikit_threads(self, monkeypatch, value, workers):
+        """A positive integer caps the workers at the usable CPUs; 0, unset and
+        other values give the usable CPUs."""
+        seen = []
+        build = geometry.cKDTree
+
+        class Spy:
+            def __init__(self, points):
+                self.tree = build(points)
+
+            def query(self, *args, **kwargs):
+                seen.append(kwargs.get("workers"))
+                return self.tree.query(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "cKDTree", Spy)
+        if value is None:
+            monkeypatch.delenv("ARTIKIT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ARTIKIT_THREADS", value)
+        nearest_neighbors([[0.0, 0.0, 0.0]], [[0.1, 0.0, 0.0]])
+        cpus = len(os.sched_getaffinity(0))
+        assert seen == [min(workers or cpus, cpus)]
 
 
 class TestPooling:

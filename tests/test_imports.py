@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from artikit.geometry import SparseVoxelGrid, save_grid
 from artikit.meshio import save_point_cloud_ply
@@ -73,7 +74,7 @@ def test_commands_without_nn_or_matching_never_import_scipy(tmp_path):
 
 
 _NUMPY_SEES_THREADS = """
-import os, sys
+import json, os, sys
 
 assert "numpy" not in sys.modules
 seen = []
@@ -86,14 +87,21 @@ class Probe:
 
 sys.meta_path.insert(0, Probe())
 import artikit.cli
-assert seen == ["1"], seen
+assert seen == [json.loads(sys.argv[1])], seen
 """
 
 
 def test_artikit_threads_is_set_before_numpy_loads():
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     env["ARTIKIT_THREADS"] = "1"
-    _python(_NUMPY_SEES_THREADS, env=env)
+    _python(_NUMPY_SEES_THREADS, json.dumps("1"), env=env)
+
+
+@pytest.mark.parametrize("value", ["0", "two", "-1", "1.5"])
+def test_zero_or_ignored_artikit_threads_leaves_blas_at_its_default(value):
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["ARTIKIT_THREADS"] = value
+    _python(_NUMPY_SEES_THREADS, json.dumps(None), env=env)
 
 
 def test_every_traced_attribute_resolves_to_a_callable():

@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import artikit.metrics
 from artikit.assignment import MatchResult
 from artikit.kinematics import rotation_about_axis
 from artikit.metrics import (
+    _cd_fscore,
     axis_error,
     chamfer,
     evaluate,
@@ -43,6 +47,42 @@ class TestChamfer:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             chamfer(np.zeros((0, 3)), np.zeros((1, 3)))
+
+
+class TestBothDirectionsAtOnce:
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_second_direction_on_a_helper_thread_above_a_budget_of_one(
+        self, monkeypatch, threads
+    ):
+        rng = np.random.default_rng(8)
+        a = rng.uniform(-0.5, 0.5, size=(3000, 3))
+        b = np.concatenate([a[:1000] + 1e-3, rng.uniform(-0.5, 0.5, size=(1500, 3))])
+        monkeypatch.setenv("ARTIKIT_THREADS", "1")
+        serial = _cd_fscore(a, b, 0.01)
+
+        callers = {}  # query size -> thread that ran the query
+        nn = artikit.metrics.nearest_neighbor_distances
+
+        def recording(src, dst):
+            callers[len(src)] = threading.get_ident()
+            return nn(src, dst)
+
+        starts = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(artikit.metrics, "nearest_neighbor_distances", recording)
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        monkeypatch.setenv("ARTIKIT_THREADS", threads)
+        assert _cd_fscore(a, b, 0.01) == serial
+        assert callers[len(a)] == threading.get_ident()
+        helper = min(int(threads), len(os.sched_getaffinity(0))) > 1
+        assert (callers[len(b)] != threading.get_ident()) == helper
+        if threads == "1":
+            assert starts == []  # neither a helper nor SciPy query workers
 
 
 class TestFscore:
