@@ -6,6 +6,7 @@ evaluation protocol, plus JSON/URDF/PLY interchange and a CLI.
 """
 
 import os
+import threading
 
 
 def _threads_setting() -> int:
@@ -23,6 +24,53 @@ def _thread_budget() -> int:
     else:
         cpus = os.cpu_count() or 1
     return min(_threads_setting() or cpus, cpus)
+
+
+_compiled_lock = threading.Lock()
+_compiled_modules: dict = {}
+
+
+def _compiled_scipy(name: str):
+    """SciPy's compiled module ``name`` (say ``scipy.optimize._lsap``), loaded
+    once per process from its file, without running the ``__init__`` of the
+    subpackage above it.
+
+    Those ``__init__`` files import most of SciPy and take most of the time a
+    kernel call would otherwise spend importing.  The module is registered in
+    ``sys.modules`` under its dotted name, so a later public import of the
+    subpackage picks up this very module and its objects.  A module imported
+    the public way already, or with no compiled file, is imported the usual
+    way.  The lock makes threads that ask at once wait for one finished load.
+    """
+    module = _compiled_modules.get(name)
+    if module is not None:
+        return module
+    with _compiled_lock:
+        if name not in _compiled_modules:
+            import importlib
+            import sys
+            from importlib import machinery, util
+
+            top = None if name in sys.modules else util.find_spec("scipy")
+            for root in top.submodule_search_locations if top else ():
+                finder = machinery.FileFinder(
+                    os.path.join(root, *name.split(".")[1:-1]),
+                    (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+                )
+                spec = finder.find_spec(name)
+                if spec is not None:
+                    module = util.module_from_spec(spec)
+                    sys.modules[name] = module
+                    try:
+                        spec.loader.exec_module(module)
+                    except BaseException:
+                        sys.modules.pop(name, None)
+                        raise
+                    break
+            else:
+                module = importlib.import_module(name)
+            _compiled_modules[name] = module
+    return _compiled_modules[name]
 
 
 # Honor ARTIKIT_THREADS before any submodule imports numpy, which sizes its

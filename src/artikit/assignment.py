@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _compiled_scipy
 from ._fmt import read_sidecar, write_sidecar
 from .errors import ParseError
 from .losses import DICE_EPS, PROB_CLAMP
@@ -241,11 +242,10 @@ def hungarian(cost) -> MatchResult:
 
 
 def linear_sum_assignment(cost):
-    """SciPy's rectangular assignment solver, imported on first use so that
-    commands which match nothing never load SciPy."""
-    from scipy.optimize import linear_sum_assignment as solve
-
-    return solve(cost)
+    """SciPy's rectangular assignment solver.  Only its compiled module is
+    loaded, on first use, so commands which match nothing never load SciPy and
+    ``match`` never runs the import of ``scipy.optimize``."""
+    return _compiled_scipy("scipy.optimize._lsap").linear_sum_assignment(cost)
 
 
 def _optimal_rest(matrix: np.ndarray, rows, cols) -> list:
@@ -355,7 +355,8 @@ def load_masks(path):
     """Read a mask file; returns (array, is_soft).
 
     Bitset files decode to bool arrays, f32 files to float arrays.  The two
-    encodings are distinguished by file size, which can never collide.
+    encodings are distinguished by file size, which can never collide.  Soft
+    mask values must be finite and lie in [0, 1].
     """
     rows, m = read_sidecar(path, {"rows": 0, "M": 1})
     with open(path, "rb") as fh:
@@ -371,7 +372,11 @@ def load_masks(path):
         masks = np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(bool)
         return masks, False
     if len(blob) == f32_size:
-        return np.frombuffer(blob, dtype="<f4").reshape(rows, m).astype(np.float64), True
+        soft = np.frombuffer(blob, dtype="<f4").reshape(rows, m)
+        # NaN fails both comparisons
+        if not (soft.min() >= 0.0 and soft.max() <= 1.0):
+            raise ParseError(f"{path}: soft mask values must be finite and lie in [0, 1]")
+        return soft.astype(np.float64), True
     raise ParseError(
         f"{path}: size {len(blob)} matches neither bitset ({bits_size}) nor f32 ({f32_size})"
     )

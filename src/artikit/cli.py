@@ -125,6 +125,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_tree(args) -> int:
     part_probs = _load_json_array(args.logits, 2, "part probabilities")
+    # NaN fails both comparisons
+    if part_probs.size and not (part_probs.min() >= 0.0 and part_probs.max() < np.inf):
+        raise ParseError(f"{args.logits}: part probabilities must be finite and non-negative")
     compat = _load_json_array(args.compat, 2, "compatibility matrix")
     root_scores = None
     if args.root_scores:
@@ -154,8 +157,9 @@ def cmd_match(args) -> int:
             f"mask point counts differ: {pred.shape[1]} vs {gt.shape[1]}"
         )
     hard = (pred > 0.5) if pred_soft else pred
-    match = hungarian(matching_cost(pred, gt.astype(np.float64)))
-    targets = confidence_targets(hard, gt.astype(bool), match)
+    # gt is a bool bitset: both kernels take it as it is
+    match = hungarian(matching_cost(pred, gt))
+    targets = confidence_targets(hard, gt, match)
     _emit(
         {
             "pairs": [[q, g] for q, g in match.pairs],

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _thread_budget
+from . import _compiled_scipy, _thread_budget
 from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
 from .model import TriMesh
@@ -383,12 +383,11 @@ def triplane_gather(stack: TriplaneStack, points) -> np.ndarray:
 def cKDTree(points):
     """SciPy's KD-tree over ``points``, the one place artikit builds one.
 
-    SciPy is imported here, on first use, so commands that make no
-    nearest-neighbour query never load it.
+    Only SciPy's compiled KD-tree module is loaded, on first use, so commands
+    that make no nearest-neighbour query never load SciPy, and those that do
+    skip the import of ``scipy.spatial``.
     """
-    from scipy.spatial import cKDTree as kdtree
-
-    return kdtree(points)
+    return _compiled_scipy("scipy.spatial._ckdtree").cKDTree(points)
 
 
 def nearest_neighbors(from_points, to_points):

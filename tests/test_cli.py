@@ -168,6 +168,16 @@ class TestTree:
         (tmp_path / "compat.json").write_text(json.dumps([[0.0, 0.0], [0.0, 0.0]]))
         assert run(["tree", tmp_path / "logits.json", tmp_path / "compat.json"]) == 2
 
+    @pytest.mark.parametrize("row", [[-0.5, 1.5], [math.nan, 1.0], [math.inf, 0.0],
+                                     [1.0, -math.inf]])
+    def test_negative_or_non_finite_probabilities_exit_2(self, tmp_path, capsys, row):
+        (tmp_path / "logits.json").write_text(json.dumps([[1.0, 0.0], row]))
+        (tmp_path / "compat.json").write_text(json.dumps([[0.0, 5.0], [5.0, 0.0]]))
+        assert run(["tree", tmp_path / "logits.json", tmp_path / "compat.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "part probabilities must be finite and non-negative" in captured.err
+
 
 class TestMatch:
     def test_identical_masks(self, tmp_path, capsys):
@@ -206,6 +216,25 @@ class TestMatch:
         assert run(["match", tmp_path / "pred.bits", tmp_path / "gt.bits"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["confidence_targets"][0] == pytest.approx(1 / 3, abs=1e-9)
+
+    def test_soft_masks_on_the_unit_interval_bounds(self, tmp_path, capsys):
+        pred = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]], dtype=np.float32)
+        save_masks(pred, tmp_path / "pred.f32")
+        save_masks(pred > 0.5, tmp_path / "gt.bits")
+        assert run(["match", tmp_path / "pred.f32", tmp_path / "gt.bits"]) == 0
+        assert json.loads(capsys.readouterr().out)["pairs"] == [[0, 0], [1, 1]]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -3.0, 7.0,
+                                       float(np.nextafter(np.float32(1), np.float32(2)))])
+    def test_soft_mask_value_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
+        pred = np.full((2, 8), 0.25, dtype=np.float32)
+        pred[1, 5] = value
+        save_masks(pred, tmp_path / "pred.f32")
+        save_masks(np.ones((2, 8), dtype=bool), tmp_path / "gt.bits")
+        assert run(["match", tmp_path / "pred.f32", tmp_path / "gt.bits"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite and lie in [0, 1]" in captured.err
 
     def test_m_mismatch_exits_2(self, tmp_path):
         save_masks(np.ones((1, 8), dtype=bool), tmp_path / "pred.bits")

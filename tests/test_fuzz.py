@@ -3,7 +3,8 @@
 Each example truncates a file, flips bytes in it, or edits one of its header or
 sidecar fields.  The loaders may accept the result or reject it with
 ParseError or ValidationError, and nothing else; the CLI exits 0, 2 or 3.
-A grid edited to hold a value outside its domain must raise ParseError.
+A grid or a soft-mask file edited to hold a value outside its domain must
+raise ParseError.
 """
 
 import contextlib
@@ -166,6 +167,16 @@ def _edit_grid_values(data, blob: bytes) -> bytes:
     return blob[:20] + struct.pack("<IQ", huge, 0) + blob[32:]
 
 
+def _edit_mask_values(data, blob: bytes) -> bytes:
+    """Put a value outside [0, 1] into a valid f32 soft-mask file: a
+    non-finite one, a negative one, or one above 1."""
+    offset = 4 * data.draw(st.integers(0, len(blob) // 4 - 1))
+    value = data.draw(st.sampled_from([math.inf, -math.inf, math.nan, -3.0, 7.0])
+                      | st.floats(max_value=-(2.0**-100), width=32)
+                      | st.floats(min_value=1.0, exclude_min=True, width=32))
+    return blob[:offset] + struct.pack("<f", value) + blob[offset + 4:]
+
+
 def _edit_ply_header(data, blob: bytes) -> bytes:
     end = blob.index(b"end_header\n")
     lines = blob[:end].decode("ascii").split("\n")
@@ -190,6 +201,8 @@ def _mutate(data, filename: str, blob: bytes) -> bytes:
         kinds += ["grid-header", "grid-values"]
     elif filename.endswith(".ply"):
         kinds.append("ply-header")
+    elif filename == FORMATS["f32-masks"][0]:
+        kinds.append("mask-values")
     kind = data.draw(st.sampled_from(kinds))
     if kind == "truncate":
         return blob[: data.draw(st.integers(0, max(len(blob) - 1, 0)))]
@@ -206,6 +219,8 @@ def _mutate(data, filename: str, blob: bytes) -> bytes:
         return _edit_grid_header(data, blob)
     if kind == "grid-values":
         return _edit_grid_values(data, blob)
+    if kind == "mask-values":
+        return _edit_mask_values(data, blob)
     return _edit_ply_header(data, blob)
 
 
@@ -244,6 +259,17 @@ def test_grid_values_out_of_domain_raise_parse_error(data):
         path.write_bytes(_edit_grid_values(data, path.read_bytes()))
         with pytest.raises(ParseError):
             load_grid(path)
+
+
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+def test_mask_values_out_of_domain_raise_parse_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "masks.f32"
+        _soft(path)
+        path.write_bytes(_edit_mask_values(data, path.read_bytes()))
+        with pytest.raises(ParseError):
+            load_masks(path)
 
 
 # ---------------------------------------------------------------------------

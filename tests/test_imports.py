@@ -1,8 +1,9 @@
 """What importing artikit costs and sets up, checked in fresh child processes.
 
-SciPy takes most of the CLI's start-up time, so it is imported only by the
-functions that call it; the tracer in ``perfbench/spans.py`` must still find
-every function it wraps.
+SciPy takes most of the CLI's start-up time, so only the functions that call
+it load it, and they load only SciPy's compiled assignment and KD-tree
+modules, not the subpackages around them; the tracer in
+``perfbench/spans.py`` must still find every function it wraps.
 """
 
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from artikit.assignment import save_masks
 from artikit.geometry import SparseVoxelGrid, save_grid
 from artikit.meshio import save_point_cloud_ply
 from artikit.model import save_model
@@ -71,6 +73,121 @@ def test_commands_without_nn_or_matching_never_import_scipy(tmp_path):
         ["losses", "selftest"],
     ]
     _python(_NO_SCIPY, json.dumps([[str(a) for a in argv] for argv in argvs]))
+
+
+_SUBPACKAGES_NOT_LOADED = """
+import contextlib, io, json, sys
+import artikit.cli
+
+argv, absent = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = artikit.cli.main(argv)
+assert code == 0, code
+loaded = [name for name in absent if name in sys.modules]
+assert not loaded, f"{argv[0]} loaded {loaded}"
+"""
+
+
+def test_match_and_evaluate_skip_the_scipy_subpackage_imports(tmp_path):
+    rng = np.random.default_rng(0)
+    save_masks(rng.random((6, 40)).astype(np.float32), tmp_path / "pred.f32")
+    save_masks(rng.random((4, 40)) > 0.5, tmp_path / "gt.bits")
+    save_model(build_cabinet(), tmp_path / "cabinet.json")
+    match = ["match", tmp_path / "pred.f32", tmp_path / "gt.bits"]
+    evaluate = ["evaluate", tmp_path / "cabinet.json", tmp_path / "cabinet.json"]
+    for argv, absent in ((match, ["scipy.optimize", "scipy.linalg"]),
+                         (evaluate, ["scipy.optimize", "scipy.spatial"])):
+        _python(_SUBPACKAGES_NOT_LOADED, json.dumps([[str(a) for a in argv], absent]))
+
+
+_SAME_OBJECTS_AS_SCIPY = """
+import sys
+import numpy as np
+
+public_first = sys.argv[1] == "public-first"
+if public_first:
+    import scipy.optimize, scipy.spatial
+import artikit
+from artikit import assignment, geometry
+
+cost = np.random.default_rng(0).random((5, 7))
+rows, cols = assignment.linear_sum_assignment(cost)
+tree = geometry.cKDTree(np.random.default_rng(1).uniform(-0.5, 0.5, size=(50, 3)))
+if not public_first:
+    assert "scipy.optimize" not in sys.modules and "scipy.spatial" not in sys.modules
+    import scipy.optimize, scipy.spatial
+solve = artikit._compiled_scipy("scipy.optimize._lsap").linear_sum_assignment
+assert solve is scipy.optimize.linear_sum_assignment
+assert type(tree) is scipy.spatial.cKDTree
+expected = scipy.optimize.linear_sum_assignment(cost)
+assert (rows == expected[0]).all() and (cols == expected[1]).all()
+"""
+
+
+@pytest.mark.parametrize("order", ["public-first", "public-after"])
+def test_loaded_kernels_are_scipys_public_objects(order):
+    _python(_SAME_OBJECTS_AS_SCIPY, order)
+
+
+_FIRST_KDTREE_FROM_SEVERAL_THREADS = """
+import sys, threading, time
+import numpy as np
+from artikit import geometry
+
+kinds, errors = [], []
+
+def build(after_load_starts):
+    # all calls but the first come while the first is still loading the module
+    deadline = time.monotonic() + 30
+    while after_load_starts and "scipy.spatial._ckdtree" not in sys.modules:
+        assert time.monotonic() < deadline
+        time.sleep(0)
+    try:
+        tree = geometry.cKDTree(np.random.default_rng(0).uniform(-0.5, 0.5, size=(100, 3)))
+        tree.query(np.zeros((1, 3)))
+        kinds.append(type(tree))
+    except BaseException as exc:
+        errors.append(repr(exc))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=build, args=(wait,)) for wait in (False, True, True, True)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+assert not errors, errors
+import scipy.spatial
+assert kinds == [scipy.spatial.cKDTree] * 4, kinds
+"""
+
+
+def test_first_kdtree_from_several_threads_at_once():
+    _python(_FIRST_KDTREE_FROM_SEVERAL_THREADS)
+
+
+_FALLBACK_WITHOUT_COMPILED_FILE = """
+import sys
+from importlib import machinery
+
+# artikit's finder looks for these suffixes only; the import system keeps its own
+machinery.EXTENSION_SUFFIXES = []
+import numpy as np
+import artikit
+from artikit import assignment, geometry
+
+assignment.linear_sum_assignment(np.eye(3))
+tree = geometry.cKDTree(np.zeros((1, 3)))
+assert "scipy.optimize" in sys.modules and "scipy.spatial" in sys.modules
+import scipy.optimize, scipy.spatial
+solve = artikit._compiled_scipy("scipy.optimize._lsap").linear_sum_assignment
+assert solve is scipy.optimize.linear_sum_assignment
+assert type(tree) is scipy.spatial.cKDTree
+"""
+
+
+def test_without_a_compiled_file_the_public_import_is_used():
+    _python(_FALLBACK_WITHOUT_COMPILED_FILE)
 
 
 _NUMPY_SEES_THREADS = """
