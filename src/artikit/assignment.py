@@ -16,6 +16,7 @@ from . import _compiled_scipy
 from ._fmt import read_sidecar, write_sidecar
 from .errors import ParseError
 from .losses import DICE_EPS, PROB_CLAMP
+from .model import _as_array, _frozen
 
 HARD_MASK_THRESHOLD = 0.5
 
@@ -34,23 +35,13 @@ class QuerySet:
     part_logits: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
-        con = np.asarray(self.contents, dtype=np.float64)
-        conf = np.asarray(self.confidences, dtype=np.float64)
-        logits = np.asarray(self.part_logits, dtype=np.float64)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError(f"positions must be (N, 3), got {pos.shape}")
+        pos = _frozen(self.positions, ("N", 3), "positions")
         n = pos.shape[0]
-        if con.ndim != 2 or con.shape[0] != n:
-            raise ValueError(f"contents must be (N, d) with N={n}, got {con.shape}")
-        if conf.shape != (n,):
-            raise ValueError(f"confidences must be ({n},), got {conf.shape}")
-        if logits.ndim != 2 or logits.shape[0] != n:
-            raise ValueError(f"part_logits must be (N, C) with N={n}, got {logits.shape}")
+        con = _frozen(self.contents, (n, "d"), "contents")
+        conf = _frozen(self.confidences, (n,), "confidences")
+        logits = _frozen(self.part_logits, (n, "C"), "part_logits")
         if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
             raise ValueError("confidences must lie in [0, 1]")
-        for arr in (pos, con, conf, logits):
-            arr.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "contents", con)
         object.__setattr__(self, "confidences", conf)
@@ -67,9 +58,7 @@ class SoftMaskSet:
     logits: np.ndarray
 
     def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be (N_q, M), got {logits.shape}")
+        logits = _as_array(self.logits, ("N_q", "M"), "logits")
         if not np.all(np.isfinite(logits)):
             raise ValueError("mask logits must be finite")
         object.__setattr__(self, "logits", logits)
@@ -111,10 +100,8 @@ class MatchResult:
 
 def compute_mask_logits(contents, features) -> SoftMaskSet:
     """Part-mask logits as the affinity between content queries and point features."""
-    con = np.asarray(contents, dtype=np.float64)
-    feats = np.asarray(features, dtype=np.float64)
-    if con.ndim != 2 or feats.ndim != 2:
-        raise ValueError("contents and features must be 2-d arrays")
+    con = _as_array(contents, ("N", "d"), "contents")
+    feats = _as_array(features, ("M", "d"), "features")
     if con.shape[1] != feats.shape[1]:
         raise ValueError(
             f"feature dimension mismatch: contents {con.shape[1]} vs features {feats.shape[1]}"
@@ -127,10 +114,9 @@ def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
 
     Predictions are clamped to [1e-7, 1 - 1e-7] before the log terms.
     """
-    pred = np.array(pred_soft, dtype=np.float64)  # private copy, clipped in place
-    gt = np.asarray(gt_masks, dtype=np.float64)
-    if pred.ndim != 2 or gt.ndim != 2:
-        raise ValueError("masks must be 2-d arrays")
+    # a private copy, clipped in place
+    pred = _as_array(np.array(pred_soft, dtype=np.float64), ("N", "M"), "pred_soft")
+    gt = _as_array(gt_masks, ("K", "M"), "gt_masks")
     if pred.shape[1] != gt.shape[1]:
         raise ValueError(f"point count mismatch: {pred.shape[1]} vs {gt.shape[1]}")
     m = pred.shape[1]
@@ -178,9 +164,7 @@ def hungarian(cost) -> MatchResult:
     unsolved one can reach the minimum, so the result is the same.  Untied
     costs take about two solves per row instead of one per free column.
     """
-    matrix = np.asarray(cost, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"cost must be 2-d, got shape {matrix.shape}")
+    matrix = _as_array(cost, ("N", "K"), "cost")
     n, k = matrix.shape
     if n == 0 or k == 0:
         return MatchResult(pairs=(), unmatched_queries=tuple(range(n)), total_cost=0.0)
@@ -289,10 +273,10 @@ def _removal_costs(matrix: np.ndarray, rest, cols, may_drop: bool) -> np.ndarray
 
 def confidence_targets(pred_hard, gt_masks, match: MatchResult) -> np.ndarray:
     """Per-query IoU against the matched GT mask; unmatched queries get 0."""
-    pred = np.asarray(pred_hard, dtype=bool)
-    gt = np.asarray(gt_masks, dtype=bool)
-    if pred.ndim != 2 or gt.ndim != 2 or pred.shape[1] != gt.shape[1]:
-        raise ValueError("pred and gt masks must be 2-d with matching point counts")
+    pred = _as_array(pred_hard, ("N", "M"), "pred_hard", bool)
+    gt = _as_array(gt_masks, ("K", "M"), "gt_masks", bool)
+    if pred.shape[1] != gt.shape[1]:
+        raise ValueError(f"point count mismatch: {pred.shape[1]} vs {gt.shape[1]}")
     out = np.zeros(pred.shape[0])
     for q, g in match.pairs:
         if not (0 <= q < pred.shape[0] and 0 <= g < gt.shape[0]):
@@ -305,12 +289,8 @@ def confidence_targets(pred_hard, gt_masks, match: MatchResult) -> np.ndarray:
 
 def residual_update(queries: QuerySet, delta_p, delta_c) -> QuerySet:
     """Additive refinement of positions and contents; other fields unchanged."""
-    dp = np.asarray(delta_p, dtype=np.float64)
-    dc = np.asarray(delta_c, dtype=np.float64)
-    if dp.shape != queries.positions.shape:
-        raise ValueError(f"delta_p shape {dp.shape} != positions {queries.positions.shape}")
-    if dc.shape != queries.contents.shape:
-        raise ValueError(f"delta_c shape {dc.shape} != contents {queries.contents.shape}")
+    dp = _as_array(delta_p, queries.positions.shape, "delta_p")
+    dc = _as_array(delta_c, queries.contents.shape, "delta_c")
     return QuerySet(
         positions=queries.positions + dp,
         contents=queries.contents + dc,

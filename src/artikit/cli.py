@@ -17,6 +17,7 @@ from . import __version__, _fmt
 from .assignment import confidence_targets, hungarian, load_masks, matching_cost
 from .errors import GeometryError, ParseError, ValidationError
 from .geometry import (
+    DEFAULT_TRIPLANE_RESOLUTION,
     load_grid,
     save_features,
     triplane_gather,
@@ -24,6 +25,7 @@ from .geometry import (
     trilinear_interpolate,
 )
 from .kinematics import (
+    MAX_TREE_SCORE,
     build_tree,
     pairwise_affinity,
     parent_distribution,
@@ -34,7 +36,7 @@ from .kinematics import (
 from .losses import selftest
 from .meshio import load_point_cloud_ply, save_point_cloud_ply
 from .metrics import evaluate
-from .model import load_model
+from .model import _as_array, load_model
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -56,14 +58,25 @@ def _diag(message: str) -> None:
     sys.stderr.write(message.rstrip() + "\n")
 
 
-def _load_json_array(path, ndim: int, name: str) -> np.ndarray:
+def _load_json_array(path, shape, name: str) -> np.ndarray:
+    """A JSON array file as a float64 array of ``shape`` (see ``_as_array``)."""
     data = _fmt.read_json(path)
     try:
         arr = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {name} must be a numeric array") from exc
-    if arr.ndim != ndim:
-        raise ParseError(f"{path}: {name} must be {ndim}-dimensional, got shape {arr.shape}")
+    try:
+        return _as_array(arr, shape, name)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _load_bounded(path, shape, name: str, low: float, high: float, rule: str) -> np.ndarray:
+    """``_load_json_array`` whose values must lie in [low, high], as ``rule`` says."""
+    arr = _load_json_array(path, shape, name)
+    # NaN fails both comparisons
+    if arr.size and not (arr.min() >= low and arr.max() <= high):
+        raise ParseError(f"{path}: {name} must be {rule}")
     return arr
 
 
@@ -71,10 +84,7 @@ def _load_points_file(path) -> np.ndarray:
     text = str(path).lower()
     if text.endswith(".ply"):
         return load_point_cloud_ply(path)
-    arr = _load_json_array(path, 2, "points")
-    if arr.shape[1] != 3:
-        raise ParseError(f"{path}: points must have shape (M, 3), got {arr.shape}")
-    return arr
+    return _load_json_array(path, ("M", 3), "points")
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +134,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    part_probs = _load_json_array(args.logits, 2, "part probabilities")
-    # NaN fails both comparisons
-    if part_probs.size and not (part_probs.min() >= 0.0 and part_probs.max() < np.inf):
-        raise ParseError(f"{args.logits}: part probabilities must be finite and non-negative")
-    compat = _load_json_array(args.compat, 2, "compatibility matrix")
+    # every value is checked here, before any arithmetic on it can warn
+    part_probs = _load_bounded(args.logits, ("N", "N_c"), "part probabilities",
+                               0.0, sys.float_info.max, "finite and non-negative")
+    score_rule = (-MAX_TREE_SCORE, MAX_TREE_SCORE,
+                  f"finite and at most {MAX_TREE_SCORE:g} in magnitude")
+    compat = _load_bounded(args.compat, ("N_c", "N_c"), "compatibility matrix", *score_rule)
     root_scores = None
     if args.root_scores:
-        root_scores = _load_json_array(args.root_scores, 1, "root scores")
+        root_scores = _load_bounded(args.root_scores, ("N",), "root scores", *score_rule)
     try:
         aff = pairwise_affinity(part_probs, compat, root_scores=root_scores)
     except ValueError as exc:
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="interpolate voxel features and triplane-gather")
     p.add_argument("grid", help="sparse voxel grid binary file")
     p.add_argument("points_file", help="query points (.ply or JSON array)")
-    p.add_argument("--triplane-resolution", type=int, default=128)
+    p.add_argument("--triplane-resolution", type=int, default=DEFAULT_TRIPLANE_RESOLUTION)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_features)
 

@@ -30,10 +30,7 @@ import numpy as np
 from . import _compiled_scipy, _thread_budget
 from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
-from .model import TriMesh
-
-CUBE_HALF = 0.5
-_CUBE_TOL = 1e-9
+from .model import CUBE_HALF, _CUBE_TOL, TriMesh, _as_array
 
 #: stock configuration of the source pipeline
 DEFAULT_VOXEL_RESOLUTION = 64
@@ -53,15 +50,6 @@ MAX_TRIPLANE_RESOLUTION = 2048
 def _grid_record(dim: int) -> np.dtype:
     """One active cell of a grid file: its (i, j, k) and its ``dim`` features."""
     return np.dtype([("ijk", "<u2", (3,)), ("f", "<f4", (dim,))])
-
-
-def _as_points(points, name="points") -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1 and pts.shape == (3,):
-        pts = pts.reshape(1, 3)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"{name} must have shape (M, 3), got {pts.shape}")
-    return pts
 
 
 def _check_in_cube(pts: np.ndarray) -> np.ndarray:
@@ -117,11 +105,10 @@ class SparseVoxelGrid:
         resolution = int(resolution)
         if not 1 <= resolution <= 0xFFFF:
             raise ValueError(f"resolution must be in [1, 65535], got {resolution}")
-        ijk = np.asarray(ijk, dtype=np.int64)
-        feats = np.asarray(features, dtype=np.float32)
-        if ijk.ndim != 2 or ijk.shape[1] != 3 or feats.ndim != 2 or len(feats) != len(ijk):
-            raise ValueError(f"want cells (n, 3) and features (n, d), got {ijk.shape} "
-                             f"and {feats.shape}")
+        ijk = _as_array(ijk, ("n", 3), "ijk", np.int64)
+        feats = _as_array(features, ("n", "d"), "features", np.float32)
+        if len(feats) != len(ijk):
+            raise ValueError(f"cell/feature count mismatch: {len(ijk)} vs {len(feats)}")
         if feats.shape[1] < 1:
             raise ValueError("feature dimension must be positive")
         non_finite = np.flatnonzero(~np.isfinite(feats).all(axis=1))
@@ -231,13 +218,9 @@ class TriplaneStack:
     weights: np.ndarray
 
     def __post_init__(self):
-        planes = np.asarray(self.planes, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
         r = int(self.resolution)
-        if planes.ndim != 4 or planes.shape[:3] != (3, r, r):
-            raise ValueError(f"planes must have shape (3, {r}, {r}, d), got {planes.shape}")
-        if weights.shape != (3, r, r):
-            raise ValueError(f"weights must have shape (3, {r}, {r}), got {weights.shape}")
+        planes = _as_array(self.planes, (3, r, r, "d"), "planes")
+        weights = _as_array(self.weights, (3, r, r), "weights")
         if weights.size and weights.min() < 0:
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "resolution", r)
@@ -315,7 +298,7 @@ def trilinear_interpolate(grid: SparseVoxelGrid, points) -> np.ndarray:
 
     Exact at stored cell centers under the cell-center mapping.
     """
-    pts = _check_in_cube(_as_points(points))
+    pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
     if pts.shape[0] == 0:
         return np.zeros((0, grid.feature_dim))
     return _blend(
@@ -331,10 +314,8 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
     Node values are weighted averages (accumulated feature / accumulated
     weight), which makes the result invariant to duplicating a point.
     """
-    pts = _check_in_cube(_as_points(points))
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValueError(f"features must have shape (M, d), got {feats.shape}")
+    pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
+    feats = _as_array(features, ("M", "d"), "features")
     if feats.shape[0] != pts.shape[0]:
         raise ValueError(
             f"point/feature count mismatch: {pts.shape[0]} vs {feats.shape[0]}"
@@ -368,7 +349,7 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
 
 def triplane_gather(stack: TriplaneStack, points) -> np.ndarray:
     """Bilinearly sample all three planes and concatenate XY || YZ || ZX."""
-    pts = _check_in_cube(_as_points(points))
+    pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
     dim = stack.feature_dim
     out = np.zeros((pts.shape[0], 3 * dim), dtype=np.float64)
     for plane, axes in enumerate(_PLANE_AXES):
@@ -399,8 +380,8 @@ def nearest_neighbors(from_points, to_points):
     each point is searched on its own, so distances, indices and ties do not
     depend on the split.
     """
-    src = _as_points(from_points, "from_points")
-    dst = _as_points(to_points, "to_points")
+    src = _as_array(from_points, ("M", 3), "from_points")
+    dst = _as_array(to_points, ("N", 3), "to_points")
     if dst.shape[0] == 0:
         raise ValueError("nearest_neighbors: 'to_points' must be non-empty")
     if src.shape[0] == 0:
@@ -416,12 +397,8 @@ def nearest_neighbor_distances(from_points, to_points) -> np.ndarray:
 
 def global_pool_concat(h, f_geo) -> np.ndarray:
     """Mean-pool two aligned feature sets over points and concatenate them."""
-    h = np.asarray(h, dtype=np.float64)
-    f = np.asarray(f_geo, dtype=np.float64)
-    if h.ndim != 2 or f.ndim != 2:
-        raise ValueError("feature sets must be 2-d (M, dim) arrays")
-    if h.shape[0] != f.shape[0]:
-        raise ValueError(f"point count mismatch: {h.shape[0]} vs {f.shape[0]}")
+    h = _as_array(h, ("M", "d"), "h")
+    f = _as_array(f_geo, (h.shape[0], "d"), "f_geo")
     if h.shape[0] == 0:
         raise ValueError("cannot pool an empty feature set")
     return np.concatenate([h.mean(axis=0), f.mean(axis=0)])
@@ -432,9 +409,7 @@ def global_pool_concat(h, f_geo) -> np.ndarray:
 
 
 def save_features(features, path) -> None:
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValueError(f"features must have shape (M, dim), got {feats.shape}")
+    feats = _as_array(features, ("M", "d"), "features")
     with open(path, "wb") as fh:
         fh.write(np.ascontiguousarray(feats, dtype="<f4"))
     write_sidecar(path, {"M": int(feats.shape[0]), "dim": int(feats.shape[1])})

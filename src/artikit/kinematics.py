@@ -22,11 +22,18 @@ from .model import (
     JointSpec,
     JointType,
     KinematicTree,
+    _as_array,
     _tree_cycles,
     require_valid,
 )
 
 LIMIT_TOL = 1e-9
+
+#: largest magnitude of a compatibility or root score that ``artikit tree``
+#: accepts.  Affinities are probability-weighted means of compatibility
+#: entries, so no value the softmax computes exceeds about twice the bound,
+#: far below float overflow.
+MAX_TREE_SCORE = 1e300
 
 TWO_PI = 2.0 * math.pi
 
@@ -178,11 +185,9 @@ class AffinityMatrix:
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
-        root = np.asarray(self.root_scores, dtype=np.float64)
         if scores.ndim != 2 or scores.shape[0] != scores.shape[1] or scores.shape[0] < 1:
             raise ValueError(f"scores must be square (N, N) with N >= 1, got {scores.shape}")
-        if root.shape != (scores.shape[0],):
-            raise ValueError(f"root_scores must have shape ({scores.shape[0]},)")
+        root = _as_array(self.root_scores, (scores.shape[0],), "root_scores")
         if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(root))):
             raise ValueError("affinity entries must be finite")
         object.__setattr__(self, "scores", scores)
@@ -202,7 +207,7 @@ class ParentDistribution:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 2 or probs.shape[1] != probs.shape[0] + 1:
-            raise ValueError(f"probs must have shape (N, N+1), got {probs.shape}")
+            raise ValueError(f"probs must be (N, N+1), got {probs.shape}")
         if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("rows must sum to 1")
         if np.any(np.diagonal(probs) != 0.0):
@@ -220,14 +225,8 @@ def pairwise_affinity(part_probs, compat, root_scores=None) -> AffinityMatrix:
     ``root_scores`` defaults to zeros (a neutral root prior); callers with a
     trained root embedding can pass their own.
     """
-    probs = np.asarray(part_probs, dtype=np.float64)
-    comp = np.asarray(compat, dtype=np.float64)
-    if probs.ndim != 2:
-        raise ValueError(f"part_probs must be (N, N_c), got {probs.shape}")
-    if comp.shape != (probs.shape[1], probs.shape[1]):
-        raise ValueError(
-            f"compat must be ({probs.shape[1]}, {probs.shape[1]}), got {comp.shape}"
-        )
+    probs = _as_array(part_probs, ("N", "N_c"), "part_probs")
+    comp = _as_array(compat, (probs.shape[1],) * 2, "compat")
     sums = probs.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-6):
         raise ValueError("part_probs rows must sum to 1")

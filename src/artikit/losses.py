@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JOINT_TYPE_ORDER, JointLimits, JointSpec, JointType
+from .model import JOINT_TYPE_ORDER, JointLimits, JointSpec, JointType, _as_array
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -82,9 +82,7 @@ def triplet_loss(h_a, h_b, h_c, tau: float) -> float:
 def focal_loss(pred, gt, gamma: float = 2.0) -> float:
     """Mean focal loss -(1 - p_t)^gamma * log(p_t) over mask points."""
     pred = _clamp_prob(pred)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ValueError(f"mask length mismatch: {pred.shape} vs {gt.shape}")
+    gt = _as_array(gt, pred.shape, "gt")
     p_t = np.where(gt > 0.5, pred, 1.0 - pred)
     return float(np.mean(-((1.0 - p_t) ** float(gamma)) * np.log(p_t)))
 
@@ -92,9 +90,7 @@ def focal_loss(pred, gt, gamma: float = 2.0) -> float:
 def dice_loss(pred, gt) -> float:
     """1 - 2*sum(p*g) / (sum(p) + sum(g) + eps)."""
     pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ValueError(f"mask length mismatch: {pred.shape} vs {gt.shape}")
+    gt = _as_array(gt, pred.shape, "gt")
     inter = float(np.sum(pred * gt))
     return 1.0 - 2.0 * inter / (float(pred.sum()) + float(gt.sum()) + DICE_EPS)
 
@@ -167,10 +163,8 @@ def motion_loss(pred: MotionPrediction, gt: JointSpec, weights: LossWeights = DE
 
 def structure_loss(parent_probs, gt_parents) -> float:
     """Mean negative log-probability of the true parent over matched queries."""
-    probs = np.asarray(parent_probs, dtype=np.float64)
-    gt = np.asarray(gt_parents, dtype=np.int64)
-    if probs.ndim != 2 or gt.shape != (probs.shape[0],):
-        raise ValueError("parent_probs must be (R, C) with one gt index per row")
+    probs = _as_array(parent_probs, ("R", "C"), "parent_probs")
+    gt = _as_array(gt_parents, (probs.shape[0],), "gt_parents", np.int64)
     if probs.shape[0] == 0:
         raise ValueError("structure loss needs at least one matched query")
     if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
@@ -183,10 +177,8 @@ def structure_loss(parent_probs, gt_parents) -> float:
 
 def object_category_loss(logits, gt_index: int) -> float:
     """Softmax cross-entropy for the auxiliary object-category head."""
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = _as_array(logits, ("C",), "logits")
     gt_index = int(gt_index)
-    if logits.ndim != 1:
-        raise ValueError(f"logits must be 1-d, got shape {logits.shape}")
     if not 0 <= gt_index < logits.size:
         raise ValueError(f"gt index {gt_index} out of range for {logits.size} classes")
     return float(-_log_softmax(logits)[gt_index])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .model import TriMesh
+from .model import TriMesh, _as_array
 
 
 def load_obj(path) -> TriMesh:
@@ -96,9 +96,7 @@ def save_ply(mesh: TriMesh, path) -> None:
 
 def save_point_cloud_ply(points, path) -> None:
     """Write points (M, 3) as a vertex-only binary PLY file."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points must have shape (M, 3), got {pts.shape}")
+    pts = _as_array(points, ("M", 3), "points")
     with open(path, "wb") as fh:
         fh.write(_ply_header(pts.shape[0], None))
         fh.write(np.ascontiguousarray(pts, dtype="<f4").tobytes())

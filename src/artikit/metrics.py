@@ -20,7 +20,7 @@ from .assignment import MatchResult, confidence_targets, hungarian, matching_cos
 from .errors import GeometryError
 from .geometry import nearest_neighbor_distances, nearest_neighbors, sample_surface_points
 from .kinematics import part_transforms, pose, sample_states
-from .model import ROOT_ID, ArticulatedModel, JointType, require_valid
+from .model import ROOT_ID, ArticulatedModel, JointType, _as_array, require_valid
 
 _PARALLEL_EPS = 1e-9
 
@@ -31,9 +31,7 @@ _PIVOT_TYPES = (JointType.REVOLUTE, JointType.CONTINUOUS)
 
 
 def _cloud(points, name) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"{name} must have shape (M, 3), got {pts.shape}")
+    pts = _as_array(points, ("M", 3), name)
     if pts.shape[0] == 0:
         raise ValueError(f"{name} must be non-empty")
     return pts

@@ -23,32 +23,33 @@ ROOT_ID = -1
 
 UNIT_AXIS_TOL = 1e-6
 
+#: the canonical cube is [-CUBE_HALF, CUBE_HALF]^3; points may overshoot it by
+#: _CUBE_TOL (rounding) and no more
+CUBE_HALF = 0.5
+_CUBE_TOL = 1e-9
 
-def _vec3(value, name="vector"):
-    """Coerce to a read-only float64 array of shape (3,)."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {arr.shape}")
-    arr = arr.copy()
-    arr.setflags(write=False)
+
+def _as_array(value, shape, name, dtype=np.float64) -> np.ndarray:
+    """``value`` as a ``dtype`` array of the given shape, the one shape rule for
+    array arguments.
+
+    Each entry of ``shape`` is an int, which fixes that axis's length, or a
+    name such as ``"M"``, which allows any length: ``("M", 3)`` is a point
+    cloud.  An array that already has the dtype is returned as it is, never
+    copied.
+    """
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim != len(shape) or any(
+        not isinstance(want, str) and got != want for got, want in zip(arr.shape, shape)
+    ):
+        text = ", ".join(str(want) for want in shape) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} must have shape ({text}), got {arr.shape}")
     return arr
 
 
-def _points(value, name="points"):
-    """Coerce to a read-only float64 array of shape (M, 3)."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"{name} must have shape (M, 3), got {arr.shape}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
-def _indices(value, name="indices"):
-    arr = np.asarray(value, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d index array, got shape {arr.shape}")
-    arr = arr.copy()
+def _frozen(value, shape, name, dtype=np.float64) -> np.ndarray:
+    """A read-only private copy of ``_as_array(value, shape, name, dtype)``."""
+    arr = _as_array(value, shape, name, dtype).copy()
     arr.setflags(write=False)
     return arr
 
@@ -107,8 +108,8 @@ class JointSpec:
     limits: JointLimits = field(default_factory=JointLimits)
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", _vec3(self.axis, "axis"))
-        object.__setattr__(self, "pivot", _vec3(self.pivot, "pivot"))
+        object.__setattr__(self, "axis", _frozen(self.axis, (3,), "axis"))
+        object.__setattr__(self, "pivot", _frozen(self.pivot, (3,), "pivot"))
 
     def __eq__(self, other):
         if not isinstance(other, JointSpec):
@@ -133,7 +134,9 @@ class PartSpec:
     def __post_init__(self):
         object.__setattr__(self, "id", int(self.id))
         object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(self, "point_indices", _indices(self.point_indices, "point_indices"))
+        object.__setattr__(
+            self, "point_indices", _frozen(self.point_indices, ("N",), "point_indices", np.int64)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PartSpec):
@@ -168,9 +171,11 @@ class ArticulatedModel:
     base_indices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _points(self.points, "points"))
+        object.__setattr__(self, "points", _frozen(self.points, ("M", 3), "points"))
         object.__setattr__(self, "parts", tuple(self.parts))
-        object.__setattr__(self, "base_indices", _indices(self.base_indices, "base_indices"))
+        object.__setattr__(
+            self, "base_indices", _frozen(self.base_indices, ("N",), "base_indices", np.int64)
+        )
 
     def part_by_id(self, part_id: int) -> PartSpec:
         for part in self.parts:
@@ -201,13 +206,8 @@ class TriMesh:
     faces: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _points(self.vertices, "vertices"))
-        faces = np.asarray(self.faces, dtype=np.int64)
-        if faces.ndim != 2 or faces.shape[1] != 3:
-            raise ValueError(f"faces must have shape (F, 3), got {faces.shape}")
-        faces = faces.copy()
-        faces.setflags(write=False)
-        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "vertices", _frozen(self.vertices, ("V", 3), "vertices"))
+        object.__setattr__(self, "faces", _frozen(self.faces, ("F", 3), "faces", np.int64))
 
     def face_areas(self) -> np.ndarray:
         a = self.vertices[self.faces[:, 0]]
@@ -279,6 +279,10 @@ def validate_model(model: ArticulatedModel) -> list:
     if not np.all(np.isfinite(model.points)):
         bad = int(np.flatnonzero(~np.isfinite(model.points).all(axis=1))[0])
         out.append(f"points[{bad}]: component not finite")
+    else:
+        outside = np.flatnonzero((np.abs(model.points) > CUBE_HALF + _CUBE_TOL).any(axis=1))
+        if outside.size:
+            out.append(f"points[{int(outside[0])}]: outside the canonical cube [-0.5, 0.5]^3")
 
     part_ids = [p.id for p in model.parts]
     if len(set(part_ids)) != len(part_ids):
@@ -423,7 +427,7 @@ def model_from_dict(data: dict) -> ArticulatedModel:
     raw_tree = _require(data, "tree", "document")
 
     try:
-        points = _points(points, "points")
+        points = _as_array(points, ("M", 3), "points")
     except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"points: {exc}") from exc
 

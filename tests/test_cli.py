@@ -120,6 +120,20 @@ class TestEvaluate:
         assert run(["evaluate", cabinet_file, missing]) == 2
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "articulate"])
+    def test_model_point_outside_the_cube_exits_2(self, cabinet_file, tmp_path, capsys,
+                                                  command):
+        doc = model_to_dict(build_cabinet())
+        doc["points"][3] = [3.0, 0.0, 0.0]
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(doc))
+        argv = ([command, path, cabinet_file] if command == "evaluate"
+                else [command, path, "--out", tmp_path / "out"])
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "violation: points[3]: outside the canonical cube [-0.5, 0.5]^3" in captured.err
+
     def test_non_list_parts_exits_2(self, cabinet_file, tmp_path, capsys):
         doc = model_to_dict(build_cabinet())
         doc["parts"] = 5
@@ -177,6 +191,35 @@ class TestTree:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "part probabilities must be finite and non-negative" in captured.err
+
+    @pytest.mark.parametrize("compat, root", [
+        ([[0.0, math.inf], [5.0, 0.0]], None),
+        ([[0.0, math.nan], [5.0, 0.0]], None),
+        ([[0.0, -1e301], [5.0, 0.0]], None),
+        ([[0.0, 5.0], [5.0, 0.0]], [0.0, -math.inf]),
+        ([[0.0, 5.0], [5.0, 0.0]], [1e308, 0.0]),
+    ], ids=["compat-inf", "compat-nan", "compat-huge", "root-inf", "root-huge"])
+    def test_non_finite_or_huge_scores_exit_2_without_a_warning(self, tmp_path, capsys,
+                                                                compat, root):
+        (tmp_path / "logits.json").write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+        (tmp_path / "compat.json").write_text(json.dumps(compat))
+        argv = ["tree", tmp_path / "logits.json", tmp_path / "compat.json"]
+        if root is not None:
+            (tmp_path / "root.json").write_text(json.dumps(root))
+            argv += ["--root-scores", tmp_path / "root.json"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite and at most 1e+300 in magnitude" in captured.err
+        assert "Warning" not in captured.err
+
+    def test_scores_at_the_magnitude_bound_are_accepted(self, tmp_path, capsys):
+        (tmp_path / "logits.json").write_text(json.dumps([[0.5, 0.5], [0.25, 0.75]]))
+        (tmp_path / "compat.json").write_text(json.dumps([[1e300, -1e300], [-1e300, 1e300]]))
+        (tmp_path / "root.json").write_text(json.dumps([1e300, -1e300]))
+        assert run(["tree", tmp_path / "logits.json", tmp_path / "compat.json",
+                    "--root-scores", tmp_path / "root.json"]) == 0
+        assert json.loads(capsys.readouterr().out)["parents"] == {"0": -1, "1": 0}
 
 
 class TestMatch:

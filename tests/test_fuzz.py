@@ -4,7 +4,7 @@ Each example truncates a file, flips bytes in it, or edits one of its header or
 sidecar fields.  The loaders may accept the result or reject it with
 ParseError or ValidationError, and nothing else; the CLI exits 0, 2 or 3.
 A grid or a soft-mask file edited to hold a value outside its domain must
-raise ParseError.
+raise ParseError, and a `tree` score outside its domain must exit 2.
 """
 
 import contextlib
@@ -13,6 +13,7 @@ import json
 import math
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from artikit.geometry import (
     save_features,
     save_grid,
 )
+from artikit.kinematics import MAX_TREE_SCORE
 from artikit.meshio import load_ply, load_point_cloud_ply, save_ply, save_point_cloud_ply
 from artikit.model import TriMesh, load_model, save_model
 from tests.conftest import build_cabinet
@@ -302,3 +304,43 @@ def test_cli_exit_code_on_fuzzed_input(case, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([str(a) for a in argv(root, fuzzed)])
         assert code in (0, 2, 3)
+
+
+# a compatibility or root score that ``tree`` must reject, and one it must take
+_BAD_SCORES = (st.sampled_from([math.inf, -math.inf, math.nan, 1e301, -1e308])
+               | st.floats(min_value=MAX_TREE_SCORE, exclude_min=True)
+               | st.floats(max_value=-MAX_TREE_SCORE, exclude_max=True))
+_SCORES = st.floats(-MAX_TREE_SCORE, MAX_TREE_SCORE) | st.sampled_from([
+    MAX_TREE_SCORE, -MAX_TREE_SCORE, 0.0])
+
+
+@settings(FUZZ, max_examples=60)
+@given(data=st.data())
+def test_tree_score_values(data):
+    """Scores within MAX_TREE_SCORE give a tree; one outside it exits 2.  No
+    numpy warning is raised either way."""
+    n, n_c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    probs = np.array(data.draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=n_c,
+                                                 max_size=n_c), min_size=n, max_size=n)))
+    probs /= probs.sum(axis=1, keepdims=True)
+    compat = data.draw(st.lists(_SCORES, min_size=n_c * n_c, max_size=n_c * n_c))
+    root = data.draw(st.none() | st.lists(_SCORES, min_size=n, max_size=n))
+    bad = data.draw(st.sampled_from(["none", "compat", "root"]))
+    target = compat if bad == "compat" or root is None else root
+    if bad != "none":
+        target[data.draw(st.integers(0, len(target) - 1))] = data.draw(_BAD_SCORES)
+    with tempfile.TemporaryDirectory() as tmp:
+        root_dir = Path(tmp)
+        (root_dir / "p.json").write_text(json.dumps(probs.tolist()))
+        (root_dir / "c.json").write_text(json.dumps(np.reshape(compat, (n_c, n_c)).tolist()))
+        argv = ["tree", root_dir / "p.json", root_dir / "c.json"]
+        if root is not None:
+            (root_dir / "r.json").write_text(json.dumps(root))
+            argv += ["--root-scores", root_dir / "r.json"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([str(a) for a in argv])
+    assert code == (0 if bad == "none" else 2), err.getvalue()
+    assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()

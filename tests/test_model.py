@@ -33,6 +33,19 @@ def _with_parts(model, parts):
 
 
 class TestValidation:
+    @pytest.mark.parametrize("coord, violation", [
+        (0.5 + 1e-9, None),
+        (-0.5 - 1e-9, None),
+        (0.5 + 1e-8, "points[7]: outside the canonical cube [-0.5, 0.5]^3"),
+        (-3.0, "points[7]: outside the canonical cube [-0.5, 0.5]^3"),
+        (np.inf, "points[7]: component not finite"),
+    ], ids=["tolerance-above", "tolerance-below", "beyond-tolerance", "far-outside", "inf"])
+    def test_points_lie_in_the_canonical_cube(self, cabinet, coord, violation):
+        points = cabinet.points.copy()
+        points[7, 1] = coord
+        moved = ArticulatedModel(points, cabinet.parts, cabinet.tree, cabinet.base_indices)
+        assert validate_model(moved) == ([violation] if violation else [])
+
     def test_cycle_detection(self, cabinet):
         broken = ArticulatedModel(
             cabinet.points, cabinet.parts, KinematicTree({0: 1, 1: 0}), cabinet.base_indices
