@@ -16,7 +16,7 @@ from . import _compiled_scipy
 from ._fmt import read_sidecar, write_sidecar
 from .errors import ParseError
 from .losses import DICE_EPS, PROB_CLAMP
-from .model import _as_array, _frozen
+from .model import FINITE, UNIT_INTERVAL, _as_array, _frozen
 
 HARD_MASK_THRESHOLD = 0.5
 
@@ -38,10 +38,8 @@ class QuerySet:
         pos = _frozen(self.positions, ("N", 3), "positions")
         n = pos.shape[0]
         con = _frozen(self.contents, (n, "d"), "contents")
-        conf = _frozen(self.confidences, (n,), "confidences")
+        conf = _frozen(self.confidences, (n,), "confidences", domain=UNIT_INTERVAL)
         logits = _frozen(self.part_logits, (n, "C"), "part_logits")
-        if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
-            raise ValueError("confidences must lie in [0, 1]")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "contents", con)
         object.__setattr__(self, "confidences", conf)
@@ -58,9 +56,7 @@ class SoftMaskSet:
     logits: np.ndarray
 
     def __post_init__(self):
-        logits = _as_array(self.logits, ("N_q", "M"), "logits")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("mask logits must be finite")
+        logits = _as_array(self.logits, ("N_q", "M"), "logits", domain=FINITE)
         object.__setattr__(self, "logits", logits)
 
     @property
@@ -164,12 +160,10 @@ def hungarian(cost) -> MatchResult:
     unsolved one can reach the minimum, so the result is the same.  Untied
     costs take about two solves per row instead of one per free column.
     """
-    matrix = _as_array(cost, ("N", "K"), "cost")
+    matrix = _as_array(cost, ("N", "K"), "cost", domain=FINITE)
     n, k = matrix.shape
     if n == 0 or k == 0:
         return MatchResult(pairs=(), unmatched_queries=tuple(range(n)), total_cost=0.0)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("cost entries must be finite")
     # Estimated and solved totals differ by rounding errors of sums of at most
     # min(N, K) entries; near float overflow every candidate is solved.
     scale = float(np.abs(matrix).max()) * min(n, k)
@@ -301,10 +295,7 @@ def residual_update(queries: QuerySet, delta_p, delta_c) -> QuerySet:
 
 def filter_queries(queries: QuerySet, threshold: float = 0.5) -> QuerySet:
     """Drop rows with confidence strictly below the threshold; order preserved."""
-    threshold = float(threshold)
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    keep = queries.confidences >= threshold
+    keep = queries.confidences >= _as_array(threshold, (), "threshold", domain=UNIT_INTERVAL)
     return QuerySet(
         positions=queries.positions[keep],
         contents=queries.contents[keep],
@@ -320,9 +311,7 @@ def filter_queries(queries: QuerySet, threshold: float = 0.5) -> QuerySet:
 
 def save_masks(masks, path) -> None:
     """Write hard masks as packed bits or soft masks as f32 rows."""
-    arr = np.asarray(masks)
-    if arr.ndim != 2:
-        raise ValueError(f"masks must be 2-d, got shape {arr.shape}")
+    arr = _as_array(masks, ("N", "M"), "masks", dtype=None)
     with open(path, "wb") as fh:
         if arr.dtype == bool:
             fh.write(np.packbits(arr, axis=1, bitorder="little").tobytes())
@@ -334,9 +323,9 @@ def save_masks(masks, path) -> None:
 def load_masks(path):
     """Read a mask file; returns (array, is_soft).
 
-    Bitset files decode to bool arrays, f32 files to float arrays.  The two
-    encodings are distinguished by file size, which can never collide.  Soft
-    mask values must be finite and lie in [0, 1].
+    Bitset files decode to bool arrays, f32 files to read-only float32
+    arrays, as read.  The two encodings are distinguished by file size, which
+    can never collide.  Soft mask values must be finite and lie in [0, 1].
     """
     rows, m = read_sidecar(path, {"rows": 0, "M": 1})
     with open(path, "rb") as fh:
@@ -353,10 +342,10 @@ def load_masks(path):
         return masks, False
     if len(blob) == f32_size:
         soft = np.frombuffer(blob, dtype="<f4").reshape(rows, m)
-        # NaN fails both comparisons
-        if not (soft.min() >= 0.0 and soft.max() <= 1.0):
-            raise ParseError(f"{path}: soft mask values must be finite and lie in [0, 1]")
-        return soft.astype(np.float64), True
+        try:
+            return _as_array(soft, (rows, m), "soft mask values", "<f4", UNIT_INTERVAL), True
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
     raise ParseError(
         f"{path}: size {len(blob)} matches neither bitset ({bits_size}) nor f32 ({f32_size})"
     )

@@ -25,7 +25,7 @@ from .geometry import (
     trilinear_interpolate,
 )
 from .kinematics import (
-    MAX_TREE_SCORE,
+    TREE_SCORE,
     build_tree,
     pairwise_affinity,
     parent_distribution,
@@ -36,7 +36,7 @@ from .kinematics import (
 from .losses import selftest
 from .meshio import load_point_cloud_ply, save_point_cloud_ply
 from .metrics import evaluate
-from .model import _as_array, load_model
+from .model import PROBABILITY, _as_array, load_model
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -58,26 +58,17 @@ def _diag(message: str) -> None:
     sys.stderr.write(message.rstrip() + "\n")
 
 
-def _load_json_array(path, shape, name: str) -> np.ndarray:
-    """A JSON array file as a float64 array of ``shape`` (see ``_as_array``)."""
+def _load_json_array(path, shape, name: str, domain=None) -> np.ndarray:
+    """A JSON array file as a float64 array of ``shape`` and ``domain`` (see ``_as_array``)."""
     data = _fmt.read_json(path)
     try:
         arr = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {name} must be a numeric array") from exc
     try:
-        return _as_array(arr, shape, name)
+        return _as_array(arr, shape, name, domain=domain)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_bounded(path, shape, name: str, low: float, high: float, rule: str) -> np.ndarray:
-    """``_load_json_array`` whose values must lie in [low, high], as ``rule`` says."""
-    arr = _load_json_array(path, shape, name)
-    # NaN fails both comparisons
-    if arr.size and not (arr.min() >= low and arr.max() <= high):
-        raise ParseError(f"{path}: {name} must be {rule}")
-    return arr
 
 
 def _load_points_file(path) -> np.ndarray:
@@ -135,18 +126,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_tree(args) -> int:
     # every value is checked here, before any arithmetic on it can warn
-    part_probs = _load_bounded(args.logits, ("N", "N_c"), "part probabilities",
-                               0.0, sys.float_info.max, "finite and non-negative")
-    score_rule = (-MAX_TREE_SCORE, MAX_TREE_SCORE,
-                  f"finite and at most {MAX_TREE_SCORE:g} in magnitude")
-    compat = _load_bounded(args.compat, ("N_c", "N_c"), "compatibility matrix", *score_rule)
+    part_probs = _load_json_array(args.logits, ("N", "N_c"), "part probabilities", PROBABILITY)
+    compat = _load_json_array(args.compat, ("N_c", "N_c"), "compatibility matrix", TREE_SCORE)
     root_scores = None
     if args.root_scores:
-        root_scores = _load_bounded(args.root_scores, ("N",), "root scores", *score_rule)
-    try:
-        aff = pairwise_affinity(part_probs, compat, root_scores=root_scores)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        root_scores = _load_json_array(args.root_scores, ("N",), "root scores", TREE_SCORE)
+    # a row-sum or shape error from the kernel exits 2 like a parse error
+    aff = pairwise_affinity(part_probs, compat, root_scores=root_scores)
     dist = parent_distribution(aff)
     tree = build_tree(dist)
     _emit(

@@ -30,7 +30,7 @@ import numpy as np
 from . import _compiled_scipy, _thread_budget
 from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
-from .model import CUBE_HALF, _CUBE_TOL, TriMesh, _as_array
+from .model import CUBE_HALF, _CUBE_TOL, NON_NEGATIVE, TriMesh, _as_array
 
 #: stock configuration of the source pipeline
 DEFAULT_VOXEL_RESOLUTION = 64
@@ -220,9 +220,7 @@ class TriplaneStack:
     def __post_init__(self):
         r = int(self.resolution)
         planes = _as_array(self.planes, (3, r, r, "d"), "planes")
-        weights = _as_array(self.weights, (3, r, r), "weights")
-        if weights.size and weights.min() < 0:
-            raise ValueError("weights must be nonnegative")
+        weights = _as_array(self.weights, (3, r, r), "weights", domain=NON_NEGATIVE)
         object.__setattr__(self, "resolution", r)
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "weights", weights)

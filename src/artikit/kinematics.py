@@ -15,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    FINITE,
+    JOINT_MAGNITUDE,
+    PROB_ROW_TOL,
+    PROBABILITY,
     ROOT_ID,
     UNIT_AXIS_TOL,
     ArticulatedModel,
@@ -23,6 +27,7 @@ from .model import (
     JointType,
     KinematicTree,
     _as_array,
+    _magnitude,
     _tree_cycles,
     require_valid,
 )
@@ -34,6 +39,7 @@ LIMIT_TOL = 1e-9
 #: entries, so no value the softmax computes exceeds about twice the bound,
 #: far below float overflow.
 MAX_TREE_SCORE = 1e300
+TREE_SCORE = _magnitude(MAX_TREE_SCORE)
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,12 +190,10 @@ class AffinityMatrix:
     root_scores: np.ndarray
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if scores.ndim != 2 or scores.shape[0] != scores.shape[1] or scores.shape[0] < 1:
+        scores = _as_array(self.scores, ("N", "N"), "scores", domain=FINITE)
+        if scores.shape[0] != scores.shape[1] or scores.shape[0] < 1:
             raise ValueError(f"scores must be square (N, N) with N >= 1, got {scores.shape}")
-        root = _as_array(self.root_scores, (scores.shape[0],), "root_scores")
-        if not (np.all(np.isfinite(scores)) and np.all(np.isfinite(root))):
-            raise ValueError("affinity entries must be finite")
+        root = _as_array(self.root_scores, (scores.shape[0],), "root_scores", domain=FINITE)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "root_scores", root)
 
@@ -205,8 +209,8 @@ class ParentDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 2 or probs.shape[1] != probs.shape[0] + 1:
+        probs = _as_array(self.probs, ("N", "N+1"), "probs", domain=PROBABILITY)
+        if probs.shape[1] != probs.shape[0] + 1:
             raise ValueError(f"probs must be (N, N+1), got {probs.shape}")
         if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("rows must sum to 1")
@@ -225,10 +229,9 @@ def pairwise_affinity(part_probs, compat, root_scores=None) -> AffinityMatrix:
     ``root_scores`` defaults to zeros (a neutral root prior); callers with a
     trained root embedding can pass their own.
     """
-    probs = _as_array(part_probs, ("N", "N_c"), "part_probs")
+    probs = _as_array(part_probs, ("N", "N_c"), "part_probs", domain=PROBABILITY)
     comp = _as_array(compat, (probs.shape[1],) * 2, "compat")
-    sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > PROB_ROW_TOL):
         raise ValueError("part_probs rows must sum to 1")
     scores = probs @ comp @ probs.T
     if root_scores is None:
@@ -303,7 +306,8 @@ def build_tree(dist: ParentDistribution) -> KinematicTree:
 
 def limits_from_range(l_min: float, l_max: float) -> JointLimits:
     """Convert motion bounds to the center-span parameterization."""
-    l_min, l_max = float(l_min), float(l_max)
+    l_min = float(_as_array(l_min, (), "l_min", domain=JOINT_MAGNITUDE))
+    l_max = float(_as_array(l_max, (), "l_max", domain=JOINT_MAGNITUDE))
     if l_min > l_max:
         raise ValueError(f"l_min={l_min!r} exceeds l_max={l_max!r}")
     return JointLimits(center=0.5 * (l_min + l_max), span=0.5 * (l_max - l_min))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JOINT_TYPE_ORDER, JointLimits, JointSpec, JointType, _as_array
+from .model import (JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE, PROB_ROW_TOL, PROBABILITY,
+                    UNIT_INTERVAL, JointLimits, JointSpec, JointType, _as_array)
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -40,8 +41,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if value < 0:
-                raise ValueError(f"loss weight {name} must be >= 0, got {value}")
+            _as_array(value, (), f"loss weight {name}", domain=NON_NEGATIVE)
 
 
 DEFAULT_WEIGHTS = LossWeights()
@@ -64,9 +64,7 @@ def triplet_loss(h_a, h_b, h_c, tau: float) -> float:
 
     (h_a, h_b) are embeddings of the same part, h_c of a different one.
     """
-    tau = float(tau)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
     a = np.asarray(h_a, dtype=np.float64)
     b = np.asarray(h_b, dtype=np.float64)
     c = np.asarray(h_c, dtype=np.float64)
@@ -97,9 +95,7 @@ def dice_loss(pred, gt) -> float:
 
 def confidence_loss(c_hat: float, u: float, beta: float = 2.0) -> float:
     """Quality-focal confidence loss |sigma(c) - u|^beta * BCE(sigma(c), u)."""
-    u = float(u)
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"target u must lie in [0, 1], got {u}")
+    u = float(_as_array(u, (), "target u", domain=UNIT_INTERVAL))
     sig = 1.0 / (1.0 + math.exp(-float(c_hat)))
     sig = min(max(sig, PROB_CLAMP), 1.0 - PROB_CLAMP)
     bce = -u * math.log(sig) - (1.0 - u) * math.log(1.0 - sig)
@@ -163,14 +159,13 @@ def motion_loss(pred: MotionPrediction, gt: JointSpec, weights: LossWeights = DE
 
 def structure_loss(parent_probs, gt_parents) -> float:
     """Mean negative log-probability of the true parent over matched queries."""
-    probs = _as_array(parent_probs, ("R", "C"), "parent_probs")
-    gt = _as_array(gt_parents, (probs.shape[0],), "gt_parents", np.int64)
+    probs = _as_array(parent_probs, ("R", "C"), "parent_probs", domain=PROBABILITY)
+    columns = (0, probs.shape[1] - 1, f"parent indices in [0, {probs.shape[1] - 1}]")
+    gt = _as_array(gt_parents, (probs.shape[0],), "gt_parents", np.int64, columns)
     if probs.shape[0] == 0:
         raise ValueError("structure loss needs at least one matched query")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > PROB_ROW_TOL):
         raise ValueError("parent_probs rows must sum to 1")
-    if gt.min() < 0 or gt.max() >= probs.shape[1]:
-        raise ValueError("gt parent index out of range")
     picked = probs[np.arange(probs.shape[0]), gt]
     return float(np.mean(-np.log(np.maximum(picked, PROB_CLAMP))))
 

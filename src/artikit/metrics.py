@@ -20,7 +20,7 @@ from .assignment import MatchResult, confidence_targets, hungarian, matching_cos
 from .errors import GeometryError
 from .geometry import nearest_neighbor_distances, nearest_neighbors, sample_surface_points
 from .kinematics import part_transforms, pose, sample_states
-from .model import ROOT_ID, ArticulatedModel, JointType, _as_array, require_valid
+from .model import POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array, require_valid
 
 _PARALLEL_EPS = 1e-9
 
@@ -35,13 +35,6 @@ def _cloud(points, name) -> np.ndarray:
     if pts.shape[0] == 0:
         raise ValueError(f"{name} must be non-empty")
     return pts
-
-
-def _positive_tau(tau) -> float:
-    tau = float(tau)
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return tau
 
 
 def _cd_fscore(a: np.ndarray, b: np.ndarray, tau: float):
@@ -76,7 +69,7 @@ def chamfer(a, b) -> float:
 
 def fscore(a, b, tau: float = 0.05) -> float:
     """Harmonic mean of precision and recall at distance threshold tau."""
-    tau = _positive_tau(tau)
+    tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
     return _cd_fscore(_cloud(a, "a"), _cloud(b, "b"), tau)[1]
 
 
@@ -265,7 +258,7 @@ def evaluate(
 
     Both models are validated here, once; ``tau`` must be positive.
     """
-    tau = _positive_tau(tau)
+    tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
     require_valid(pred)
     require_valid(gt)
 

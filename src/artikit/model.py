@@ -28,15 +28,40 @@ UNIT_AXIS_TOL = 1e-6
 CUBE_HALF = 0.5
 _CUBE_TOL = 1e-9
 
+#: largest magnitude of a joint pivot component, limit center or span; posed
+#: coordinates then fit in float32 and their squares in float64
+MAX_JOINT_MAGNITUDE = 1e30
+#: how far a row of probabilities may sum from 1
+PROB_ROW_TOL = 1e-6
 
-def _as_array(value, shape, name, dtype=np.float64) -> np.ndarray:
-    """``value`` as a ``dtype`` array of the given shape, the one shape rule for
-    array arguments.
+_FLOAT_MAX = np.finfo(np.float64).max
+
+
+def _magnitude(bound: float) -> tuple:
+    """The domain of values at most ``bound`` in magnitude."""
+    return (-bound, bound, f"finite and at most {bound:g} in magnitude")
+
+
+#: value domains for ``_as_array``, each ``(low, high, rule)``; NaN fails both
+#: bounds, and no probability row valid within PROB_ROW_TOL leaves PROBABILITY
+FINITE = (-_FLOAT_MAX, _FLOAT_MAX, "finite")
+NON_NEGATIVE = (0.0, _FLOAT_MAX, "finite and non-negative")
+UNIT_INTERVAL = (0.0, 1.0, "finite and lie in [0, 1]")
+POSITIVE = (math.ulp(0.0), _FLOAT_MAX, "positive and finite")
+PROBABILITY = (0.0, 1 + PROB_ROW_TOL, f"finite and non-negative and at most 1 + {PROB_ROW_TOL:g}")
+JOINT_MAGNITUDE = _magnitude(MAX_JOINT_MAGNITUDE)
+
+
+def _as_array(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
+    """``value`` as a ``dtype`` array of the given shape and domain, the one
+    shape and value rule for array arguments.
 
     Each entry of ``shape`` is an int, which fixes that axis's length, or a
     name such as ``"M"``, which allows any length: ``("M", 3)`` is a point
-    cloud.  An array that already has the dtype is returned as it is, never
-    copied.
+    cloud and ``()`` a scalar.  With a ``domain`` ``(low, high, rule)``, every
+    value must satisfy ``low <= v <= high``, or ``ValueError("<name> must be
+    <rule>")`` is raised.  An array that already has the dtype is returned as
+    it is, never copied.
     """
     arr = np.asarray(value, dtype=dtype)
     if arr.ndim != len(shape) or any(
@@ -44,12 +69,17 @@ def _as_array(value, shape, name, dtype=np.float64) -> np.ndarray:
     ):
         text = ", ".join(str(want) for want in shape) + ("," if len(shape) == 1 else "")
         raise ValueError(f"{name} must have shape ({text}), got {arr.shape}")
+    if domain is not None and arr.size:
+        low, high, rule = domain
+        # NaN fails both comparisons
+        if not (arr.min() >= low and arr.max() <= high):
+            raise ValueError(f"{name} must be {rule}")
     return arr
 
 
-def _frozen(value, shape, name, dtype=np.float64) -> np.ndarray:
-    """A read-only private copy of ``_as_array(value, shape, name, dtype)``."""
-    arr = _as_array(value, shape, name, dtype).copy()
+def _frozen(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
+    """A read-only private copy of ``_as_array(value, shape, name, dtype, domain)``."""
+    arr = _as_array(value, shape, name, dtype, domain).copy()
     arr.setflags(write=False)
     return arr
 
@@ -295,10 +325,14 @@ def validate_model(model: ArticulatedModel) -> list:
             out.append(f"{tag}: joint axis not finite")
         if not np.all(np.isfinite(j.pivot)):
             out.append(f"{tag}: joint pivot not finite")
+        elif np.abs(j.pivot).max() > MAX_JOINT_MAGNITUDE:
+            out.append(f"{tag}: joint pivot above {MAX_JOINT_MAGNITUDE:g} in magnitude")
         if not (math.isfinite(j.limits.center) and math.isfinite(j.limits.span)):
             out.append(f"{tag}: joint limits not finite")
         elif j.limits.span < 0.0:
             out.append(f"{tag}: joint limits violate span >= 0 (span={j.limits.span!r})")
+        elif max(abs(j.limits.center), j.limits.span) > MAX_JOINT_MAGNITUDE:
+            out.append(f"{tag}: joint limits above {MAX_JOINT_MAGNITUDE:g} in magnitude")
         if j.jtype is JointType.FIXED:
             if j.limits.center != 0.0 or j.limits.span != 0.0:
                 out.append(f"{tag}: fixed joint must have center = span = 0")

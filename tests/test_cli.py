@@ -22,7 +22,7 @@ from artikit.geometry import (
     save_grid,
 )
 from artikit.meshio import load_point_cloud_ply
-from artikit.model import model_to_dict, save_model
+from artikit.model import MAX_JOINT_MAGNITUDE, model_to_dict, save_model
 from tests.conftest import build_cabinet, build_random_model
 
 
@@ -142,12 +142,59 @@ class TestEvaluate:
         assert run(["evaluate", path, cabinet_file]) == 2
         assert "parts" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tau", ["0", "-0.05"])
+    @pytest.mark.parametrize("tau", ["0", "-0.05", "inf", "nan"])
     def test_non_positive_tau_exits_2(self, cabinet_file, capsys, tau):
         assert run(["evaluate", cabinet_file, cabinet_file, "--tau", tau]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tau must be positive" in captured.err
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["evaluate", "articulate"])
+    @pytest.mark.parametrize("joint, violation", [
+        ({"pivot": [1e154, 0.0, 0.0]}, "joint pivot above 1e+30 in magnitude"),
+        ({"pivot": [0.0, -1e200, 0.0]}, "joint pivot above 1e+30 in magnitude"),
+        ({"type": "prismatic", "center": 0.0, "span": 1e154},
+         "joint limits above 1e+30 in magnitude"),
+        ({"type": "prismatic", "center": 0.0, "span": 1e150},
+         "joint limits above 1e+30 in magnitude"),
+        ({"center": -1e31, "span": 0.5}, "joint limits above 1e+30 in magnitude"),
+    ], ids=["pivot-1e154", "pivot-1e200", "span-1e154", "span-1e150", "center-1e31"])
+    def test_huge_joint_values_exit_2_without_a_warning(self, cabinet_file, tmp_path, capsys,
+                                                        command, joint, violation):
+        doc = model_to_dict(build_cabinet())
+        doc["parts"][1]["joint"].update(joint)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        argv = ([command, path, cabinet_file] if command == "evaluate"
+                else [command, path, "--out", tmp_path / "out"])
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"violation: part 1: {violation}" in captured.err
+        assert "Warning" not in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["evaluate", "articulate"])
+    @pytest.mark.parametrize("joint", [
+        {"pivot": [MAX_JOINT_MAGNITUDE, -MAX_JOINT_MAGNITUDE, MAX_JOINT_MAGNITUDE]},
+        {"type": "prismatic", "center": -MAX_JOINT_MAGNITUDE, "span": MAX_JOINT_MAGNITUDE},
+    ], ids=["pivot", "prismatic-limits"])
+    def test_joint_values_at_the_magnitude_bound_are_accepted(self, cabinet_file, tmp_path,
+                                                             capsys, command, joint):
+        doc = model_to_dict(build_cabinet())
+        doc["parts"][1]["joint"].update(joint)
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(doc))
+        argv = ([command, path, cabinet_file] if command == "evaluate"
+                else [command, path, "--out", tmp_path / "out"])
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err and "Traceback" not in captured.err
+        if command == "articulate":
+            clouds = [load_point_cloud_ply(p) for p in sorted((tmp_path / "out").glob("*.ply"))]
+            assert len(clouds) == 6 and all(np.isfinite(c).all() for c in clouds)
 
 
 class TestTree:
@@ -191,6 +238,23 @@ class TestTree:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "part probabilities must be finite and non-negative" in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_probabilities_exit_2_before_they_are_summed(self, tmp_path, capsys):
+        (tmp_path / "logits.json").write_text(json.dumps([[1e308, 1e308], [0.0, 1.0]]))
+        (tmp_path / "compat.json").write_text(json.dumps([[0.0, 5.0], [5.0, 0.0]]))
+        assert run(["tree", tmp_path / "logits.json", tmp_path / "compat.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("part probabilities must be finite and non-negative and at most 1 + 1e-06"
+                in captured.err)
+        assert "Warning" not in captured.err and "Traceback" not in captured.err
+
+    def test_probabilities_within_the_row_tolerance_are_accepted(self, tmp_path, capsys):
+        (tmp_path / "logits.json").write_text(json.dumps([[1.0 + 5e-7, 0.0], [0.0, 1.0]]))
+        (tmp_path / "compat.json").write_text(json.dumps([[0.0, 5.0], [5.0, 0.0]]))
+        assert run(["tree", tmp_path / "logits.json", tmp_path / "compat.json"]) == 0
+        assert json.loads(capsys.readouterr().out)["parents"] == {"0": 1, "1": -1}
 
     @pytest.mark.parametrize("compat, root", [
         ([[0.0, math.inf], [5.0, 0.0]], None),

@@ -4,7 +4,8 @@ Each example truncates a file, flips bytes in it, or edits one of its header or
 sidecar fields.  The loaders may accept the result or reject it with
 ParseError or ValidationError, and nothing else; the CLI exits 0, 2 or 3.
 A grid or a soft-mask file edited to hold a value outside its domain must
-raise ParseError, and a `tree` score outside its domain must exit 2.
+raise ParseError, and a `tree` score or a model's joint value outside its
+domain must exit 2.
 """
 
 import contextlib
@@ -34,7 +35,7 @@ from artikit.geometry import (
 )
 from artikit.kinematics import MAX_TREE_SCORE
 from artikit.meshio import load_ply, load_point_cloud_ply, save_ply, save_point_cloud_ply
-from artikit.model import TriMesh, load_model, save_model
+from artikit.model import MAX_JOINT_MAGNITUDE, TriMesh, load_model, model_to_dict, save_model
 from tests.conftest import build_cabinet
 
 FUZZ = settings(
@@ -343,4 +344,46 @@ def test_tree_score_values(data):
             warnings.simplefilter("error")
             code = main([str(a) for a in argv])
     assert code == (0 if bad == "none" else 2), err.getvalue()
+    assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+# a joint pivot component, center or span that a model file must not hold
+_BAD_JOINT_VALUES = (st.sampled_from([math.inf, -math.inf, math.nan, 1e154, -1e200, 1e308])
+                     | st.floats(min_value=MAX_JOINT_MAGNITUDE, exclude_min=True)
+                     | st.floats(max_value=-MAX_JOINT_MAGNITUDE, exclude_max=True))
+
+
+@settings(FUZZ, max_examples=40)
+@given(data=st.data())
+def test_model_joint_values(data):
+    """A model file whose joint holds a non-finite value, or one above
+    MAX_JOINT_MAGNITUDE, exits 2 from ``evaluate`` and ``articulate``, with no
+    numpy warning."""
+    doc = model_to_dict(build_cabinet())
+    part = data.draw(st.sampled_from([0, 1]))
+    joint = doc["parts"][part]["joint"]
+    if part == 0:  # the fixed body keeps center = span = 0, so move it
+        joint.update(type="revolute", center=0.25, span=0.25)
+    if data.draw(st.booleans()):
+        joint["type"] = "prismatic"
+    field = data.draw(st.sampled_from(["pivot", "center", "span"]))
+    value = data.draw(_BAD_JOINT_VALUES)
+    if field == "pivot":
+        joint["pivot"][data.draw(st.integers(0, 2))] = value
+    else:
+        joint[field] = value
+    command = data.draw(st.sampled_from(["evaluate", "articulate"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc))
+        _model(Path(tmp) / "gt.json")
+        argv = ([command, path, Path(tmp) / "gt.json"] if command == "evaluate"
+                else [command, path, "--out", Path(tmp) / "out"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([str(a) for a in argv])
+    assert code == 2, err.getvalue()
+    assert f"violation: part {part}: joint" in err.getvalue()
     assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
