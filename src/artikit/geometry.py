@@ -33,9 +33,7 @@ from .errors import GeometryError, ParseError
 from .model import CUBE_HALF, _CUBE_TOL, NON_NEGATIVE, TriMesh, _as_array
 
 #: stock configuration of the source pipeline
-DEFAULT_VOXEL_RESOLUTION = 64
 DEFAULT_TRIPLANE_RESOLUTION = 128
-DEFAULT_FEATURE_DIM = 8
 
 GRID_MAGIC = b"ARTIKITVOXELGRID"  # exactly 16 bytes
 _GRID_HEADER = struct.Struct("<IIQ")
@@ -79,24 +77,7 @@ class SparseVoxelGrid:
     arithmetic is float64.  The grid is immutable after construction.
     """
 
-    def __init__(self, resolution=DEFAULT_VOXEL_RESOLUTION, cells=None, feature_dim=None):
-        cells = dict(cells) if cells else {}
-        if cells:
-            dims = {np.asarray(v).shape for v in cells.values()}
-            if len(dims) != 1 or len(next(iter(dims))) != 1:
-                raise ValueError("all cell features must be 1-d vectors of one dimension")
-            dim = next(iter(dims))[0]
-            if feature_dim is not None and int(feature_dim) != dim:
-                raise ValueError(f"feature_dim={feature_dim} disagrees with cells ({dim})")
-        else:
-            dim = int(feature_dim) if feature_dim is not None else DEFAULT_FEATURE_DIM
-        ijk = np.array(list(cells) or np.zeros((0, 3)), dtype=np.int64)
-        feats = np.array(list(cells.values()) or np.zeros((0, dim)), dtype=np.float32)
-        # adopt the state of the one validating constructor
-        vars(self).update(vars(self.from_arrays(resolution, ijk, feats)))
-
-    @classmethod
-    def from_arrays(cls, resolution, ijk, features) -> "SparseVoxelGrid":
+    def __init__(self, resolution, ijk, features):
         """A grid from integer cell coordinates (n, 3) and their features (n, d).
 
         The arrays are copied; the cells may come in any order but must be
@@ -126,15 +107,13 @@ class SparseVoxelGrid:
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate cell keys")
 
-        grid = cls.__new__(cls)
-        grid._resolution = resolution
-        grid._dim = feats.shape[1]
-        grid._keys = keys
-        grid._ijk = ijk[order]
-        grid._feats = feats[order]
-        for arr in (grid._keys, grid._ijk, grid._feats):
+        self._resolution = resolution
+        self._dim = feats.shape[1]
+        self._keys = keys
+        self._ijk = ijk[order]
+        self._feats = feats[order]
+        for arr in (self._keys, self._ijk, self._feats):
             arr.setflags(write=False)
-        return grid
 
     @property
     def resolution(self) -> int:
@@ -196,10 +175,12 @@ def load_grid(path) -> SparseVoxelGrid:
         raise ParseError(f"{path}: feature dimension {dim} exceeds {MAX_GRID_FEATURE_DIM}")
     try:
         record = _grid_record(dim)
-        if len(blob) < offset + record.itemsize * n_active:
-            raise ParseError(f"{path}: truncated records (want {n_active})")
+        size = offset + record.itemsize * n_active
+        if len(blob) != size:
+            raise ParseError(f"{path}: truncated or overlong file: {len(blob)} bytes, "
+                             f"the header declares {size}")
         cells = np.frombuffer(blob, dtype=record, count=n_active, offset=offset)
-        return SparseVoxelGrid.from_arrays(resolution, cells["ijk"], cells["f"])
+        return SparseVoxelGrid(resolution, cells["ijk"], cells["f"])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

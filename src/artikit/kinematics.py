@@ -83,7 +83,7 @@ def _check_limit(joint: JointSpec, value: float) -> None:
 
 def joint_transform(joint: JointSpec, value: float):
     """Rigid transform (R, t) of a joint at the given value; x -> R @ x + t."""
-    value = float(value)
+    value = float(_as_array(value, (), "joint value", domain=FINITE))
     if joint.jtype is JointType.FIXED:
         _check_limit(joint, value)
         return np.eye(3), np.zeros(3)
@@ -252,16 +252,6 @@ def parent_distribution(aff: AffinityMatrix) -> ParentDistribution:
     return ParentDistribution(probs=probs)
 
 
-def _reaches(parent: dict, start: int, target: int) -> bool:
-    """Follow committed parent links from ``start``; True if ``target`` is hit."""
-    cur = start
-    while cur != ROOT_ID and cur in parent:
-        if cur == target:
-            return True
-        cur = parent[cur]
-    return cur == target
-
-
 def build_tree(dist: ParentDistribution) -> KinematicTree:
     """Argmax parent assignment with greedy cycle repair.
 
@@ -294,7 +284,7 @@ def build_tree(dist: ParentDistribution) -> KinematicTree:
         )
         for col in cand:
             parent = to_parent(col)
-            if parent == ROOT_ID or not _reaches(committed, parent, i):
+            if not _tree_cycles({**committed, i: parent}):
                 committed[i] = parent
                 break
     return KinematicTree(committed)

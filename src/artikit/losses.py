@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE, PROB_ROW_TOL, PROBABILITY,
-                    UNIT_INTERVAL, JointLimits, JointSpec, JointType, _as_array)
+from .model import (FINITE, JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE, PROB_ROW_TOL, PROBABILITY,
+                    UNIT_INTERVAL, JointLimits, JointSpec, JointType, _as_array, _frozen)
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -118,11 +118,10 @@ class MotionPrediction:
     span: float
 
     def __post_init__(self):
-        object.__setattr__(self, "type_logits", np.asarray(self.type_logits, dtype=np.float64))
-        object.__setattr__(self, "axis", np.asarray(self.axis, dtype=np.float64))
-        object.__setattr__(self, "pivot", np.asarray(self.pivot, dtype=np.float64))
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "span", float(self.span))
+        shapes = {"type_logits": ("T",), "axis": (3,), "pivot": (3,), "center": (), "span": ()}
+        for name, shape in shapes.items():
+            value = _frozen(getattr(self, name), shape, name, domain=FINITE)
+            object.__setattr__(self, name, value if shape else float(value))
 
 
 def motion_loss(pred: MotionPrediction, gt: JointSpec, weights: LossWeights = DEFAULT_WEIGHTS):
@@ -132,7 +131,7 @@ def motion_loss(pred: MotionPrediction, gt: JointSpec, weights: LossWeights = DE
     keyed "type", "dir", "origin", "limit".
     """
     gt_index = JOINT_TYPE_ORDER.index(gt.jtype)
-    if pred.type_logits.ndim != 1 or pred.type_logits.size <= gt_index:
+    if pred.type_logits.size <= gt_index:
         raise ValueError("type_logits must cover every joint type")
     l_type = float(-_log_softmax(pred.type_logits)[gt_index])
 
@@ -172,7 +171,7 @@ def structure_loss(parent_probs, gt_parents) -> float:
 
 def object_category_loss(logits, gt_index: int) -> float:
     """Softmax cross-entropy for the auxiliary object-category head."""
-    logits = _as_array(logits, ("C",), "logits")
+    logits = _as_array(logits, ("C",), "logits", domain=FINITE)
     gt_index = int(gt_index)
     if not 0 <= gt_index < logits.size:
         raise ValueError(f"gt index {gt_index} out of range for {logits.size} classes")

@@ -2,8 +2,9 @@
 
 Supported formats:
   * ASCII OBJ, v/f records only, triangular faces.
-  * Binary little-endian PLY with float32 vertex x,y,z and an optional face
-    element declared as ``property list uchar int vertex_indices``.
+  * Binary PLY in the one layout ``_ply_header`` writes: float32 vertices,
+    then optional triangle faces.  Readers skip comment and obj_info lines
+    and reject any other header or file size.
 
 Point clouds are written as vertex-only binary PLY files.
 """
@@ -70,6 +71,7 @@ _PLY_FACE = np.dtype([("n", "u1"), ("v", "<i4", (3,))])
 
 
 def _ply_header(n_vertices: int, n_faces: int | None) -> bytes:
+    """The header of the one PLY layout artikit writes and reads."""
     lines = [
         "ply",
         "format binary_little_endian 1.0",
@@ -103,52 +105,30 @@ def save_point_cloud_ply(points, path) -> None:
 
 
 def _parse_ply_header(blob: bytes, path) -> tuple:
+    """(header size, vertex count, face count or None) of a PLY file whose
+    header, apart from comment and obj_info lines, is exactly ``_ply_header``'s."""
     end = blob.find(b"end_header\n")
     if end < 0:
         raise ParseError(f"{path}: not a PLY file")
-    header = blob[: end + len(b"end_header\n")]
-    lines = header.decode("ascii", errors="replace").splitlines()
+    size = end + len(b"end_header\n")
+    lines = blob[:size].decode("ascii", errors="replace").split("\n")[:-1]
     if lines[0].strip() != "ply":
         raise ParseError(f"{path}: not a PLY file: first line must be 'ply', got {lines[0]!r}")
-    if "format binary_little_endian 1.0" not in lines[1]:
-        raise ParseError(f"{path}: only binary_little_endian PLY is supported")
-
-    n_vertices = None
-    n_faces = 0
-    current = None
-    vertex_props = []
-    for line in lines[2:]:
+    lines = [line for line in lines if line.split()[:1] not in (["comment"], ["obj_info"])]
+    counts = {}
+    for line in lines:
         fields = line.split()
-        if not fields or fields[0] == "comment":
-            continue
-        if fields[0] == "element":
+        if fields[:1] == ["element"]:
             if len(fields) != 3 or not fields[2].isdigit():
                 raise ParseError(f"{path}: element line must be 'element <name> <count>' "
                                  f"with a nonnegative integer count, got {line!r}")
-            current = fields[1]
-            count = int(fields[2])
-            if current == "vertex":
-                n_vertices = count
-            elif current == "face":
-                n_faces = count
-            else:
-                raise ParseError(f"{path}: unsupported element {current!r}")
-        elif fields[0] == "property":
-            if len(fields) < 3:
-                raise ParseError(f"{path}: property line must name a type and a field, "
-                                 f"got {line!r}")
-            if current == "vertex":
-                if fields[1] != "float":
-                    raise ParseError(f"{path}: vertex properties must be float32")
-                vertex_props.append(fields[-1])
-            elif current == "face":
-                if fields[1:] != ["list", "uchar", "int", "vertex_indices"]:
-                    raise ParseError(f"{path}: unsupported face property layout")
-        elif fields[0] == "end_header":
-            break
-    if n_vertices is None or vertex_props != ["x", "y", "z"]:
-        raise ParseError(f"{path}: vertex element must declare float x, y, z")
-    return len(header), n_vertices, n_faces
+            counts[fields[1]] = int(fields[2])
+    n_vertices, n_faces = counts.get("vertex", 0), counts.get("face")
+    expected = _ply_header(n_vertices, n_faces).decode("ascii")
+    if "".join(line + "\n" for line in lines) != expected:
+        raise ParseError(f"{path}: unsupported PLY layout; apart from comment and obj_info "
+                         f"lines the header must read {expected!r}")
+    return size, n_vertices, n_faces
 
 
 def load_ply(path) -> TriMesh:
@@ -156,20 +136,16 @@ def load_ply(path) -> TriMesh:
     with open(path, "rb") as fh:
         blob = fh.read()
     offset, n_vertices, n_faces = _parse_ply_header(blob, path)
-
-    need = n_vertices * 12
-    if len(blob) < offset + need:
-        raise ParseError(f"{path}: truncated vertex data")
+    n_faces = n_faces or 0
+    size = offset + 12 * n_vertices + _PLY_FACE.itemsize * n_faces
+    if len(blob) != size:
+        raise ParseError(f"{path}: truncated or overlong file: {len(blob)} bytes, "
+                         f"the header declares {size}")
     vertices = np.frombuffer(blob, dtype="<f4", count=n_vertices * 3, offset=offset)
-    vertices = vertices.reshape(n_vertices, 3).astype(np.float64)
-    offset += need
-
-    if len(blob) < offset + n_faces * _PLY_FACE.itemsize:
-        raise ParseError(f"{path}: truncated face data")
-    faces = np.frombuffer(blob, dtype=_PLY_FACE, count=n_faces, offset=offset)
+    faces = np.frombuffer(blob, dtype=_PLY_FACE, count=n_faces, offset=offset + 12 * n_vertices)
     if np.any(faces["n"] != 3):
         raise ParseError(f"{path}: only triangular faces supported")
-    return TriMesh(vertices, faces["v"])
+    return TriMesh(vertices.reshape(n_vertices, 3).astype(np.float64), faces["v"])
 
 
 def load_point_cloud_ply(path) -> np.ndarray:

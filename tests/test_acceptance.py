@@ -208,7 +208,7 @@ def test_c06_geometry_op_oracles():
         (int(i), int(j), int(k)): rng.normal(size=4)
         for i, j, k in rng.integers(0, 32, size=(2000, 3))
     }
-    grid = SparseVoxelGrid(32, cells)
+    grid = SparseVoxelGrid(32, list(cells), list(cells.values()))
     oracle_cells = {key: np.asarray(v, dtype=np.float32).astype(np.float64)
                     for key, v in cells.items()}
     queries = rng.uniform(-0.5, 0.5, size=(10000, 3))
@@ -325,7 +325,7 @@ def test_c09_format_round_trips(tmp_path):
         (int(i), int(j), int(k)): rng.normal(size=8).astype(np.float32)
         for i, j, k in rng.integers(0, 64, size=(500, 3))
     }
-    grid = SparseVoxelGrid(64, cells)
+    grid = SparseVoxelGrid(64, list(cells), list(cells.values()))
     grid_path = tmp_path / "grid.bin"
     save_grid(grid, grid_path)
     grid_ok = load_grid(grid_path) == grid

@@ -352,7 +352,7 @@ class TestMatch:
 class TestFeatures:
     def grid_file(self, tmp_path):
         path = tmp_path / "grid.bin"
-        save_grid(SparseVoxelGrid(8, {(2, 5, 1): [1.0, 2.0]}), path)
+        save_grid(SparseVoxelGrid(8, [[2, 5, 1]], [[1.0, 2.0]]), path)
         return path
 
     def node(self, i):
@@ -376,7 +376,7 @@ class TestFeatures:
         for d, (dx, dy, dz) in enumerate(itertools.product((0, 1), repeat=3)):
             cells[(3 + dx, 3 + dy, 3 + dz)] = [float(d)]
         grid = tmp_path / "g8.bin"
-        save_grid(SparseVoxelGrid(8, cells), grid)
+        save_grid(SparseVoxelGrid(8, list(cells), list(cells.values())), grid)
         pts = tmp_path / "pts.json"
         pts.write_text(json.dumps([[self.node(3.5)] * 3]))
         out = tmp_path / "feats"
@@ -386,7 +386,7 @@ class TestFeatures:
 
     def test_empty_grid_zero_features(self, tmp_path):
         grid = tmp_path / "empty.bin"
-        save_grid(SparseVoxelGrid(8, {}, feature_dim=4), grid)
+        save_grid(SparseVoxelGrid(8, np.zeros((0, 3)), np.zeros((0, 4))), grid)
         pts = tmp_path / "pts.json"
         pts.write_text(json.dumps([[0.1, 0.1, 0.1]]))
         out = tmp_path / "feats"
@@ -487,7 +487,7 @@ def test_unconvertible_json_exits_2(tmp_path, capsys, case):
         save_masks(np.ones((1, 8), dtype=bool), tmp_path / "gt.bits")
         argv = ["match", tmp_path / "pred.bits", tmp_path / "gt.bits"]
     else:
-        save_grid(SparseVoxelGrid(8, {(2, 5, 1): [1.0]}), tmp_path / "grid.bin")
+        save_grid(SparseVoxelGrid(8, [[2, 5, 1]], [[1.0]]), tmp_path / "grid.bin")
         argv = ["features", tmp_path / "grid.bin", bad, "--out", tmp_path / "f"]
     bad.write_text(text)
     assert run(argv) == 2

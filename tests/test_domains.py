@@ -20,10 +20,18 @@ from artikit.kinematics import (
     TREE_SCORE,
     AffinityMatrix,
     ParentDistribution,
+    joint_transform,
     limits_from_range,
     pairwise_affinity,
 )
-from artikit.losses import LossWeights, confidence_loss, structure_loss, triplet_loss
+from artikit.losses import (
+    LossWeights,
+    MotionPrediction,
+    confidence_loss,
+    object_category_loss,
+    structure_loss,
+    triplet_loss,
+)
 from artikit.metrics import evaluate, fscore
 from artikit.model import (
     FINITE,
@@ -34,6 +42,8 @@ from artikit.model import (
     PROB_ROW_TOL,
     PROBABILITY,
     UNIT_INTERVAL,
+    JointSpec,
+    JointType,
     _as_array,
     _frozen,
 )
@@ -50,6 +60,12 @@ def _queries(confidences=(0.5, 0.5)):
 
 def _stack(weights):
     return TriplaneStack(2, np.zeros((3, 2, 2, 1)), weights)
+
+
+def _motion(**nan_field):
+    fields = {"type_logits": np.zeros(4), "axis": [0, 0, 1], "pivot": np.zeros(3),
+              "center": 0.5, "span": 0.25}
+    return MotionPrediction(**{**fields, **nan_field})
 
 
 def _with_nan(shape, at=0):
@@ -91,6 +107,20 @@ NAN_ARGUMENTS = {
                                 "l_min must be finite and at most 1e+30 in magnitude"),
     "limits_from_range-l_max": (lambda: limits_from_range(0.0, NAN),
                                 "l_max must be finite and at most 1e+30 in magnitude"),
+    "joint_transform-continuous": (
+        lambda: joint_transform(JointSpec(JointType.CONTINUOUS, [0, 0, 1], [0, 0, 0]), NAN),
+        "joint value must be finite"),
+    "joint_transform-fixed": (
+        lambda: joint_transform(JointSpec(JointType.FIXED, [0, 0, 1], [0, 0, 0]), NAN),
+        "joint value must be finite"),
+    "MotionPrediction-type_logits": (lambda: _motion(type_logits=_with_nan(4, 1)),
+                                     "type_logits must be finite"),
+    "MotionPrediction-axis": (lambda: _motion(axis=[0, NAN, 1]), "axis must be finite"),
+    "MotionPrediction-pivot": (lambda: _motion(pivot=_with_nan(3, 2)), "pivot must be finite"),
+    "MotionPrediction-center": (lambda: _motion(center=NAN), "center must be finite"),
+    "MotionPrediction-span": (lambda: _motion(span=NAN), "span must be finite"),
+    "object_category_loss-logits": (lambda: object_category_loss([NAN, 0.0, 0.0], 0),
+                                    "logits must be finite"),
 }
 
 

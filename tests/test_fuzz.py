@@ -1,11 +1,11 @@
 """Fuzz every file format, starting from valid files written by artikit itself.
 
-Each example truncates a file, flips bytes in it, or edits one of its header or
-sidecar fields.  The loaders may accept the result or reject it with
-ParseError or ValidationError, and nothing else; the CLI exits 0, 2 or 3.
-A grid or a soft-mask file edited to hold a value outside its domain must
-raise ParseError, and a `tree` score or a model's joint value outside its
-domain must exit 2.
+Each example truncates a file, flips bytes in it, appends bytes to a PLY or
+grid file, or edits one of its header or sidecar fields.  The loaders may
+accept the result or reject it with ParseError or ValidationError, and nothing
+else; the CLI exits 0, 2 or 3.  A grid or a soft-mask file edited to hold a
+value outside its domain must raise ParseError, and a `tree` score or a
+model's joint value outside its domain must exit 2.
 """
 
 import contextlib
@@ -49,7 +49,7 @@ def _grid(path):
     rng = np.random.default_rng(0)
     cells = {(int(i), int(j), int(k)): rng.normal(size=3) for i, j, k in
              rng.integers(0, 8, size=(6, 3))}
-    save_grid(SparseVoxelGrid(8, cells), path)
+    save_grid(SparseVoxelGrid(8, list(cells), list(cells.values())), path)
 
 
 def _mesh(path):
@@ -196,14 +196,14 @@ def _edit_ply_header(data, blob: bytes) -> bytes:
 
 
 def _mutate(data, filename: str, blob: bytes) -> bytes:
-    """One truncation, byte-flip or field edit of ``blob``."""
+    """One truncation, byte-flip, appended tail or field edit of ``blob``."""
     kinds = ["truncate", "flip"]
     if filename.endswith(".json"):
         kinds.append("json")
     elif filename.endswith(".bin"):
-        kinds += ["grid-header", "grid-values"]
+        kinds += ["grid-header", "grid-values", "append"]
     elif filename.endswith(".ply"):
-        kinds.append("ply-header")
+        kinds += ["ply-header", "append"]
     elif filename == FORMATS["f32-masks"][0]:
         kinds.append("mask-values")
     kind = data.draw(st.sampled_from(kinds))
@@ -216,6 +216,8 @@ def _mutate(data, filename: str, blob: bytes) -> bytes:
                 min_size=1, max_size=8)):
             out[pos] ^= mask
         return bytes(out)
+    if kind == "append":
+        return blob + data.draw(st.binary(min_size=1, max_size=16))
     if kind == "json":
         return _edit_json(data, blob)
     if kind == "grid-header":

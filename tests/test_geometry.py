@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestSampling:
 
 class TestTrilinear:
     def test_exact_at_stored_cell_center(self):
-        grid = SparseVoxelGrid(8, {(2, 5, 1): [1.5, -2.0]})
+        grid = SparseVoxelGrid(8, [[2, 5, 1]], [[1.5, -2.0]])
         p = [node_position(2, 8), node_position(5, 8), node_position(1, 8)]
         np.testing.assert_allclose(trilinear_interpolate(grid, [p]), [[1.5, -2.0]], atol=1e-15)
 
@@ -105,12 +106,12 @@ class TestTrilinear:
         for d, (dx, dy, dz) in enumerate(itertools.product((0, 1), repeat=3)):
             cells[(3 + dx, 3 + dy, 3 + dz)] = [float(d + 1)]
             vals.append(d + 1)
-        grid = SparseVoxelGrid(8, cells)
+        grid = SparseVoxelGrid(8, list(cells), list(cells.values()))
         p = [node_position(3.5, 8)] * 3
         np.testing.assert_allclose(trilinear_interpolate(grid, [p]), [[np.mean(vals)]], atol=1e-12)
 
     def test_edge_midpoint_is_half_half(self):
-        grid = SparseVoxelGrid(8, {(1, 1, 1): [2.0], (2, 1, 1): [6.0]})
+        grid = SparseVoxelGrid(8, [[1, 1, 1], [2, 1, 1]], [[2.0], [6.0]])
         p = [node_position(1.5, 8), node_position(1, 8), node_position(1, 8)]
         np.testing.assert_allclose(trilinear_interpolate(grid, [p]), [[4.0]], atol=1e-12)
 
@@ -120,7 +121,7 @@ class TestTrilinear:
             (int(i), int(j), int(k)): rng.normal(size=4)
             for i, j, k in rng.integers(0, 16, size=(300, 3))
         }
-        grid = SparseVoxelGrid(16, cells)
+        grid = SparseVoxelGrid(16, list(cells), list(cells.values()))
         pts = rng.uniform(-0.5, 0.5, size=(500, 3))
         got = trilinear_interpolate(grid, pts)
         f32_cells = {key: np.asarray(vec, dtype=np.float32).astype(np.float64)
@@ -129,7 +130,7 @@ class TestTrilinear:
             np.testing.assert_allclose(got[i], trilinear_oracle(f32_cells, 16, p), atol=1e-12)
 
     def test_linear_along_axis_between_adjacent_nodes(self):
-        grid = SparseVoxelGrid(8, {(2, 4, 4): [1.0], (3, 4, 4): [5.0]})
+        grid = SparseVoxelGrid(8, [[2, 4, 4], [3, 4, 4]], [[1.0], [5.0]])
         y = node_position(4, 8)
         ts = np.linspace(0.0, 1.0, 9)
         vals = [
@@ -141,14 +142,14 @@ class TestTrilinear:
         assert vals[0] == pytest.approx(1.0) and vals[-1] == pytest.approx(5.0)
 
     def test_out_of_cube_rejected(self):
-        grid = SparseVoxelGrid(8, {(0, 0, 0): [1.0]})
+        grid = SparseVoxelGrid(8, [[0, 0, 0]], [[1.0]])
         with pytest.raises(GeometryError, match="outside"):
             trilinear_interpolate(grid, [[0.6, 0, 0]])
         # within the 1e-9 tolerance is clamped, not rejected
         trilinear_interpolate(grid, [[0.5 + 5e-10, 0, 0]])
 
     def test_empty_grid_gives_zeros(self):
-        grid = SparseVoxelGrid(8, {}, feature_dim=3)
+        grid = SparseVoxelGrid(8, np.zeros((0, 3)), np.zeros((0, 3)))
         np.testing.assert_array_equal(trilinear_interpolate(grid, [[0.1, 0.2, 0.3]]), [[0, 0, 0]])
 
 
@@ -239,7 +240,7 @@ def _kernel_outputs():
         keys = np.unique(np.floor(rng.random(min(3000, r**3)) * r**3).astype(np.int64))
         ijk = np.stack([keys // (r * r), keys // r % r, keys % r], axis=1)
         feats = (rng.random((len(keys), 4)) * 2.0 - 1.0).astype(np.float32)
-        grid = SparseVoxelGrid.from_arrays(r, ijk, feats)
+        grid = SparseVoxelGrid(r, ijk, feats)
         out[f"trilinear-R{r}"] = trilinear_interpolate(grid, _kernel_points(rng, (r,)))
     for r in (1, 2, 128):
         pts = _kernel_points(rng, (r,))
@@ -371,15 +372,14 @@ class TestPooling:
 
 
 class TestSparseVoxelGrid:
-    def test_from_arrays_equals_dict_grid(self):
+    def test_cells_in_two_orders_build_equal_grids(self):
         rng = np.random.default_rng(4)
         flat = rng.choice(16**3, size=300, replace=False)
         ijk = np.stack([flat // 256, flat // 16 % 16, flat % 16], axis=1)
         feats = rng.normal(size=(300, 5))
-        cells = {tuple(int(c) for c in key): vec for key, vec in zip(ijk, feats)}
         order = rng.permutation(300)
-        grid = SparseVoxelGrid.from_arrays(16, ijk[order], feats[order])
-        assert grid == SparseVoxelGrid(16, cells)
+        grid = SparseVoxelGrid(16, ijk[order], feats[order])
+        assert grid == SparseVoxelGrid(16, ijk, feats)
         assert grid.n_active == 300 and grid.feature_dim == 5
 
     @pytest.mark.parametrize(
@@ -396,11 +396,7 @@ class TestSparseVoxelGrid:
     def test_rejects_bad_cells(self, resolution, ijk, dim, message):
         ijk = np.array(ijk, dtype=np.int64).reshape(-1, 3)
         with pytest.raises(ValueError, match=message):
-            SparseVoxelGrid.from_arrays(resolution, ijk, np.ones((len(ijk), dim)))
-        if len(set(map(tuple, ijk.tolist()))) == len(ijk):  # a dict cannot repeat a key
-            cells = {tuple(key): np.ones(dim) for key in ijk.tolist()}
-            with pytest.raises(ValueError, match=message):
-                SparseVoxelGrid(resolution, cells, feature_dim=dim)
+            SparseVoxelGrid(resolution, ijk, np.ones((len(ijk), dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +410,7 @@ class TestFormats:
             (int(i), int(j), int(k)): rng.normal(size=6).astype(np.float32)
             for i, j, k in rng.integers(0, 64, size=(200, 3))
         }
-        grid = SparseVoxelGrid(64, cells)
+        grid = SparseVoxelGrid(64, list(cells), list(cells.values()))
         path = tmp_path / "grid.bin"
         save_grid(grid, path)
         assert load_grid(path) == grid
@@ -426,15 +422,26 @@ class TestFormats:
             load_grid(path)
 
     def test_grid_truncated(self, tmp_path):
-        grid = SparseVoxelGrid(8, {(1, 2, 3): [1.0, 2.0]})
+        grid = SparseVoxelGrid(8, [[1, 2, 3]], [[1.0, 2.0]])
         path = tmp_path / "g.bin"
         save_grid(grid, path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ParseError, match="truncated"):
             load_grid(path)
 
+    @pytest.mark.parametrize("n_active, tail", [(1, b""), (2, b"\x00" * 3)],
+                             ids=["count-too-small", "trailing-bytes"])
+    def test_grid_size_must_match_header(self, tmp_path, n_active, tail):
+        grid = SparseVoxelGrid(8, [[1, 2, 3], [4, 5, 6]], [[1.0], [2.0]])
+        path = tmp_path / "g.bin"
+        save_grid(grid, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:24] + struct.pack("<Q", n_active) + blob[32:] + tail)
+        with pytest.raises(ParseError, match="truncated or overlong"):
+            load_grid(path)
+
     def test_grid_repeated_cell_rejected(self, tmp_path):
-        grid = SparseVoxelGrid(8, {(1, 2, 3): [1.0], (4, 5, 6): [2.0]})
+        grid = SparseVoxelGrid(8, [[1, 2, 3], [4, 5, 6]], [[1.0], [2.0]])
         path = tmp_path / "g.bin"
         save_grid(grid, path)
         blob = bytearray(path.read_bytes())

@@ -55,7 +55,7 @@ for argv in json.loads(sys.argv[1]):
 
 def test_commands_without_nn_or_matching_never_import_scipy(tmp_path):
     rng = np.random.default_rng(0)
-    save_grid(SparseVoxelGrid(8, {(1, 2, 3): [1.0, 2.0], (4, 4, 4): [0.5, -1.0]}),
+    save_grid(SparseVoxelGrid(8, [[1, 2, 3], [4, 4, 4]], [[1.0, 2.0], [0.5, -1.0]]),
               tmp_path / "grid.bin")
     pts = rng.uniform(-0.5, 0.5, size=(20, 3))
     (tmp_path / "pts.json").write_text(json.dumps(pts.tolist()))

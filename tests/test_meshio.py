@@ -96,6 +96,48 @@ def test_ply_malformed_header_names_field(tmp_path, header, field):
         load_ply(path)
 
 
+_PLY = "ply\nformat binary_little_endian 1.0\n"
+_VERTICES = "element vertex {}\nproperty float x\nproperty float y\nproperty float z\n"
+_FACES = "element face {}\nproperty list uchar int vertex_indices\n"
+
+# headers artikit does not write, and payload sizes that fit their declared
+# counts; every payload byte is 3, so each face record reads as a triangle
+OTHER_LAYOUTS = {
+    "face-before-vertex": (_PLY + _FACES.format(4) + _VERTICES.format(4), 4 * 13 + 4 * 12,
+                           "unsupported PLY layout"),
+    "vertex-declared-twice": (_PLY + "element vertex 1\n" + _VERTICES.format(3), 3 * 12,
+                              "unsupported PLY layout"),
+    "face-without-property": (_PLY + _VERTICES.format(4) + "element face 4\n", 4 * 12 + 4 * 13,
+                              "unsupported PLY layout"),
+    "property-before-element": (_PLY + "property float w\n" + _VERTICES.format(4), 4 * 12,
+                                "unsupported PLY layout"),
+    "unknown-keyword": (_PLY + "bogus line\n" + _VERTICES.format(4), 4 * 12,
+                        "unsupported PLY layout"),
+    "format-junk": ("ply\nformat binary_little_endian 1.0 junk\n" + _VERTICES.format(4), 4 * 12,
+                    "unsupported PLY layout"),
+    "trailing-bytes": (_PLY + _VERTICES.format(4), 4 * 12 + 5, "truncated or overlong"),
+}
+
+
+@pytest.mark.parametrize("header, payload, message", OTHER_LAYOUTS.values(), ids=OTHER_LAYOUTS)
+def test_ply_other_layouts_rejected(tmp_path, header, payload, message):
+    path = tmp_path / "other.ply"
+    path.write_bytes((header + "end_header\n").encode("ascii") + b"\x03" * payload)
+    with pytest.raises(ParseError, match=message):
+        load_ply(path)
+
+
+def test_ply_comment_and_obj_info_lines_skipped(tetra, tmp_path):
+    path = tmp_path / "t.ply"
+    save_ply(tetra, path)
+    plain = load_ply(path)
+    blob = path.read_bytes()
+    for anchor in (b"ply\n", b"property float z\n", b"vertex_indices\n"):
+        blob = blob.replace(anchor, anchor + b"comment made by hand\nobj_info id 7\n", 1)
+    path.write_bytes(blob)
+    assert load_ply(path) == plain
+
+
 def test_load_mesh_dispatch(tetra, tmp_path):
     obj_path = tmp_path / "a.obj"
     ply_path = tmp_path / "a.ply"

@@ -31,7 +31,7 @@ from artikit.geometry import (
     triplane_scatter,
 )
 from artikit.kinematics import AffinityMatrix, pairwise_affinity
-from artikit.losses import object_category_loss
+from artikit.losses import MotionPrediction, object_category_loss
 from artikit.meshio import save_point_cloud_ply
 from artikit.metrics import chamfer, fscore
 from artikit.model import JointSpec, JointType, PartSpec, TriMesh, _as_array
@@ -73,16 +73,17 @@ WRONG_SHAPES = {
     "TriMesh-vertices": (lambda: TriMesh(BAD_CLOUD, [[0, 1, 2]]),
                          "vertices must have shape (V, 3), got (4, 2)"),
     "TriMesh-faces": (lambda: TriMesh(CLOUD, [0, 1, 2]), "faces must have shape (F, 3), got (3,)"),
-    "SparseVoxelGrid-ijk": (lambda: SparseVoxelGrid.from_arrays(4, [[0, 0]], [[1.0]]),
+    "SparseVoxelGrid-ijk": (lambda: SparseVoxelGrid(4, [[0, 0]], [[1.0]]),
                             "ijk must have shape (n, 3), got (1, 2)"),
-    "SparseVoxelGrid-features": (lambda: SparseVoxelGrid.from_arrays(4, [[0, 0, 0]], [1.0]),
+    "SparseVoxelGrid-features": (lambda: SparseVoxelGrid(4, [[0, 0, 0]], [1.0]),
                                  "features must have shape (n, d), got (1,)"),
     "TriplaneStack-planes": (lambda: _stack(planes=np.zeros((3, 2, 2))),
                              "planes must have shape (3, 2, 2, d), got (3, 2, 2)"),
     "TriplaneStack-weights": (lambda: _stack(weights=np.zeros((3, 2, 3))),
                               "weights must have shape (3, 2, 2), got (3, 2, 3)"),
     "trilinear_interpolate-points": (
-        lambda: trilinear_interpolate(SparseVoxelGrid(4), BAD_CLOUD),
+        lambda: trilinear_interpolate(SparseVoxelGrid(4, np.zeros((0, 3)), np.zeros((0, 1))),
+                                      BAD_CLOUD),
         "points must have shape (M, 3), got (4, 2)"),
     "triplane_scatter-points": (lambda: triplane_scatter(BAD_CLOUD, np.zeros((4, 1)), 2),
                                 "points must have shape (M, 3), got (4, 2)"),
@@ -131,6 +132,12 @@ WRONG_SHAPES = {
                                    "root_scores must have shape (2,), got (3,)"),
     "object_category_loss-logits": (lambda: object_category_loss(np.zeros((1, 3)), 0),
                                     "logits must have shape (C,), got (1, 3)"),
+    "MotionPrediction-type_logits": (
+        lambda: MotionPrediction(np.zeros((1, 4)), [0, 0, 1], np.zeros(3), 0.0, 0.0),
+        "type_logits must have shape (T,), got (1, 4)"),
+    "MotionPrediction-center": (
+        lambda: MotionPrediction(np.zeros(4), [0, 0, 1], np.zeros(3), [0.0, 1.0], 0.0),
+        "center must have shape (), got (2,)"),
     "confidence_targets-pred_hard": (
         lambda: confidence_targets(np.zeros(4, bool), np.zeros((1, 4), bool), hungarian([[0.0]])),
         "pred_hard must have shape (N, M), got (4,)"),
@@ -150,7 +157,7 @@ def test_wrong_shape_names_the_argument_and_the_wanted_shape(case):
     [
         lambda p: nearest_neighbor_distances(p, CLOUD),
         lambda p: nearest_neighbor_distances(CLOUD, p),
-        lambda p: trilinear_interpolate(SparseVoxelGrid(4), p),
+        lambda p: trilinear_interpolate(SparseVoxelGrid(4, np.zeros((0, 3)), np.zeros((0, 1))), p),
         lambda p: triplane_gather(_stack(), p),
         lambda p: chamfer(p, CLOUD),
     ],
