@@ -17,13 +17,35 @@ def _threads_setting() -> int:
 
 
 def _thread_budget() -> int:
-    """Threads the nearest-neighbour work may use: the CPUs this process may
-    run on, capped by ``ARTIKIT_THREADS`` when that is set.  Read at each call."""
+    """Threads the nearest-neighbour queries and grid kernels may use: the
+    CPUs this process may run on, capped by ``ARTIKIT_THREADS`` when that is
+    set.  Read at each call."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     return min(_threads_setting() or cpus, cpus)
+
+
+def _fan_out(calls) -> list:
+    """Run zero-argument ``calls`` at once and return their results in order.
+
+    This thread runs the first call while up to ``_thread_budget() - 1``
+    helper threads run the rest; with a budget of 1 the calls run one after
+    another on this thread.  The first error in call order is raised once
+    every call has finished.  ``concurrent.futures`` is imported only when a
+    helper thread is needed, so the CLI's start-up does not pay for it.
+    """
+    calls = list(calls)
+    helpers = min(len(calls), _thread_budget()) - 1
+    if helpers < 1:
+        return [call() for call in calls]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(helpers) as pool:
+        rest = [pool.submit(call) for call in calls[1:]]
+        first = calls[0]()
+        return [first] + [future.result() for future in rest]
 
 
 _compiled_lock = threading.Lock()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _compiled_scipy, _thread_budget
+from . import _compiled_scipy, _fan_out, _thread_budget
 from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
 from .model import CUBE_HALF, _CUBE_TOL, NON_NEGATIVE, TriMesh, _as_array
@@ -264,27 +264,40 @@ def _corners(coords, resolution: int):
         )
 
 
-def _blend(corners, lookup, shape) -> np.ndarray:
-    """Sum of corner weight times ``lookup(nodes)`` over the corners."""
-    out = np.zeros(shape, dtype=np.float64)
+def _blend(corners, lookup, out) -> None:
+    """Add corner weight times ``lookup(nodes)`` into ``out`` (zeros), corner
+    by corner."""
     for nodes, w in corners:
-        out += w[:, None] * lookup(nodes)
-    return out
+        values = lookup(nodes)  # a fresh array: scaling it in place spares a temporary
+        values *= w[:, None]
+        out += values
+
+
+def _by_rows(n: int, part) -> None:
+    """Call ``part(rows)`` on ``_thread_budget()`` contiguous row slices that
+    cover ``range(n)``, all at once (``_fan_out``)."""
+    parts = min(_thread_budget(), n)
+    cuts = [n * k // parts for k in range(parts + 1)] if parts else []
+    _fan_out([functools.partial(part, slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])])
 
 
 def trilinear_interpolate(grid: SparseVoxelGrid, points) -> np.ndarray:
     """Blend the 8 surrounding cell features at each point; absent cells are zero.
 
-    Exact at stored cell centers under the cell-center mapping.
+    Exact at stored cell centers under the cell-center mapping.  The points
+    are split into contiguous ranges across the thread budget
+    (``ARTIKIT_THREADS``); each point is blended on its own, so the result
+    does not depend on the split.
     """
     pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
-    if pts.shape[0] == 0:
-        return np.zeros((0, grid.feature_dim))
-    return _blend(
-        _corners(pts.T, grid.resolution),
-        lambda nodes: grid.features_at(np.stack(nodes, axis=-1)),
-        (pts.shape[0], grid.feature_dim),
-    )
+    out = np.zeros((pts.shape[0], grid.feature_dim))
+
+    def interpolate(rows):
+        _blend(_corners(pts[rows].T, grid.resolution),
+               lambda nodes: grid.features_at(np.stack(nodes, axis=-1)), out[rows])
+
+    _by_rows(len(pts), interpolate)
+    return out
 
 
 def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -> TriplaneStack:
@@ -306,17 +319,21 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
 
     # One bincount per column sums each node's corner contributions in corner
     # order, then point order, from zero: the order of eight np.add.at calls.
+    # It stays serial: that order fixes the sums, and bincount holds the
+    # interpreter lock, so planes on threads would not overlap.
     acc = np.empty((3, r * r, dim), dtype=np.float64)
     wacc = np.empty((3, r * r), dtype=np.float64)
+    columns = np.ascontiguousarray(feats.T)
     for plane, axes in enumerate(_PLANE_AXES):
         corners = list(_corners([pts[:, a] for a in axes], r))
         flat = np.concatenate([u * r + v for (u, v), _ in corners])
         weights = np.concatenate([w for _, w in corners])
         wacc[plane] = np.bincount(flat, weights=weights, minlength=r * r)
-        for col in range(dim):
-            acc[plane, :, col] = np.bincount(
-                flat, weights=weights * np.tile(feats[:, col], len(corners)), minlength=r * r
-            )
+        per_corner = weights.reshape(len(corners), -1)
+        weighted = np.empty_like(per_corner)  # one buffer for every column
+        for col, column in enumerate(columns):
+            np.multiply(per_corner, column, out=weighted)
+            acc[plane, :, col] = np.bincount(flat, weights=weighted.reshape(-1), minlength=r * r)
     acc = acc.reshape(3, r, r, dim)
     wacc = wacc.reshape(3, r, r)
 
@@ -327,16 +344,22 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
 
 
 def triplane_gather(stack: TriplaneStack, points) -> np.ndarray:
-    """Bilinearly sample all three planes and concatenate XY || YZ || ZX."""
+    """Bilinearly sample all three planes and concatenate XY || YZ || ZX.
+
+    The points are split into contiguous ranges across the thread budget
+    (``ARTIKIT_THREADS``); each point is blended on its own, so the result
+    does not depend on the split.
+    """
     pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
     dim = stack.feature_dim
     out = np.zeros((pts.shape[0], 3 * dim), dtype=np.float64)
-    for plane, axes in enumerate(_PLANE_AXES):
-        out[:, plane * dim : (plane + 1) * dim] = _blend(
-            _corners([pts[:, a] for a in axes], stack.resolution),
-            stack.planes[plane].__getitem__,
-            (pts.shape[0], dim),
-        )
+
+    def gather(rows):
+        for plane, axes in enumerate(_PLANE_AXES):
+            _blend(_corners([pts[rows, a] for a in axes], stack.resolution),
+                   stack.planes[plane].__getitem__, out[rows, plane * dim : (plane + 1) * dim])
+
+    _by_rows(len(pts), gather)
     return out
 
 

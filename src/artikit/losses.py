@@ -80,7 +80,7 @@ def triplet_loss(h_a, h_b, h_c, tau: float) -> float:
 def focal_loss(pred, gt, gamma: float = 2.0) -> float:
     """Mean focal loss -(1 - p_t)^gamma * log(p_t) over mask points."""
     pred = _clamp_prob(pred)
-    gt = _as_array(gt, pred.shape, "gt")
+    gt = _as_array(gt, pred.shape, "gt", domain=UNIT_INTERVAL)
     p_t = np.where(gt > 0.5, pred, 1.0 - pred)
     return float(np.mean(-((1.0 - p_t) ** float(gamma)) * np.log(p_t)))
 
@@ -88,7 +88,7 @@ def focal_loss(pred, gt, gamma: float = 2.0) -> float:
 def dice_loss(pred, gt) -> float:
     """1 - 2*sum(p*g) / (sum(p) + sum(g) + eps)."""
     pred = np.asarray(pred, dtype=np.float64)
-    gt = _as_array(gt, pred.shape, "gt")
+    gt = _as_array(gt, pred.shape, "gt", domain=UNIT_INTERVAL)
     inter = float(np.sum(pred * gt))
     return 1.0 - 2.0 * inter / (float(pred.sum()) + float(gt.sum()) + DICE_EPS)
 

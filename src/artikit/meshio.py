@@ -6,6 +6,8 @@ Supported formats:
     then optional triangle faces.  Readers skip comment and obj_info lines
     and reject any other header or file size.
 
+Both readers reject a face whose vertex index falls outside the vertex list.
+
 Point clouds are written as vertex-only binary PLY files.
 """
 
@@ -15,6 +17,17 @@ import numpy as np
 
 from .errors import ParseError
 from .model import TriMesh, _as_array
+
+
+def _mesh(vertices: np.ndarray, faces: np.ndarray, path) -> TriMesh:
+    """The mesh a file holds; ParseError when a face refers past its vertices."""
+    n = len(vertices)
+    try:
+        faces = _as_array(faces, ("F", 3), "face vertex indices", np.int64,
+                          domain=(0, n - 1, f"non-negative and below the vertex count {n}"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return TriMesh(vertices, faces)
 
 
 def load_obj(path) -> TriMesh:
@@ -52,7 +65,7 @@ def load_obj(path) -> TriMesh:
             # other record types (vn, vt, usemtl, ...) are ignored
     if not vertices:
         raise ParseError(f"{path}: no vertices")
-    return TriMesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64).reshape(-1, 3))
+    return _mesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64).reshape(-1, 3), path)
 
 
 def save_obj(mesh: TriMesh, path) -> None:
@@ -145,7 +158,7 @@ def load_ply(path) -> TriMesh:
     faces = np.frombuffer(blob, dtype=_PLY_FACE, count=n_faces, offset=offset + 12 * n_vertices)
     if np.any(faces["n"] != 3):
         raise ParseError(f"{path}: only triangular faces supported")
-    return TriMesh(vertices.reshape(n_vertices, 3).astype(np.float64), faces["v"])
+    return _mesh(vertices.reshape(n_vertices, 3).astype(np.float64), faces["v"], path)
 
 
 def load_point_cloud_ply(path) -> np.ndarray:

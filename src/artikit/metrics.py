@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fmt, _thread_budget
+from . import _fan_out, _fmt
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .errors import GeometryError
 from .geometry import nearest_neighbor_distances, nearest_neighbors, sample_surface_points
 from .kinematics import part_transforms, pose, sample_states
-from .model import POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array, require_valid
+from .model import FINITE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array, require_valid
 
 _PARALLEL_EPS = 1e-9
 
@@ -40,20 +40,12 @@ def _cloud(points, name) -> np.ndarray:
 def _cd_fscore(a: np.ndarray, b: np.ndarray, tau: float):
     """(Chamfer distance, F-score at tau) of two non-empty (M, 3) clouds.
 
-    With a thread budget above 1, the b -> a distances (tree build and query)
-    run on a helper thread while this thread computes a -> b; SciPy releases
-    the interpreter lock for both.  The results are the serial ones.
+    The two directions run at once (``_fan_out``); SciPy releases the
+    interpreter lock for the tree builds and queries.  The results are the
+    serial ones.
     """
-    if _thread_budget() == 1:
-        d_ab = nearest_neighbor_distances(a, b)
-        d_ba = nearest_neighbor_distances(b, a)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(1) as helper:
-            backward = helper.submit(nearest_neighbor_distances, b, a)
-            d_ab = nearest_neighbor_distances(a, b)
-            d_ba = backward.result()
+    d_ab, d_ba = _fan_out([lambda: nearest_neighbor_distances(a, b),
+                           lambda: nearest_neighbor_distances(b, a)])
     cd = float(np.mean(d_ab**2) + np.mean(d_ba**2))
     precision = float(np.mean(d_ab < tau))
     recall = float(np.mean(d_ba < tau))
@@ -75,8 +67,8 @@ def fscore(a, b, tau: float = 0.05) -> float:
 
 def axis_error(a_p, a_g) -> float:
     """Unsigned angular deviation between axis directions, in [0, pi/2]."""
-    ap = np.asarray(a_p, dtype=np.float64)
-    ag = np.asarray(a_g, dtype=np.float64)
+    ap = _as_array(a_p, (3,), "a_p", domain=FINITE)
+    ag = _as_array(a_g, (3,), "a_g", domain=FINITE)
     np_norm = float(np.linalg.norm(ap))
     ng_norm = float(np.linalg.norm(ag))
     if np_norm < _PARALLEL_EPS or ng_norm < _PARALLEL_EPS:
@@ -95,10 +87,10 @@ def pivot_error(o_p, a_p, o_g, a_g) -> float:
     that is the limit of the generic formula under an infinitesimal axis
     perturbation in the common-perpendicular direction.
     """
-    op = np.asarray(o_p, dtype=np.float64)
-    og = np.asarray(o_g, dtype=np.float64)
-    ap = np.asarray(a_p, dtype=np.float64)
-    ag = np.asarray(a_g, dtype=np.float64)
+    op = _as_array(o_p, (3,), "o_p", domain=FINITE)
+    og = _as_array(o_g, (3,), "o_g", domain=FINITE)
+    ap = _as_array(a_p, (3,), "a_p", domain=FINITE)
+    ag = _as_array(a_g, (3,), "a_g", domain=FINITE)
     if float(np.linalg.norm(ap)) < _PARALLEL_EPS or float(np.linalg.norm(ag)) < _PARALLEL_EPS:
         raise ValueError("pivot_error: zero-length axis")
     cross = np.cross(ap, ag)

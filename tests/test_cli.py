@@ -540,3 +540,28 @@ def test_evaluate_stdout_does_not_depend_on_artikit_threads(tmp_path):
         outputs[value] = proc.stdout
     assert len(set(outputs.values())) == 1
     assert json.loads(outputs[None])["per_state"]
+
+
+def test_features_files_do_not_depend_on_artikit_threads(tmp_path):
+    """The grid kernels split their points across the thread budget; serial (1),
+    the usable CPUs (unset) and ignored values write the same bytes."""
+    rng = np.random.default_rng(6)
+    keys = np.unique(np.floor(rng.random(500) * 16**3).astype(np.int64))
+    ijk = np.stack([keys // 256, keys // 16 % 16, keys % 16], axis=1)
+    save_grid(SparseVoxelGrid(16, ijk, rng.random((len(keys), 3)).astype(np.float32)),
+              tmp_path / "grid.bin")
+    (tmp_path / "pts.json").write_text(json.dumps((rng.random((2001, 3)) - 0.5).tolist()))
+    base_env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    outputs = {}
+    for value in (None, "1", "two", "-1"):
+        env = dict(base_env) if value is None else {**base_env, "ARTIKIT_THREADS": value}
+        out = tmp_path / f"out-{value}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "artikit", "features", str(tmp_path / "grid.bin"),
+             str(tmp_path / "pts.json"), "--out", str(out), "--triplane-resolution", "32"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (value, proc.stderr)
+        outputs[value] = tuple((out / name).read_bytes() for name in ("f_geo.f32", "f_tri.f32"))
+    assert len(set(outputs.values())) == 1
+    assert len(outputs[None][1]) == 2001 * 9 * 4

@@ -28,11 +28,13 @@ from artikit.losses import (
     LossWeights,
     MotionPrediction,
     confidence_loss,
+    dice_loss,
+    focal_loss,
     object_category_loss,
     structure_loss,
     triplet_loss,
 )
-from artikit.metrics import evaluate, fscore
+from artikit.metrics import axis_error, evaluate, fscore, pivot_error
 from artikit.model import (
     FINITE,
     JOINT_MAGNITUDE,
@@ -121,6 +123,20 @@ NAN_ARGUMENTS = {
     "MotionPrediction-span": (lambda: _motion(span=NAN), "span must be finite"),
     "object_category_loss-logits": (lambda: object_category_loss([NAN, 0.0, 0.0], 0),
                                     "logits must be finite"),
+    "axis_error-a_p": (lambda: axis_error([NAN, 0, 0], [0, 0, 1]), "a_p must be finite"),
+    "axis_error-a_g": (lambda: axis_error([0, 0, 1], [0, NAN, 1]), "a_g must be finite"),
+    "pivot_error-o_p": (lambda: pivot_error([NAN, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, 1]),
+                        "o_p must be finite"),
+    "pivot_error-a_p": (lambda: pivot_error([0, 0, 0], [0, 0, NAN], [0, 0, 0], [0, 0, 1]),
+                        "a_p must be finite"),
+    "pivot_error-o_g": (lambda: pivot_error([0, 0, 0], [0, 0, 1], [0, NAN, 0], [0, 0, 1]),
+                        "o_g must be finite"),
+    "pivot_error-a_g": (lambda: pivot_error([0, 0, 0], [0, 0, 1], [0, 0, 0], [NAN, 0, 1]),
+                        "a_g must be finite"),
+    "focal_loss-gt": (lambda: focal_loss([0.5, 0.5], [1.0, NAN]),
+                      "gt must be finite and lie in [0, 1]"),
+    "dice_loss-gt": (lambda: dice_loss([0.5, 0.5], [NAN, 0.0]),
+                     "gt must be finite and lie in [0, 1]"),
 }
 
 
@@ -144,6 +160,9 @@ OUTSIDE = {
     "structure_loss-index": lambda: structure_loss([[1.0, 0.0]], [2]),
     "pairwise_affinity-negative": lambda: pairwise_affinity([[1.5, -0.5]], np.eye(2)),
     "limits_from_range-huge": lambda: limits_from_range(-1e31, 0.0),
+    "axis_error-infinite": lambda: axis_error([math.inf, 0, 0], [1, 0, 0]),
+    "focal_loss-gt-two": lambda: focal_loss([0.5], [2.0]),
+    "dice_loss-gt-negative": lambda: dice_loss([0.5], [-1.0]),
 }
 
 

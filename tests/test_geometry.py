@@ -3,11 +3,14 @@ import itertools
 import json
 import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import artikit
 from artikit.errors import GeometryError, ParseError
 from artikit import geometry
 from artikit.geometry import (
@@ -280,6 +283,87 @@ class TestKernelDigests:
         assert arr.dtype == np.float64 and arr.flags.c_contiguous
         assert np.isfinite(arr).all()
         assert hashlib.sha256(arr.tobytes()).hexdigest() == KERNEL_SHA256[name]
+
+
+def _both_grid_kernels(rng, n):
+    """A call running trilinear and gather on ``n`` fixed-seed points."""
+    keys = np.unique(np.floor(rng.random(200) * 8**3).astype(np.int64))
+    ijk = np.stack([keys // 64, keys // 8 % 8, keys % 8], axis=1)
+    grid = SparseVoxelGrid(8, ijk, rng.random((len(keys), 3)).astype(np.float32))
+    stack = triplane_scatter(rng.random((300, 3)) - 0.5, rng.random((300, 2)) - 0.5, 16)
+    pts = _kernel_points(rng, (8, 16))[:n]
+    return lambda: [trilinear_interpolate(grid, pts), triplane_gather(stack, pts)]
+
+
+def _same_bytes(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+class TestGridKernelsSplitByRows:
+    @pytest.mark.parametrize("n, budget", [(7, 3), (1, 2), (0, 2), (500, 2), (500, 4)])
+    def test_split_gives_the_serial_bytes(self, monkeypatch, n, budget):
+        """Uneven, one-point and empty splits: each point is blended on its own."""
+        run = _both_grid_kernels(np.random.default_rng(33), n)
+        monkeypatch.setattr(geometry, "_thread_budget", lambda: 1)
+        serial = run()
+        parts = []  # calls handed to each fan-out
+        fan_out = geometry._fan_out
+
+        def recording(calls):
+            parts.append(len(calls))
+            return fan_out(calls)
+
+        monkeypatch.setattr(geometry, "_fan_out", recording)
+        monkeypatch.setattr(geometry, "_thread_budget", lambda: budget)
+        split = run()
+        assert parts == [min(n, budget)] * 2
+        assert _same_bytes(split, serial)
+
+    def test_more_threads_than_cores_switching_fast(self, monkeypatch):
+        """Seven threads write their rows of one output while the interpreter
+        switches between them every microsecond."""
+        run = _both_grid_kernels(np.random.default_rng(34), 608)
+        monkeypatch.setattr(geometry, "_thread_budget", lambda: 1)
+        serial = run()
+        monkeypatch.setattr(geometry, "_thread_budget", lambda: 7)
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = [run() for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(_same_bytes(got, serial) for got in split)
+
+
+class TestFanOut:
+    def test_results_come_back_in_call_order(self, monkeypatch):
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: 3)
+        ran_on = {}
+
+        def call(i):
+            ran_on[i] = threading.get_ident()
+            return i * i
+
+        assert artikit._fan_out([lambda i=i: call(i) for i in range(5)]) == [0, 1, 4, 9, 16]
+        assert ran_on[0] == threading.get_ident()
+        assert set(ran_on.values()) - {threading.get_ident()}
+
+    def test_an_error_in_a_helper_call_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: 2)
+        callers = []
+
+        def fail(message):
+            callers.append(threading.get_ident())
+            raise GeometryError(message)
+
+        with pytest.raises(GeometryError, match="first"):
+            artikit._fan_out([lambda: 1, lambda: fail("first"), lambda: fail("second")])
+        assert callers and threading.get_ident() not in callers
+
+    def test_a_budget_of_one_runs_the_calls_here(self, monkeypatch):
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: 1)
+        assert artikit._fan_out([threading.get_ident] * 3) == [threading.get_ident()] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,39 @@ def test_commands_without_nn_or_matching_never_import_scipy(tmp_path):
     _python(_NO_SCIPY, json.dumps([[str(a) for a in argv] for argv in argvs]))
 
 
+def test_importing_the_cli_does_not_load_concurrent_futures():
+    """Every invocation pays for what the CLI imports; helper threads are made
+    only when a kernel fans out."""
+    _python("import sys, artikit.cli\n"
+            "assert 'concurrent.futures' not in sys.modules")
+
+
+_SERIAL_AT_A_BUDGET_OF_ONE = """
+import sys, threading
+import numpy as np
+import artikit
+from artikit import geometry
+
+starts = []
+start = threading.Thread.start
+threading.Thread.start = lambda thread: (starts.append(thread), start(thread))[1]
+rng = np.random.default_rng(0)
+pts = rng.uniform(-0.5, 0.5, size=(500, 3))
+grid = geometry.SparseVoxelGrid(4, [[1, 2, 3], [0, 0, 0]], [[1.0], [2.0]])
+f_geo = geometry.trilinear_interpolate(grid, pts)
+geometry.triplane_gather(geometry.triplane_scatter(pts, f_geo, 8), pts)
+assert artikit._fan_out([lambda: 1, lambda: 2]) == [1, 2]
+assert starts == [], starts
+assert "concurrent.futures" not in sys.modules
+"""
+
+
+def test_a_budget_of_one_starts_no_thread_and_imports_no_executor():
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["ARTIKIT_THREADS"] = "1"
+    _python(_SERIAL_AT_A_BUDGET_OF_ONE, env=env)
+
+
 _SUBPACKAGES_NOT_LOADED = """
 import contextlib, io, json, sys
 import artikit.cli

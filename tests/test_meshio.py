@@ -42,6 +42,23 @@ def test_obj_quad_rejected(tmp_path):
         load_obj(path)
 
 
+def test_obj_face_index_past_the_vertices_rejected(tmp_path):
+    path = tmp_path / "f.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
+    with pytest.raises(ParseError, match="face vertex indices must be non-negative and "
+                                         "below the vertex count 3"):
+        load_obj(path)
+
+
+@pytest.mark.parametrize("index", [3, 7, -1])
+def test_ply_face_index_outside_the_vertices_rejected(tmp_path, index):
+    path = tmp_path / "f.ply"
+    save_ply(TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, index]]), path)
+    with pytest.raises(ParseError, match="face vertex indices must be non-negative and "
+                                         "below the vertex count 3"):
+        load_ply(path)
+
+
 def test_ply_round_trip(tetra, tmp_path):
     path = tmp_path / "t.ply"
     save_ply(tetra, path)

@@ -33,7 +33,7 @@ from artikit.geometry import (
 from artikit.kinematics import AffinityMatrix, pairwise_affinity
 from artikit.losses import MotionPrediction, object_category_loss
 from artikit.meshio import save_point_cloud_ply
-from artikit.metrics import chamfer, fscore
+from artikit.metrics import axis_error, chamfer, fscore, pivot_error
 from artikit.model import JointSpec, JointType, PartSpec, TriMesh, _as_array
 from tests.conftest import build_cabinet
 
@@ -103,6 +103,10 @@ WRONG_SHAPES = {
                                "features must have shape (M, d), got (4,)"),
     "chamfer-a": (lambda: chamfer(BAD_CLOUD, CLOUD), "a must have shape (M, 3), got (4, 2)"),
     "fscore-b": (lambda: fscore(CLOUD, BAD_CLOUD), "b must have shape (M, 3), got (4, 2)"),
+    "axis_error-a_p": (lambda: axis_error([0, 0, 1, 0], [0, 0, 1]),
+                       "a_p must have shape (3,), got (4,)"),
+    "pivot_error-o_g": (lambda: pivot_error(np.zeros(3), [0, 0, 1], np.zeros((1, 3)), [0, 0, 1]),
+                        "o_g must have shape (3,), got (1, 3)"),
     "save_point_cloud_ply-points": (lambda: save_point_cloud_ply(BAD_CLOUD, "unused.ply"),
                                     "points must have shape (M, 3), got (4, 2)"),
     "QuerySet-positions": (lambda: _queries(positions=np.zeros((2, 2))),
