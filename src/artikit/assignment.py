@@ -16,7 +16,7 @@ from . import _compiled_scipy
 from ._fmt import read_sidecar, write_sidecar
 from .errors import ParseError
 from .losses import DICE_EPS, PROB_CLAMP
-from .model import FINITE, UNIT_INTERVAL, _as_array, _frozen
+from .model import FINITE, UNIT_INTERVAL, _as_array, _frozen, _value_eq
 
 HARD_MASK_THRESHOLD = 0.5
 
@@ -34,6 +34,8 @@ class QuerySet:
     confidences: np.ndarray
     part_logits: np.ndarray
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         pos = _frozen(self.positions, ("N", 3), "positions")
         n = pos.shape[0]
@@ -49,11 +51,13 @@ class QuerySet:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftMaskSet:
     """Raw query-to-point affinity logits (N_q, M)."""
 
     logits: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         logits = _as_array(self.logits, ("N_q", "M"), "logits", domain=FINITE)

@@ -30,7 +30,7 @@ import numpy as np
 from . import _compiled_scipy, _fan_out, _thread_budget
 from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
-from .model import CUBE_HALF, _CUBE_TOL, NON_NEGATIVE, TriMesh, _as_array
+from .model import CUBE_HALF, _CUBE_TOL, FINITE, NON_NEGATIVE, TriMesh, _as_array, _value_eq
 
 #: stock configuration of the source pipeline
 DEFAULT_TRIPLANE_RESOLUTION = 128
@@ -70,24 +70,29 @@ def _grid_coords(coords: np.ndarray, resolution: int):
     return i0, g - i0
 
 
+@dataclass(frozen=True, eq=False)
 class SparseVoxelGrid:
     """Feature vectors stored at active cells of a regular R^3 grid.
 
-    Features are held as float32 (the interchange precision); interpolation
+    ``ijk`` (n, 3) holds the cells in key order and ``features`` (n, d) their
+    features as float32 (the interchange precision); interpolation
     arithmetic is float64.  The grid is immutable after construction.
     """
 
-    def __init__(self, resolution, ijk, features):
-        """A grid from integer cell coordinates (n, 3) and their features (n, d).
+    resolution: int
+    ijk: np.ndarray
+    features: np.ndarray
 
-        The arrays are copied; the cells may come in any order but must be
-        distinct and inside the grid.
-        """
-        resolution = int(resolution)
+    __eq__ = _value_eq
+
+    def __post_init__(self):
+        """Check and sort the cells; they may come in any order but must be
+        distinct and inside the grid.  The arrays are copied."""
+        resolution = int(self.resolution)
         if not 1 <= resolution <= 0xFFFF:
             raise ValueError(f"resolution must be in [1, 65535], got {resolution}")
-        ijk = _as_array(ijk, ("n", 3), "ijk", np.int64)
-        feats = _as_array(features, ("n", "d"), "features", np.float32)
+        ijk = _as_array(self.ijk, ("n", 3), "ijk", np.int64)
+        feats = _as_array(self.features, ("n", "d"), "features", np.float32)
         if len(feats) != len(ijk):
             raise ValueError(f"cell/feature count mismatch: {len(ijk)} vs {len(feats)}")
         if feats.shape[1] < 1:
@@ -107,21 +112,17 @@ class SparseVoxelGrid:
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate cell keys")
 
-        self._resolution = resolution
-        self._dim = feats.shape[1]
-        self._keys = keys
-        self._ijk = ijk[order]
-        self._feats = feats[order]
-        for arr in (self._keys, self._ijk, self._feats):
+        ijk, feats = ijk[order], feats[order]
+        for arr in (keys, ijk, feats):
             arr.setflags(write=False)
-
-    @property
-    def resolution(self) -> int:
-        return self._resolution
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "ijk", ijk)
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "_keys", keys)
 
     @property
     def feature_dim(self) -> int:
-        return self._dim
+        return self.features.shape[1]
 
     @property
     def n_active(self) -> int:
@@ -130,31 +131,21 @@ class SparseVoxelGrid:
     def features_at(self, ijk: np.ndarray) -> np.ndarray:
         """Features for integer cell coordinates (M, 3); absent cells give zero."""
         ijk = np.asarray(ijk, dtype=np.int64)
-        r = self._resolution
+        r = self.resolution
         keys = (ijk[..., 0] * r + ijk[..., 1]) * r + ijk[..., 2]
         flat = keys.reshape(-1)
-        out = np.zeros((flat.size, self._dim), dtype=np.float64)
+        out = np.zeros((flat.size, self.feature_dim), dtype=np.float64)
         if self.n_active:
             pos = np.searchsorted(self._keys, flat)
             pos_c = np.minimum(pos, self.n_active - 1)
             hit = self._keys[pos_c] == flat
-            out[hit] = self._feats[pos_c[hit]]
-        return out.reshape(*keys.shape, self._dim)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseVoxelGrid):
-            return NotImplemented
-        return (
-            self._resolution == other._resolution
-            and self._dim == other._dim
-            and np.array_equal(self._keys, other._keys)
-            and np.array_equal(self._feats, other._feats)
-        )
+            out[hit] = self.features[pos_c[hit]]
+        return out.reshape(*keys.shape, self.feature_dim)
 
 
 def save_grid(grid: SparseVoxelGrid, path) -> None:
     """Write the binary grid format: magic, header {R:u32, d:u32, n:u64}, records."""
-    records = np.rec.fromarrays([grid._ijk, grid._feats], dtype=_grid_record(grid.feature_dim))
+    records = np.rec.fromarrays([grid.ijk, grid.features], dtype=_grid_record(grid.feature_dim))
     with open(path, "wb") as fh:
         fh.write(GRID_MAGIC)
         fh.write(_GRID_HEADER.pack(grid.resolution, grid.feature_dim, grid.n_active))
@@ -185,7 +176,7 @@ def load_grid(path) -> SparseVoxelGrid:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriplaneStack:
     """Three normalized feature planes plus their bilinear weight accumulators.
 
@@ -197,6 +188,8 @@ class TriplaneStack:
     resolution: int
     planes: np.ndarray
     weights: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         r = int(self.resolution)
@@ -399,8 +392,8 @@ def nearest_neighbor_distances(from_points, to_points) -> np.ndarray:
 
 def global_pool_concat(h, f_geo) -> np.ndarray:
     """Mean-pool two aligned feature sets over points and concatenate them."""
-    h = _as_array(h, ("M", "d"), "h")
-    f = _as_array(f_geo, (h.shape[0], "d"), "f_geo")
+    h = _as_array(h, ("M", "d"), "h", domain=FINITE)
+    f = _as_array(f_geo, (h.shape[0], "d"), "f_geo", domain=FINITE)
     if h.shape[0] == 0:
         raise ValueError("cannot pool an empty feature set")
     return np.concatenate([h.mean(axis=0), f.mean(axis=0)])

@@ -29,6 +29,7 @@ from .model import (
     _as_array,
     _magnitude,
     _tree_cycles,
+    _value_eq,
     require_valid,
 )
 
@@ -182,12 +183,14 @@ def canonical_state(model: ArticulatedModel) -> dict:
 # tree construction from part-category probabilities
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinityMatrix:
     """scores[i, j] = attachment score of part j as parent of part i."""
 
     scores: np.ndarray
     root_scores: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         scores = _as_array(self.scores, ("N", "N"), "scores", domain=FINITE)
@@ -202,11 +205,13 @@ class AffinityMatrix:
         return self.scores.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParentDistribution:
     """Row-stochastic (N, N+1) matrix; column j < N is parent j, column N is ROOT."""
 
     probs: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         probs = _as_array(self.probs, ("N", "N+1"), "probs", domain=PROBABILITY)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (FINITE, JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE, PROB_ROW_TOL, PROBABILITY,
-                    UNIT_INTERVAL, JointLimits, JointSpec, JointType, _as_array, _frozen)
+                    UNIT_INTERVAL, JointLimits, JointSpec, JointType, _as_array, _frozen,
+                    _value_eq)
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -65,9 +66,8 @@ def triplet_loss(h_a, h_b, h_c, tau: float) -> float:
     (h_a, h_b) are embeddings of the same part, h_c of a different one.
     """
     tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
-    a = np.asarray(h_a, dtype=np.float64)
-    b = np.asarray(h_b, dtype=np.float64)
-    c = np.asarray(h_c, dtype=np.float64)
+    a, b, c = (_as_array(h, np.shape(h), name, domain=FINITE)
+               for h, name in ((h_a, "h_a"), (h_b, "h_b"), (h_c, "h_c")))
     x_ab = _cosine(a, b) / tau
     x_ac = _cosine(a, c) / tau
     x_bc = _cosine(b, c) / tau
@@ -79,7 +79,7 @@ def triplet_loss(h_a, h_b, h_c, tau: float) -> float:
 
 def focal_loss(pred, gt, gamma: float = 2.0) -> float:
     """Mean focal loss -(1 - p_t)^gamma * log(p_t) over mask points."""
-    pred = _clamp_prob(pred)
+    pred = _clamp_prob(_as_array(pred, np.shape(pred), "pred", domain=UNIT_INTERVAL))
     gt = _as_array(gt, pred.shape, "gt", domain=UNIT_INTERVAL)
     p_t = np.where(gt > 0.5, pred, 1.0 - pred)
     return float(np.mean(-((1.0 - p_t) ** float(gamma)) * np.log(p_t)))
@@ -87,7 +87,7 @@ def focal_loss(pred, gt, gamma: float = 2.0) -> float:
 
 def dice_loss(pred, gt) -> float:
     """1 - 2*sum(p*g) / (sum(p) + sum(g) + eps)."""
-    pred = np.asarray(pred, dtype=np.float64)
+    pred = _as_array(pred, np.shape(pred), "pred", domain=UNIT_INTERVAL)
     gt = _as_array(gt, pred.shape, "gt", domain=UNIT_INTERVAL)
     inter = float(np.sum(pred * gt))
     return 1.0 - 2.0 * inter / (float(pred.sum()) + float(gt.sum()) + DICE_EPS)
@@ -95,11 +95,14 @@ def dice_loss(pred, gt) -> float:
 
 def confidence_loss(c_hat: float, u: float, beta: float = 2.0) -> float:
     """Quality-focal confidence loss |sigma(c) - u|^beta * BCE(sigma(c), u)."""
+    c_hat = float(_as_array(c_hat, (), "c_hat", domain=FINITE))
     u = float(_as_array(u, (), "target u", domain=UNIT_INTERVAL))
-    sig = 1.0 / (1.0 + math.exp(-float(c_hat)))
+    beta = float(_as_array(beta, (), "beta", domain=NON_NEGATIVE))
+    # exp overflows for c_hat below about -709.8; sigma is clamped long before
+    sig = 1.0 / (1.0 + math.exp(min(-c_hat, 700.0)))
     sig = min(max(sig, PROB_CLAMP), 1.0 - PROB_CLAMP)
     bce = -u * math.log(sig) - (1.0 - u) * math.log(1.0 - sig)
-    return abs(sig - u) ** float(beta) * bce
+    return abs(sig - u) ** beta * bce
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -107,7 +110,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - math.log(float(np.exp(shifted).sum()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionPrediction:
     """Raw regression outputs for one query's joint parameters."""
 
@@ -116,6 +119,8 @@ class MotionPrediction:
     pivot: np.ndarray
     center: float
     span: float
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         shapes = {"type_logits": ("T",), "axis": (3,), "pivot": (3,), "center": (), "span": ()}
@@ -193,17 +198,16 @@ def stage_loss(stage: int, components, weights: LossWeights = DEFAULT_WEIGHTS, r
     missing = [name for name in _STAGE_TERMS[stage] if name not in components]
     if missing:
         raise ValueError(f"stage {stage} missing component {missing[0]!r}")
-    if stage == 1:
-        return float(components["triplet"])
-    if stage == 2:
-        return float(components["obj"])
-    if stage == 4:
-        return float(components["struct"])
+    terms = {name: float(_as_array(components[name], (), f"component {name}", domain=FINITE))
+             for name in _STAGE_TERMS[stage]}
+    ramp = float(_as_array(ramp, (), "ramp", domain=NON_NEGATIVE))
+    if stage != 3:
+        return terms[_STAGE_TERMS[stage][0]]
     return (
-        weights.triplet * float(components["triplet"])
-        + weights.mask * float(components["mask"])
-        + weights.score * float(components["score"])
-        + float(ramp) * weights.motion * float(components["motion"])
+        weights.triplet * terms["triplet"]
+        + weights.mask * terms["mask"]
+        + weights.score * terms["score"]
+        + ramp * weights.motion * terms["motion"]
     )
 
 

@@ -12,7 +12,7 @@ import enum
 import json
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -84,6 +84,28 @@ def _frozen(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
     return arr
 
 
+def _field_eq(mine, theirs) -> bool:
+    if isinstance(mine, np.ndarray):
+        return np.array_equal(mine, theirs)
+    if isinstance(mine, tuple):
+        # tuple == takes an element as equal to itself without asking its __eq__
+        return len(mine) == len(theirs) and all(map(_field_eq, mine, theirs))
+    return mine == theirs
+
+
+def _value_eq(self, other):
+    """The one value equality of array-holding types, used as their ``__eq__``.
+
+    Two values are equal when they have the same type and every field is
+    equal: arrays by ``np.array_equal`` (so an array holding NaN equals
+    nothing), tuples element by element and everything else by ``==``.  Any
+    other type gives ``NotImplemented``.
+    """
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(_field_eq(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 class JointType(enum.Enum):
     FIXED = "fixed"
     REVOLUTE = "revolute"
@@ -137,19 +159,11 @@ class JointSpec:
     pivot: np.ndarray
     limits: JointLimits = field(default_factory=JointLimits)
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         object.__setattr__(self, "axis", _frozen(self.axis, (3,), "axis"))
         object.__setattr__(self, "pivot", _frozen(self.pivot, (3,), "pivot"))
-
-    def __eq__(self, other):
-        if not isinstance(other, JointSpec):
-            return NotImplemented
-        return (
-            self.jtype is other.jtype
-            and np.array_equal(self.axis, other.axis)
-            and np.array_equal(self.pivot, other.pivot)
-            and self.limits == other.limits
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,21 +175,13 @@ class PartSpec:
     point_indices: np.ndarray
     joint: JointSpec
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         object.__setattr__(self, "id", int(self.id))
         object.__setattr__(self, "label", int(self.label))
         object.__setattr__(
             self, "point_indices", _frozen(self.point_indices, ("N",), "point_indices", np.int64)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, PartSpec):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.label == other.label
-            and np.array_equal(self.point_indices, other.point_indices)
-            and self.joint == other.joint
         )
 
 
@@ -200,6 +206,8 @@ class ArticulatedModel:
     tree: KinematicTree
     base_indices: np.ndarray
 
+    __eq__ = _value_eq
+
     def __post_init__(self):
         object.__setattr__(self, "points", _frozen(self.points, ("M", 3), "points"))
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -217,16 +225,6 @@ class ArticulatedModel:
     def num_points(self) -> int:
         return self.points.shape[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, ArticulatedModel):
-            return NotImplemented
-        return (
-            np.array_equal(self.points, other.points)
-            and self.parts == other.parts
-            and self.tree == other.tree
-            and np.array_equal(self.base_indices, other.base_indices)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class TriMesh:
@@ -234,6 +232,8 @@ class TriMesh:
 
     vertices: np.ndarray
     faces: np.ndarray
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _frozen(self.vertices, ("V", 3), "vertices"))
@@ -257,13 +257,6 @@ class TriMesh:
             elif not np.any(self.face_areas() > 0.0):
                 out.append("mesh: no face with nonzero area")
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TriMesh):
-            return NotImplemented
-        return np.array_equal(self.vertices, other.vertices) and np.array_equal(
-            self.faces, other.faces
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +311,8 @@ def validate_model(model: ArticulatedModel) -> list:
     if len(set(part_ids)) != len(part_ids):
         out.append("parts: duplicate part id")
 
+    # how many parts own each point; None once an index is out of range
+    owner = np.zeros(m, dtype=np.int64)
     for part in model.parts:
         tag = f"part {part.id}"
         j = part.joint
@@ -341,13 +336,19 @@ def validate_model(model: ArticulatedModel) -> list:
             if abs(norm - 1.0) > UNIT_AXIS_TOL:
                 out.append(f"{tag}: joint axis not unit length (norm={norm:.6g})")
 
-        if part.point_indices.size == 0:
+        idx = part.point_indices
+        if idx.size == 0:
             out.append(f"{tag}: point_indices empty")
-        else:
-            if part.point_indices.min() < 0 or part.point_indices.max() >= m:
-                out.append(f"{tag}: point_indices out of range")
-            if np.unique(part.point_indices).size != part.point_indices.size:
-                out.append(f"{tag}: point_indices contains duplicates")
+            continue
+        if idx.min() < 0 or idx.max() >= m:
+            out.append(f"{tag}: point_indices out of range")
+            owner = None
+        uniq, counts = np.unique(idx, return_counts=True)
+        if counts.max() > 1:
+            out.append(f"{tag}: point_indices contains duplicates")
+        if owner is not None:
+            # a part owns a point once, however often it lists it
+            owner[uniq] += 1
 
     # tree structure
     id_set = set(part_ids)
@@ -368,22 +369,14 @@ def validate_model(model: ArticulatedModel) -> list:
 
     # coverage: parts + base partition all point indices
     if m > 0:
-        owner = np.zeros(m, dtype=np.int64)
-        ok_range = True
-        for part in model.parts:
-            idx = part.point_indices
-            if idx.size and (idx.min() < 0 or idx.max() >= m):
-                ok_range = False
-                continue
-            owner[idx] += 1
         bidx = model.base_indices
         if bidx.size:
             if bidx.min() < 0 or bidx.max() >= m:
                 out.append("base_indices: index out of range")
-                ok_range = False
-            else:
+                owner = None
+            elif owner is not None:
                 owner[bidx] += 1
-        if ok_range:
+        if owner is not None:
             over = np.flatnonzero(owner > 1)
             under = np.flatnonzero(owner == 0)
             if over.size:

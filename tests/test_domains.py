@@ -14,7 +14,7 @@ import pytest
 
 import artikit
 from artikit.assignment import QuerySet, SoftMaskSet, filter_queries, hungarian
-from artikit.geometry import TriplaneStack
+from artikit.geometry import TriplaneStack, global_pool_concat
 from artikit.kinematics import (
     MAX_TREE_SCORE,
     TREE_SCORE,
@@ -31,6 +31,7 @@ from artikit.losses import (
     dice_loss,
     focal_loss,
     object_category_loss,
+    stage_loss,
     structure_loss,
     triplet_loss,
 )
@@ -68,6 +69,14 @@ def _motion(**nan_field):
     fields = {"type_logits": np.zeros(4), "axis": [0, 0, 1], "pivot": np.zeros(3),
               "center": 0.5, "span": 0.25}
     return MotionPrediction(**{**fields, **nan_field})
+
+
+def _triplet(**nan_embedding):
+    return triplet_loss(**{"h_a": [1.0, 0.0], "h_b": [1.0, 0.0], "h_c": [0.0, 1.0],
+                           "tau": 0.5, **nan_embedding})
+
+
+STAGE_III = {"triplet": 1.0, "mask": 1.0, "score": 1.0, "motion": 1.0}
 
 
 def _with_nan(shape, at=0):
@@ -137,6 +146,24 @@ NAN_ARGUMENTS = {
                       "gt must be finite and lie in [0, 1]"),
     "dice_loss-gt": (lambda: dice_loss([0.5, 0.5], [NAN, 0.0]),
                      "gt must be finite and lie in [0, 1]"),
+    "triplet_loss-h_a": (lambda: _triplet(h_a=[NAN, 1.0]), "h_a must be finite"),
+    "triplet_loss-h_b": (lambda: _triplet(h_b=[1.0, NAN]), "h_b must be finite"),
+    "triplet_loss-h_c": (lambda: _triplet(h_c=[NAN, NAN]), "h_c must be finite"),
+    "focal_loss-pred": (lambda: focal_loss([NAN, 0.5], [1.0, 0.0]),
+                        "pred must be finite and lie in [0, 1]"),
+    "dice_loss-pred": (lambda: dice_loss([0.5, NAN], [1.0, 0.0]),
+                       "pred must be finite and lie in [0, 1]"),
+    "confidence_loss-c_hat": (lambda: confidence_loss(NAN, 0.5), "c_hat must be finite"),
+    "confidence_loss-beta": (lambda: confidence_loss(0.0, 0.5, beta=NAN),
+                             "beta must be finite and non-negative"),
+    "stage_loss-component": (lambda: stage_loss(3, {**STAGE_III, "mask": NAN}),
+                             "component mask must be finite"),
+    "stage_loss-ramp": (lambda: stage_loss(3, STAGE_III, ramp=NAN),
+                        "ramp must be finite and non-negative"),
+    "global_pool_concat-h": (lambda: global_pool_concat(_with_nan((2, 3), 4), np.zeros((2, 1))),
+                             "h must be finite"),
+    "global_pool_concat-f_geo": (lambda: global_pool_concat(np.zeros((2, 3)), _with_nan((2, 1))),
+                                 "f_geo must be finite"),
 }
 
 
@@ -163,6 +190,15 @@ OUTSIDE = {
     "axis_error-infinite": lambda: axis_error([math.inf, 0, 0], [1, 0, 0]),
     "focal_loss-gt-two": lambda: focal_loss([0.5], [2.0]),
     "dice_loss-gt-negative": lambda: dice_loss([0.5], [-1.0]),
+    "focal_loss-pred-two": lambda: focal_loss([2.0], [1.0]),
+    "dice_loss-pred-negative": lambda: dice_loss([-1.0], [1.0]),
+    "triplet_loss-h_c-infinite": lambda: _triplet(h_c=[math.inf, 1.0]),
+    "confidence_loss-c_hat-infinite": lambda: confidence_loss(-math.inf, 0.5),
+    "confidence_loss-beta-negative": lambda: confidence_loss(0.0, 0.5, beta=-1.0),
+    "stage_loss-component-infinite": lambda: stage_loss(1, {"triplet": math.inf}),
+    "stage_loss-ramp-negative": lambda: stage_loss(3, STAGE_III, ramp=-1e-300),
+    "global_pool_concat-f_geo-infinite": lambda: global_pool_concat(np.zeros((1, 2)),
+                                                                    [[math.inf]]),
 }
 
 

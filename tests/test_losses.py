@@ -116,6 +116,19 @@ class TestConfidence:
         with pytest.raises(ValueError):
             confidence_loss(0.0, 1.2)
 
+    @pytest.mark.parametrize("c_hat", [-709.0, -709.8, -709.79, -710.0, -1e6, -1.7e308])
+    def test_very_negative_logit_is_clamped_not_overflowed(self, c_hat):
+        # sigma(c_hat) lies far below the clamp, as it does at -100
+        assert confidence_loss(c_hat, 0.5) == confidence_loss(-100.0, 0.5)
+
+    def test_the_logistic_is_unchanged_where_exp_does_not_overflow(self):
+        rng = np.random.default_rng(5)
+        for c_hat in np.concatenate([rng.uniform(-709.7, 709.7, 500), rng.normal(0, 20, 500)]):
+            sig = 1.0 / (1.0 + math.exp(-c_hat))
+            sig = min(max(sig, 1e-7), 1.0 - 1e-7)
+            bce = -0.3 * math.log(sig) - 0.7 * math.log(1.0 - sig)
+            assert confidence_loss(c_hat, 0.3) == abs(sig - 0.3) ** 2.0 * bce
+
 
 class TestMotion:
     def gt_joint(self):

@@ -109,6 +109,24 @@ class TestValidation:
         violations = validate_model(_with_parts(cabinet, (body, bad)))
         assert any("out of range" in v for v in violations)
 
+    def test_out_of_range_and_duplicate_indices_both_reported(self, cabinet):
+        body, door = cabinet.parts
+        idx = np.concatenate([door.point_indices, [2**40, 2**40]])
+        bad = PartSpec(door.id, door.label, idx, door.joint)
+        # with an index out of range there is no coverage to report
+        assert validate_model(_with_parts(cabinet, (body, bad))) == [
+            "part 1: point_indices out of range",
+            "part 1: point_indices contains duplicates",
+        ]
+
+    def test_a_point_listed_twice_by_one_part_is_owned_once(self, cabinet):
+        body, door = cabinet.parts
+        idx = np.concatenate([door.point_indices, door.point_indices[:1]])
+        bad = PartSpec(door.id, door.label, idx, door.joint)
+        assert validate_model(_with_parts(cabinet, (body, bad))) == [
+            "part 1: point_indices contains duplicates",
+        ]
+
     def test_overlapping_parts(self, cabinet):
         body, door = cabinet.parts
         idx = np.array(door.point_indices)
