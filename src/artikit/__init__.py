@@ -5,6 +5,7 @@ part-mask matching, reference loss kernels, and the state-averaged
 evaluation protocol, plus JSON/URDF/PLY interchange and a CLI.
 """
 
+import functools
 import os
 import threading
 
@@ -17,9 +18,9 @@ def _threads_setting() -> int:
 
 
 def _thread_budget() -> int:
-    """Threads the nearest-neighbour queries and grid kernels may use: the
-    CPUs this process may run on, capped by ``ARTIKIT_THREADS`` when that is
-    set.  Read at each call."""
+    """Threads the nearest-neighbour queries, grid kernels and matching cost
+    may use: the CPUs this process may run on, capped by ``ARTIKIT_THREADS``
+    when that is set.  Read at each call."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -46,6 +47,14 @@ def _fan_out(calls) -> list:
         rest = [pool.submit(call) for call in calls[1:]]
         first = calls[0]()
         return [first] + [future.result() for future in rest]
+
+
+def _by_rows(n: int, part) -> None:
+    """Call ``part(rows)`` on ``_thread_budget()`` contiguous row slices that
+    cover ``range(n)``, all at once (``_fan_out``)."""
+    parts = min(_thread_budget(), n)
+    cuts = [n * k // parts for k in range(parts + 1)] if parts else []
+    _fan_out([functools.partial(part, slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])])
 
 
 _compiled_lock = threading.Lock()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _compiled_scipy
+from . import _by_rows, _compiled_scipy
 from ._fmt import read_sidecar, write_sidecar
 from .errors import ParseError
 from .losses import DICE_EPS, PROB_CLAMP
@@ -112,29 +112,49 @@ def compute_mask_logits(contents, features) -> SoftMaskSet:
 def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
     """(N, K) matching cost: mean-per-point BCE plus Dice cost, weighted.
 
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the log terms.
+    Predictions must lie in [0, 1] and are clamped to [1e-7, 1 - 1e-7] before
+    the log terms; a nonzero GT value marks a member point.  Each query row is
+    computed on its own, without BLAS, so its cost row depends only on its own
+    values: equal rows get equal bytes.  The rows are split into contiguous
+    ranges across the thread budget (``ARTIKIT_THREADS``), which therefore
+    does not change the result.
     """
-    # a private copy, clipped in place
-    pred = _as_array(np.array(pred_soft, dtype=np.float64), ("N", "M"), "pred_soft")
-    gt = _as_array(gt_masks, ("K", "M"), "gt_masks")
+    pred = _as_array(pred_soft, ("N", "M"), "pred_soft", None, UNIT_INTERVAL)
+    gt = _as_array(gt_masks, ("K", "M"), "gt_masks", bool)
     if pred.shape[1] != gt.shape[1]:
         raise ValueError(f"point count mismatch: {pred.shape[1]} vs {gt.shape[1]}")
-    m = pred.shape[1]
+    (n, m), k = pred.shape, gt.shape[0]
     if m == 0:
         raise ValueError("masks must cover at least one point")
-    np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP, out=pred)
 
-    # bce[i, j] = -(log p[i] . gt[j] + log(1 - p[i]) . (1 - gt[j])) / M, with
-    # one (N, M) buffer holding log p, then log(1 - p)
-    logs = np.log(pred)
-    bce = logs @ gt.T
-    np.log1p(np.negative(pred, out=logs), out=logs)
-    bce = -(bce + logs @ (1.0 - gt).T) / m
+    # the points of every GT row in one index list, row after row; reduceat
+    # sums the non-empty rows only, as it gives an element, not 0, for an
+    # empty one
+    members = np.nonzero(gt)[1]
+    sizes = np.count_nonzero(gt, axis=1)
+    filled = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[filled]
+    cost = np.empty((n, k))
+    w_bce, w_dice = float(w_bce), float(w_dice)
 
-    inter = pred @ gt.T
-    denom = pred.sum(axis=1)[:, None] + gt.sum(axis=1)[None, :] + DICE_EPS
-    dice = 1.0 - 2.0 * inter / denom
-    return float(w_bce) * bce + float(w_dice) * dice
+    def rows_of(rows):
+        p, log_q, logit = np.empty(m), np.empty(m), np.empty(m)
+        in_logit, in_p = np.zeros(k), np.zeros(k)
+        for i in range(rows.start, rows.stop):
+            p[...] = pred[i]  # float64 first, so the bounds are not rounded to float32
+            np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+            np.log1p(np.negative(p, out=log_q), out=log_q)
+            np.subtract(np.log(p, out=logit), log_q, out=logit)
+            in_logit[filled] = np.add.reduceat(logit[members], starts)
+            in_p[filled] = np.add.reduceat(p[members], starts)
+            # log p over G_j and log(1 - p) off it: the row total of
+            # log(1 - p) plus log p - log(1 - p) over G_j
+            bce = -(log_q.sum() + in_logit) / m
+            dice = 1.0 - 2.0 * in_p / (p.sum() + sizes + DICE_EPS)
+            cost[i] = w_bce * bce + w_dice * dice
+
+    _by_rows(n, rows_of)
+    return cost
 
 
 def _row_order_total(cost: np.ndarray, pairs) -> float:

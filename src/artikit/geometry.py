@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _compiled_scipy, _fan_out, _thread_budget
+from . import _by_rows, _compiled_scipy, _thread_budget
 from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
 from .model import CUBE_HALF, _CUBE_TOL, FINITE, NON_NEGATIVE, TriMesh, _as_array, _value_eq
@@ -264,14 +264,6 @@ def _blend(corners, lookup, out) -> None:
         values = lookup(nodes)  # a fresh array: scaling it in place spares a temporary
         values *= w[:, None]
         out += values
-
-
-def _by_rows(n: int, part) -> None:
-    """Call ``part(rows)`` on ``_thread_budget()`` contiguous row slices that
-    cover ``range(n)``, all at once (``_fan_out``)."""
-    parts = min(_thread_budget(), n)
-    cuts = [n * k // parts for k in range(parts + 1)] if parts else []
-    _fan_out([functools.partial(part, slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])])
 
 
 def trilinear_interpolate(grid: SparseVoxelGrid, points) -> np.ndarray:

@@ -374,8 +374,11 @@ def validate_model(model: ArticulatedModel) -> list:
             if bidx.min() < 0 or bidx.max() >= m:
                 out.append("base_indices: index out of range")
                 owner = None
-            elif owner is not None:
-                owner[bidx] += 1
+            uniq, counts = np.unique(bidx, return_counts=True)
+            if counts.max() > 1:
+                out.append("base_indices contains duplicates")
+            if owner is not None:
+                owner[uniq] += 1
         if owner is not None:
             over = np.flatnonzero(owner > 1)
             under = np.flatnonzero(owner == 0)

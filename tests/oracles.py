@@ -131,20 +131,25 @@ def bce_mean(pred, gt, clamp=1e-7):
     return float(np.mean(-(gt * np.log(pred) + (1.0 - gt) * np.log(1.0 - pred))))
 
 
-def matching_cost_reference(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0, clamp=1e-7,
-                            dice_eps=1e-6):
-    """``assignment.matching_cost`` as one expression per term, with every
-    intermediate kept alive: the same BLAS calls on the same inputs."""
-    pred = np.clip(np.asarray(pred_soft, dtype=np.float64), clamp, 1.0 - clamp)
-    gt = np.asarray(gt_masks, dtype=np.float64)
+def matching_cost_fsum(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0, clamp=1e-7, dice_eps=1e-6):
+    """The BCE + Dice matching cost, each (i, j) entry on its own from Python
+    floats: per-point ``math.log`` and ``math.log1p`` terms, and every sum
+    taken exactly with ``math.fsum``.  A nonzero GT value marks a member."""
+    pred = np.asarray(pred_soft, dtype=np.float64)
+    gt = np.asarray(gt_masks, dtype=bool).tolist()
     m = pred.shape[1]
-    log_p = np.log(pred)
-    log_np = np.log1p(-pred)
-    bce = -(log_p @ gt.T + log_np @ (1.0 - gt).T) / m
-    inter = pred @ gt.T
-    denom = pred.sum(axis=1)[:, None] + gt.sum(axis=1)[None, :] + dice_eps
-    dice = 1.0 - 2.0 * inter / denom
-    return float(w_bce) * bce + float(w_dice) * dice
+    cost = np.empty((pred.shape[0], len(gt)))
+    for i, row in enumerate(pred.tolist()):
+        p = [min(max(v, clamp), 1.0 - clamp) for v in row]
+        log_p = [math.log(v) for v in p]
+        log_q = [math.log1p(-v) for v in p]
+        total = math.fsum(p)
+        for j, members in enumerate(gt):
+            bce = -math.fsum(a if g else b for a, b, g in zip(log_p, log_q, members)) / m
+            inter = math.fsum(v for v, g in zip(p, members) if g)
+            dice = 1.0 - 2.0 * inter / (total + sum(members) + dice_eps)
+            cost[i, j] = w_bce * bce + w_dice * dice
+    return cost
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import artikit
 from artikit import assignment
 from artikit.assignment import (
     MatchResult,
@@ -19,7 +22,7 @@ from artikit.assignment import (
 )
 from artikit.errors import ParseError
 from tests.conftest import criterion3_matrices
-from tests.oracles import brute_force_assignment, hungarian_reference, matching_cost_reference
+from tests.oracles import brute_force_assignment, hungarian_reference, matching_cost_fsum
 
 
 def make_queries(n=4, d=3, c=5, seed=0):
@@ -102,9 +105,12 @@ class TestMatchingCost:
             matching_cost(np.zeros((1, 4)), np.zeros((1, 5)))
 
     @pytest.mark.parametrize("kind", ["f64", "f32", "bool"])
-    def test_equals_reference_bit_for_bit(self, kind):
+    def test_close_to_fsum_oracle(self, kind):
+        """Every entry within 1e-12 of an exactly summed oracle, with overlapping
+        and empty GT rows, and both weight sets."""
         rng = np.random.default_rng(11)
         gt = rng.random((12, 5000)) < 0.3
+        gt[[0, 5, 11]] = False  # empty rows first, inside and last
         pred = rng.random((16, 5000))
         pred[:, :20] = 0.0  # clamped from below and above
         pred[:, 20:40] = 1.0
@@ -112,8 +118,68 @@ class TestMatchingCost:
         before = pred.copy()
         for gt_in, weights in ((gt, {}), (gt.astype(np.float64), {"w_bce": 0.7, "w_dice": 1.3})):
             cost = matching_cost(pred, gt_in, **weights)
-            assert cost.tobytes() == matching_cost_reference(pred, gt_in, **weights).tobytes()
+            want = matching_cost_fsum(pred, gt_in, **weights)
+            np.testing.assert_allclose(cost, want, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(pred, before)  # the caller's array is not clipped
+
+    @pytest.mark.parametrize("m", [2000, 2001])
+    @pytest.mark.parametrize("threads", ["1", None])
+    def test_twin_query_rows_get_identical_cost_rows(self, monkeypatch, m, threads):
+        """Twins in opposite halves of the query list, GT as disjoint labels
+        with 10% of the bits flipped, serial and at the usable CPUs."""
+        if threads is None:
+            monkeypatch.delenv("ARTIKIT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ARTIKIT_THREADS", threads)
+        rng = np.random.default_rng(0)
+        gt = rng.integers(0, 10, m) == np.arange(10)[:, None]
+        distinct = gt[:5] ^ (rng.random((5, m)) < 0.1)
+        cost = matching_cost(np.concatenate([distinct, distinct]), gt)
+        assert cost[:5].tobytes() == cost[5:].tobytes()
+
+    def test_each_row_is_computed_on_its_own(self):
+        """A row's bytes do not depend on the rows around it."""
+        rng = np.random.default_rng(12)
+        gt = rng.random((6, 3001)) < 0.4
+        gt[2] = False
+        pred = rng.random((9, 3001)).astype(np.float32)
+        cost = matching_cost(pred, gt, w_bce=0.5, w_dice=2.0)
+        for i in range(len(pred)):
+            alone = matching_cost(pred[i : i + 1], gt, w_bce=0.5, w_dice=2.0)
+            assert alone.tobytes() == cost[i : i + 1].tobytes()
+
+    def test_more_threads_than_cores_switching_fast(self, monkeypatch):
+        """Seven threads write their rows of one cost matrix while the
+        interpreter switches between them every microsecond."""
+        rng = np.random.default_rng(14)
+        gt = rng.random((5, 997)) < 0.3
+        pred = rng.random((23, 997))
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: 1)
+        serial = matching_cost(pred, gt).tobytes()
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = [matching_cost(pred, gt).tobytes() for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == [serial] * 5
+
+    def test_working_set_is_a_few_rows(self, monkeypatch):
+        """No (N, M) or (K, M) float64 array: the peak traced allocation of a
+        serial call stays below eight float64 rows of M points."""
+        monkeypatch.setenv("ARTIKIT_THREADS", "1")
+        rng = np.random.default_rng(13)
+        m = 20000
+        gt = rng.integers(0, 24, m) == np.arange(24)[:, None]
+        pred = rng.random((40, m), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            matching_cost(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * 8, peak
 
 
 class TestHungarian:

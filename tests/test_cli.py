@@ -542,6 +542,30 @@ def test_evaluate_stdout_does_not_depend_on_artikit_threads(tmp_path):
     assert json.loads(outputs[None])["per_state"]
 
 
+def test_match_stdout_does_not_depend_on_artikit_threads(tmp_path):
+    """Twin query rows in opposite halves tie exactly, so serial (1), the
+    usable CPUs (unset) and ignored values print the same pairs."""
+    rng = np.random.default_rng(0)
+    m = 50_000
+    gt = rng.integers(0, 50, m) == np.arange(50)[:, None]
+    distinct = gt[:25] ^ (rng.random((25, m)) < 0.1)
+    save_masks(np.concatenate([distinct, distinct]), tmp_path / "pred.bits")
+    save_masks(gt, tmp_path / "gt.bits")
+    base_env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    outputs = {}
+    for value in (None, "1", "two", "-1"):
+        env = dict(base_env) if value is None else {**base_env, "ARTIKIT_THREADS": value}
+        proc = subprocess.run(
+            [sys.executable, "-m", "artikit", "match",
+             str(tmp_path / "pred.bits"), str(tmp_path / "gt.bits")],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), (value, proc.stderr)
+        outputs[value] = proc.stdout
+    assert len(set(outputs.values())) == 1
+    assert len(json.loads(outputs[None])["pairs"]) == 50
+
+
 def test_features_files_do_not_depend_on_artikit_threads(tmp_path):
     """The grid kernels split their points across the thread budget; serial (1),
     the usable CPUs (unset) and ignored values write the same bytes."""

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import artikit
-from artikit.assignment import QuerySet, SoftMaskSet, filter_queries, hungarian
+from artikit.assignment import QuerySet, SoftMaskSet, filter_queries, hungarian, matching_cost
 from artikit.geometry import TriplaneStack, global_pool_concat
 from artikit.kinematics import (
     MAX_TREE_SCORE,
@@ -97,6 +97,8 @@ NAN_ARGUMENTS = {
     "AffinityMatrix-root_scores": (lambda: AffinityMatrix(np.zeros((2, 2)), [0.0, NAN]),
                                    "root_scores must be finite"),
     "hungarian-cost": (lambda: hungarian(_with_nan((2, 3), 4)), "cost must be finite"),
+    "matching_cost-pred_soft": (lambda: matching_cost(_with_nan((2, 3), 4), np.ones((1, 3))),
+                                "pred_soft must be finite and lie in [0, 1]"),
     "LossWeights-mask": (lambda: LossWeights(mask=NAN),
                          "loss weight mask must be finite and non-negative"),
     "confidence_loss-u": (lambda: confidence_loss(0.0, NAN),
@@ -178,6 +180,7 @@ def test_nan_is_rejected_naming_the_argument(case):
 # entry point -> call with a value just outside the domain of one argument
 OUTSIDE = {
     "QuerySet-confidences-above": lambda: _queries((0.5, 1.0 + 1e-12)),
+    "matching_cost-pred_soft-two": lambda: matching_cost(np.full((1, 3), 2.0), np.ones((1, 3))),
     "TriplaneStack-weights-negative": lambda: _stack(np.full((3, 2, 2), -1e-300)),
     "LossWeights-infinite": lambda: LossWeights(dice=math.inf),
     "triplet_loss-tau-infinite": lambda: triplet_loss(np.ones(2), np.ones(2), np.ones(2),
@@ -244,6 +247,13 @@ def test_public_entry_points_take_the_bounds():
     assert pairwise_affinity([[0.0, 1.0]], np.eye(2)).scores.tolist() == [[1.0]]
     assert ParentDistribution([[0.0, 1.0]]).probs.tolist() == [[0.0, 1.0]]
     assert fscore(CLOUD, CLOUD, tau=5e-324) == 1.0
+    assert matching_cost([[0.0, 1.0]], [[False, True]]).shape == (1, 1)
+
+
+def test_matching_cost_reads_a_nonzero_gt_value_as_membership():
+    pred = np.array([[0.2, 0.7, 0.9, 0.4]])
+    fractional = matching_cost(pred, [[0.5, 0.0, 1.0, -2.0]])
+    assert fractional.tobytes() == matching_cost(pred, [[True, False, True, True]]).tobytes()
 
 
 def test_an_empty_array_passes_every_domain():

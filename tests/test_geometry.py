@@ -304,17 +304,17 @@ class TestGridKernelsSplitByRows:
     def test_split_gives_the_serial_bytes(self, monkeypatch, n, budget):
         """Uneven, one-point and empty splits: each point is blended on its own."""
         run = _both_grid_kernels(np.random.default_rng(33), n)
-        monkeypatch.setattr(geometry, "_thread_budget", lambda: 1)
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: 1)
         serial = run()
         parts = []  # calls handed to each fan-out
-        fan_out = geometry._fan_out
+        fan_out = artikit._fan_out
 
         def recording(calls):
             parts.append(len(calls))
             return fan_out(calls)
 
-        monkeypatch.setattr(geometry, "_fan_out", recording)
-        monkeypatch.setattr(geometry, "_thread_budget", lambda: budget)
+        monkeypatch.setattr(artikit, "_fan_out", recording)
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: budget)
         split = run()
         assert parts == [min(n, budget)] * 2
         assert _same_bytes(split, serial)
@@ -323,9 +323,8 @@ class TestGridKernelsSplitByRows:
         """Seven threads write their rows of one output while the interpreter
         switches between them every microsecond."""
         run = _both_grid_kernels(np.random.default_rng(34), 608)
-        monkeypatch.setattr(geometry, "_thread_budget", lambda: 1)
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: 1)
         serial = run()
-        monkeypatch.setattr(geometry, "_thread_budget", lambda: 7)
         monkeypatch.setattr(artikit, "_thread_budget", lambda: 7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -127,6 +127,12 @@ class TestValidation:
             "part 1: point_indices contains duplicates",
         ]
 
+    def test_duplicate_base_indices(self, cabinet):
+        """A repeated base index is reported as for parts; it still owns its point once."""
+        bidx = np.concatenate([cabinet.base_indices[:1], cabinet.base_indices])
+        broken = ArticulatedModel(cabinet.points, cabinet.parts, cabinet.tree, bidx)
+        assert validate_model(broken) == ["base_indices contains duplicates"]
+
     def test_overlapping_parts(self, cabinet):
         body, door = cabinet.parts
         idx = np.array(door.point_indices)
