@@ -111,7 +111,8 @@ def cmd_articulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     pred = load_model(args.pred)
-    gt = load_model(args.gt)
+    # a path named twice is read and validated once
+    gt = pred if args.gt == args.pred else load_model(args.gt)
     report = evaluate(
         pred,
         gt,

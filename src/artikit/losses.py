@@ -63,11 +63,13 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 def triplet_loss(h_a, h_b, h_c, tau: float) -> float:
     """Contrastive triplet loss on exp(cos/tau) similarities.
 
-    (h_a, h_b) are embeddings of the same part, h_c of a different one.
+    (h_a, h_b) are embeddings of the same part, h_c of a different one; all
+    three are vectors of one length.
     """
     tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
-    a, b, c = (_as_array(h, np.shape(h), name, domain=FINITE)
-               for h, name in ((h_a, "h_a"), (h_b, "h_b"), (h_c, "h_c")))
+    a = _as_array(h_a, ("d",), "h_a", domain=FINITE)
+    b = _as_array(h_b, a.shape, "h_b", domain=FINITE)
+    c = _as_array(h_c, a.shape, "h_c", domain=FINITE)
     x_ab = _cosine(a, b) / tau
     x_ac = _cosine(a, c) / tau
     x_bc = _cosine(b, c) / tau

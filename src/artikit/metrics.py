@@ -40,12 +40,22 @@ def _cloud(points, name) -> np.ndarray:
 def _cd_fscore(a: np.ndarray, b: np.ndarray, tau: float):
     """(Chamfer distance, F-score at tau) of two non-empty (M, 3) clouds.
 
-    The two directions run at once (``_fan_out``); SciPy releases the
-    interpreter lock for the tree builds and queries.  The results are the
-    serial ones.
+    A twin is a finite row of one cloud equal to the row at the same index
+    of the other (so ``-0.0`` matches ``0.0``); it is its own nearest
+    neighbour at distance exactly 0 in both directions and is not queried.
+    The other rows are queried against the whole other cloud, so every
+    distance is the one a full query gives.  When every row is a twin no
+    KD-tree is built.  The two directions run at once (``_fan_out``); SciPy
+    releases the interpreter lock for the tree builds and queries.  The
+    results are the serial ones.
     """
-    d_ab, d_ba = _fan_out([lambda: nearest_neighbor_distances(a, b),
-                           lambda: nearest_neighbor_distances(b, a)])
+    d_ab, d_ba = np.zeros(len(a)), np.zeros(len(b))
+    ask_a, ask_b = np.ones(len(a), dtype=bool), np.ones(len(b), dtype=bool)
+    if a.shape == b.shape:
+        # a non-finite row stays queried, so the KD-tree still rejects it
+        ask_a = ask_b = ~((a == b).all(axis=1) & np.isfinite(a).all(axis=1))
+    d_ab[ask_a], d_ba[ask_b] = _fan_out([lambda: nearest_neighbor_distances(a[ask_a], b),
+                                         lambda: nearest_neighbor_distances(b[ask_b], a)])
     cd = float(np.mean(d_ab**2) + np.mean(d_ba**2))
     precision = float(np.mean(d_ab < tau))
     recall = float(np.mean(d_ba < tau))

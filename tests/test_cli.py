@@ -120,6 +120,11 @@ class TestEvaluate:
         assert run(["evaluate", cabinet_file, missing]) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_missing_file_named_twice_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run(["evaluate", missing, missing]) == 2
+        assert str(missing) in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["evaluate", "articulate"])
     def test_model_point_outside_the_cube_exits_2(self, cabinet_file, tmp_path, capsys,
                                                   command):

@@ -133,6 +133,35 @@ def test_match_and_evaluate_skip_the_scipy_subpackage_imports(tmp_path):
         _python(_SUBPACKAGES_NOT_LOADED, json.dumps([[str(a) for a in argv], absent]))
 
 
+_ONE_READ_PER_PATH_AND_NO_TREE = """
+import contextlib, io, json, sys
+import artikit.cli
+
+argv, reads = json.loads(sys.argv[1])
+paths = []
+load = artikit.cli.load_model
+artikit.cli.load_model = lambda path: (paths.append(path), load(path))[1]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = artikit.cli.main(argv)
+assert code == 0, code
+assert len(paths) == reads, paths
+loaded = [name for name in ("scipy.spatial._ckdtree", "scipy.sparse") if name in sys.modules]
+assert not loaded, loaded
+"""
+
+
+@pytest.mark.parametrize("copies", [1, 2], ids=["same-path", "two-paths"])
+def test_evaluating_a_model_against_itself_reads_each_path_once_and_builds_no_tree(
+        tmp_path, copies):
+    """A path named twice is decoded once; every point is its own twin, so
+    no nearest-neighbour query runs and SciPy's KD-tree module never loads."""
+    paths = [tmp_path / f"cabinet{k}.json" for k in range(copies)]
+    for path in paths:
+        save_model(build_cabinet(), path)
+    argv = ["evaluate", paths[0], paths[-1]]
+    _python(_ONE_READ_PER_PATH_AND_NO_TREE, json.dumps([[str(a) for a in argv], copies]))
+
+
 _SAME_OBJECTS_AS_SCIPY = """
 import sys
 import numpy as np

@@ -5,9 +5,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import artikit.geometry
 import artikit.metrics
 from artikit.assignment import MatchResult
+from artikit.geometry import nearest_neighbor_distances
 from artikit.kinematics import rotation_about_axis
 from artikit.metrics import (
     _cd_fscore,
@@ -83,6 +86,57 @@ class TestBothDirectionsAtOnce:
         assert (callers[len(b)] != threading.get_ident()) == helper
         if threads == "1":
             assert starts == []  # neither a helper nor SciPy query workers
+
+
+def _full_query_reference(a, b, tau):
+    """(CD, F-score) with every point of both clouds queried."""
+    d_ab = nearest_neighbor_distances(a, b)
+    d_ba = nearest_neighbor_distances(b, a)
+    precision = float(np.mean(d_ab < tau))
+    recall = float(np.mean(d_ba < tau))
+    f = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+    return float(np.mean(d_ab**2) + np.mean(d_ba**2)), f
+
+
+def _no_kdtree(points):
+    raise AssertionError("a KD-tree was built")
+
+
+class TestTwinsAreNotQueried:
+    @given(n=st.integers(1, 40), shared=st.sampled_from(["none", "some", "all"]),
+           flip_zero_signs=st.booleans(), extra=st.integers(0, 3),
+           tau=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_equals_the_full_query(self, n, shared, flip_zero_signs, extra, tau, seed):
+        rng = np.random.default_rng(seed)
+        # a coarse grid, so zeros, equal rows and tied neighbours are common
+        a = rng.integers(-3, 4, size=(n, 3)) * 0.25
+        b = rng.integers(-3, 4, size=(n, 3)) * 0.25
+        keep = {"none": np.zeros(n, bool), "some": rng.random(n) < 0.5,
+                "all": np.ones(n, bool)}[shared]
+        b[keep] = a[keep]
+        if flip_zero_signs:
+            b[b == 0.0] = -0.0
+        b = np.concatenate([b, rng.integers(-3, 4, size=(extra, 3)) * 0.25])
+        assert _cd_fscore(a, b, tau) == _full_query_reference(a, b, tau)
+        assert _cd_fscore(b, a, tau) == _full_query_reference(b, a, tau)
+
+    def test_non_finite_twins_are_still_rejected(self):
+        a = np.array([[np.inf, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            chamfer(a, a.copy())
+
+    def test_self_chamfer_builds_no_kdtree(self, monkeypatch):
+        pts = np.random.default_rng(9).normal(size=(500, 3))
+        monkeypatch.setattr(artikit.geometry, "cKDTree", _no_kdtree)
+        assert chamfer(pts, pts) == 0.0
+        assert fscore(pts, pts.copy()) == 1.0
+
+    def test_self_evaluate_builds_no_kdtree(self, monkeypatch):
+        model = build_cabinet()
+        monkeypatch.setattr(artikit.geometry, "cKDTree", _no_kdtree)
+        report = evaluate(model, model)
+        assert report.cd_mean == 0.0 and report.fscore_mean == 1.0
 
 
 class TestFscore:

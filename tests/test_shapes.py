@@ -31,7 +31,7 @@ from artikit.geometry import (
     triplane_scatter,
 )
 from artikit.kinematics import AffinityMatrix, pairwise_affinity
-from artikit.losses import MotionPrediction, object_category_loss
+from artikit.losses import MotionPrediction, object_category_loss, triplet_loss
 from artikit.meshio import save_point_cloud_ply
 from artikit.metrics import axis_error, chamfer, fscore, pivot_error
 from artikit.model import JointSpec, JointType, PartSpec, TriMesh, _as_array
@@ -136,6 +136,10 @@ WRONG_SHAPES = {
                                    "root_scores must have shape (2,), got (3,)"),
     "object_category_loss-logits": (lambda: object_category_loss(np.zeros((1, 3)), 0),
                                     "logits must have shape (C,), got (1, 3)"),
+    "triplet_loss-h_a": (lambda: triplet_loss(np.eye(2), np.eye(2), np.ones((2, 2)), 0.5),
+                         "h_a must have shape (d,), got (2, 2)"),
+    "triplet_loss-h_b": (lambda: triplet_loss(np.ones(2), np.ones(3), np.ones(2), 0.5),
+                         "h_b must have shape (2,), got (3,)"),
     "MotionPrediction-type_logits": (
         lambda: MotionPrediction(np.zeros((1, 4)), [0, 0, 1], np.zeros(3), 0.0, 0.0),
         "type_logits must have shape (T,), got (1, 4)"),
