@@ -127,7 +127,6 @@ from .model import (
     export_urdf,
     load_model,
     save_model,
-    validate_model,
 )
 from .geometry import (
     SparseVoxelGrid,
@@ -202,7 +201,6 @@ __all__ = [
     "export_urdf",
     "load_model",
     "save_model",
-    "validate_model",
     "SparseVoxelGrid",
     "TriplaneStack",
     "global_pool_concat",

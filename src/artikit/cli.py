@@ -26,11 +26,10 @@ from .geometry import (
 )
 from .kinematics import (
     TREE_SCORE,
+    articulate,
     build_tree,
     pairwise_affinity,
     parent_distribution,
-    part_transforms,
-    pose,
     sample_states,
 )
 from .losses import selftest
@@ -91,12 +90,10 @@ def cmd_articulate(args) -> int:
         part.id: sample_states(part.joint.limits, part.joint.jtype, args.states)
         for part in model.parts
     }
-    # load_model has validated the model, so each state is posed directly
-    owner = {part.id: part.point_indices for part in model.parts}
     manifest_states = []
     for k in range(args.states):
         state = {pid: float(v[k]) for pid, v in values.items()}
-        cloud = pose(model.points, owner, part_transforms(model, state))
+        cloud = articulate(model, state)
         name = f"state_{k:02}.ply"
         save_point_cloud_ply(cloud, out_dir / name)
         manifest_states.append(

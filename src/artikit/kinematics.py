@@ -30,7 +30,7 @@ from .model import (
     _magnitude,
     _tree_cycles,
     _value_eq,
-    require_valid,
+    require_valid,  # unused: kept for perfbench/spans.py, which wraps it here
 )
 
 LIMIT_TOL = 1e-9
@@ -97,14 +97,12 @@ def joint_transform(joint: JointSpec, value: float):
 
 
 def apply_joint(joint: JointSpec, value: float, points) -> np.ndarray:
-    """Transform points by one joint: identity, translation, or rotation about
-    the axis line through the pivot."""
+    """Transform one point ``(3,)`` or a cloud ``(M, 3)`` by one joint: identity,
+    translation, or rotation about the axis line through the pivot."""
     pts = np.asarray(points, dtype=np.float64)
-    squeeze = pts.ndim == 1
-    pts = pts.reshape(-1, 3)
+    pts = _as_array(pts, (3,) if pts.ndim == 1 else ("M", 3), "points", domain=FINITE)
     rot, trans = joint_transform(joint, value)
-    out = pts @ rot.T + trans
-    return out[0] if squeeze else out
+    return pts @ rot.T + trans
 
 
 def sample_states(limits: JointLimits, jtype: JointType, n: int = 6) -> np.ndarray:
@@ -126,9 +124,7 @@ def sample_states(limits: JointLimits, jtype: JointType, n: int = 6) -> np.ndarr
 def part_transforms(model: ArticulatedModel, state) -> dict:
     """Composed rigid transform per part id at the given state.
 
-    ``state`` maps part id -> joint value and must cover every part.  The
-    model must already be valid (see ``require_valid``); it is not checked
-    here, so callers validate once rather than once per state.
+    ``state`` maps part id -> joint value and must cover every part.
     """
     parts = {p.id: p for p in model.parts}
     missing = [pid for pid in parts if pid not in state]
@@ -170,7 +166,6 @@ def pose(points, owner, transforms) -> np.ndarray:
 
 def articulate(model: ArticulatedModel, state) -> np.ndarray:
     """Pose the model's canonical points at the given state; base points stay."""
-    require_valid(model)
     owner = {part.id: part.point_indices for part in model.parts}
     return pose(model.points, owner, part_transforms(model, state))
 

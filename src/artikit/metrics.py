@@ -20,7 +20,8 @@ from .assignment import MatchResult, confidence_targets, hungarian, matching_cos
 from .errors import GeometryError
 from .geometry import nearest_neighbor_distances, nearest_neighbors, sample_surface_points
 from .kinematics import part_transforms, pose, sample_states
-from .model import FINITE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array, require_valid
+from .model import FINITE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array
+from .model import require_valid  # unused: kept for perfbench/spans.py, which wraps it here
 
 _PARALLEL_EPS = 1e-9
 
@@ -118,6 +119,9 @@ def type_accuracy(match: MatchResult, pred_types, gt_types):
     gt_types = list(gt_types)
     if not match.pairs:
         return None
+    for q, g in match.pairs:
+        if not (0 <= q < len(pred_types) and 0 <= g < len(gt_types)):
+            raise ValueError(f"match pair ({q}, {g}) outside the type lists")
     hits = sum(1 for q, g in match.pairs if pred_types[q] is gt_types[g])
     return hits / len(match.pairs)
 
@@ -256,13 +260,9 @@ def evaluate(
     own joint limits and compared per state with Chamfer distance and F-score,
     then averaged.  Kinematics: parts are Hungarian-matched on canonical hard
     masks; type accuracy and per-pair axis/pivot errors are aggregated over
-    the pairs where they are defined.
-
-    Both models are validated here, once; ``tau`` must be positive.
+    the pairs where they are defined; ``tau`` must be positive.
     """
     tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
-    require_valid(pred)
-    require_valid(gt)
 
     pred_src = _ShapeSource(pred, pred_meshes, n_points, seed)
     gt_src = _ShapeSource(gt, gt_meshes, n_points, seed)

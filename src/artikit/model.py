@@ -199,7 +199,11 @@ class KinematicTree:
 
 @dataclass(frozen=True, eq=False)
 class ArticulatedModel:
-    """Canonical points, their partition into parts/base, and the kinematic tree."""
+    """Canonical points, their partition into parts/base, and the kinematic tree.
+
+    A model is valid by construction: one that breaks an invariant raises
+    ``ValidationError`` (see ``require_valid``).
+    """
 
     points: np.ndarray
     parts: tuple
@@ -214,6 +218,7 @@ class ArticulatedModel:
         object.__setattr__(
             self, "base_indices", _frozen(self.base_indices, ("N",), "base_indices", np.int64)
         )
+        require_valid(self)
 
     def part_by_id(self, part_id: int) -> PartSpec:
         for part in self.parts:
@@ -291,10 +296,12 @@ def _tree_cycles(parent: dict) -> list:
     return cycles
 
 
-def validate_model(model: ArticulatedModel) -> list:
-    """Check every type invariant; return human-readable violations (empty = valid).
+def require_valid(model: ArticulatedModel) -> None:
+    """Raise ``ValidationError`` unless the model keeps every type invariant.
 
-    Violations are data, not failures: callers decide whether to raise.
+    The error's ``violations`` holds one human-readable message per broken
+    invariant, in a fixed order.  ``ArticulatedModel`` calls this once, when
+    it is built.
     """
     out = []
     m = model.num_points
@@ -387,15 +394,8 @@ def validate_model(model: ArticulatedModel) -> list:
             if under.size:
                 out.append(f"points: index {int(under[0])} not covered by any part or base")
 
-    return out
-
-
-def require_valid(model: ArticulatedModel) -> None:
-    violations = validate_model(model)
-    if violations:
-        raise ValidationError(
-            "model validation failed: " + "; ".join(violations), violations
-        )
+    if out:
+        raise ValidationError("model validation failed: " + "; ".join(out), out)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +508,7 @@ def model_from_dict(data: dict) -> ArticulatedModel:
             raise ParseError(f"tree: bad entry {key!r}: {value!r}") from exc
 
     try:
-        model = ArticulatedModel(
+        return ArticulatedModel(
             points=points,
             parts=tuple(parts),
             tree=KinematicTree(tree),
@@ -516,9 +516,6 @@ def model_from_dict(data: dict) -> ArticulatedModel:
         )
     except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"document: {exc}") from exc
-
-    require_valid(model)
-    return model
 
 
 def load_model(path) -> ArticulatedModel:
@@ -532,7 +529,6 @@ def save_model(model: ArticulatedModel, path) -> None:
     The layout is ``json``'s two-space indent, except that each point takes
     one line, ``[x, y, z]`` with the floats ``json`` writes.
     """
-    require_valid(model)
     doc = model_to_dict(model)
     # float reprs hold no "]", so "], [" only ever separates two points
     points = json.dumps(doc.pop("points"))[1:-1].replace("], [", "],\n    [")
@@ -557,7 +553,6 @@ def export_urdf(model: ArticulatedModel, mesh_paths=None, name="artikit_object")
     part ids (and ROOT_ID for the base) to mesh filenames used for visual and
     collision geometry.
     """
-    require_valid(model)
     mesh_paths = dict(mesh_paths) if mesh_paths else {}
 
     def link_name(pid):

@@ -20,6 +20,7 @@ from artikit.kinematics import (
     TREE_SCORE,
     AffinityMatrix,
     ParentDistribution,
+    apply_joint,
     joint_transform,
     limits_from_range,
     pairwise_affinity,
@@ -126,6 +127,10 @@ NAN_ARGUMENTS = {
     "joint_transform-fixed": (
         lambda: joint_transform(JointSpec(JointType.FIXED, [0, 0, 1], [0, 0, 0]), NAN),
         "joint value must be finite"),
+    "apply_joint-points": (
+        lambda: apply_joint(JointSpec(JointType.REVOLUTE, [0, 0, 1], [0, 0, 0]), 0.0,
+                            _with_nan((2, 3), 4)),
+        "points must be finite"),
     "MotionPrediction-type_logits": (lambda: _motion(type_logits=_with_nan(4, 1)),
                                      "type_logits must be finite"),
     "MotionPrediction-axis": (lambda: _motion(axis=[0, NAN, 1]), "axis must be finite"),

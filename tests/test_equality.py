@@ -31,7 +31,8 @@ from artikit.model import (
 
 NAN = math.nan
 JOINT = JointSpec(JointType.REVOLUTE, [0, 0, 1], [0.1, 0, 0], JointLimits(0.5, 0.25))
-PART = PartSpec(0, 1, [0, 1], JOINT)
+PART_0, PART_1 = PartSpec(0, 1, [0], JOINT), PartSpec(1, 1, [1], JOINT)
+MODEL_POINTS = np.arange(15.0).reshape(5, 3) / 30
 NAN_JOINT = JointSpec(JointType.REVOLUTE, [0, 0, NAN], [0.1, 0, 0], JointLimits(0.5, 0.25))
 
 # type -> (the fields of one value, field -> values that differ from it)
@@ -47,13 +48,15 @@ VALUES = {
         dict(id=[1], label=[2], point_indices=[[0], [0, 2], [1, 0]],
              joint=[NAN_JOINT]),
     ),
+    # every changed model is valid: a model that is not cannot be built
     ArticulatedModel: (
-        dict(points=np.eye(3) * 0.25, parts=(PART,), tree=KinematicTree({0: -1}),
-             base_indices=[2]),
-        dict(points=[np.eye(3) * 0.5, np.diag([0.25, 0.25, NAN])],
-             parts=[(PartSpec(0, 2, [0, 1], JOINT),), (), (PartSpec(0, 1, [0, 1], NAN_JOINT),)],
-             tree=[KinematicTree({0: 0})],
-             base_indices=[[], [2, 2]]),
+        dict(points=MODEL_POINTS, parts=(PART_0, PART_1), tree=KinematicTree({0: -1, 1: -1}),
+             base_indices=[2, 3, 4]),
+        dict(points=[MODEL_POINTS * 0.5, -MODEL_POINTS],
+             parts=[(PartSpec(0, 2, [0], JOINT), PART_1), (PART_1, PART_0),
+                    (PartSpec(0, 1, [1], JOINT), PartSpec(1, 1, [0], JOINT))],
+             tree=[KinematicTree({0: -1, 1: 0}), KinematicTree({0: 1, 1: -1})],
+             base_indices=[[4, 3, 2], [2, 4, 3]]),
     ),
     TriMesh: (
         dict(vertices=np.eye(3), faces=[[0, 1, 2]]),
@@ -132,9 +135,8 @@ def test_a_value_differs_when_one_field_changes(cls, name, k):
 
 
 # (type, a field whose last changed value holds NaN)
-NAN_FIELDS = [(JointSpec, "pivot"), (PartSpec, "joint"), (ArticulatedModel, "points"),
-              (ArticulatedModel, "parts"), (TriMesh, "vertices"), (TriplaneStack, "planes"),
-              (QuerySet, "part_logits")]
+NAN_FIELDS = [(JointSpec, "pivot"), (PartSpec, "joint"), (TriMesh, "vertices"),
+              (TriplaneStack, "planes"), (QuerySet, "part_logits")]
 
 
 @pytest.mark.parametrize("cls, name", NAN_FIELDS,

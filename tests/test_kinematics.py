@@ -181,10 +181,10 @@ class TestArticulate:
         assert np.abs(posed[door] - cabinet.points[door]).max() > 1e-3
 
     def test_cyclic_model_rejected(self, cabinet):
-        cyclic = ArticulatedModel(
-            cabinet.points, cabinet.parts, KinematicTree({0: 1, 1: 0}), cabinet.base_indices
-        )
         with pytest.raises(ValidationError, match="cycle"):
+            cyclic = ArticulatedModel(
+                cabinet.points, cabinet.parts, KinematicTree({0: 1, 1: 0}), cabinet.base_indices
+            )
             articulate(cyclic, canonical_state(cyclic))
 
 

@@ -228,6 +228,13 @@ class TestTypeAccuracy:
         match = MatchResult(pairs=(), unmatched_queries=(0,), total_cost=0.0)
         assert type_accuracy(match, [JointType.FIXED], []) is None
 
+    @pytest.mark.parametrize("pair", [(0, 5), (-1, 0)], ids=["gt-beyond", "pred-negative"])
+    def test_pair_outside_the_type_lists_rejected(self, pair):
+        match = MatchResult(pairs=(pair,), unmatched_queries=(), total_cost=0.0)
+        types = [JointType.FIXED, JointType.REVOLUTE]
+        with pytest.raises(ValueError, match=rf"match pair \({pair[0]}, {pair[1]}\) outside"):
+            type_accuracy(match, types, [JointType.REVOLUTE])
+
 
 class TestEvaluate:
     def test_self_evaluation_identities(self, cabinet):
@@ -316,10 +323,10 @@ class TestEvaluate:
         from artikit.model import ArticulatedModel, KinematicTree
         from artikit.errors import ValidationError
 
-        broken = ArticulatedModel(
-            cabinet.points, cabinet.parts, KinematicTree({0: 1, 1: 0}), cabinet.base_indices
-        )
         with pytest.raises(ValidationError):
+            broken = ArticulatedModel(
+                cabinet.points, cabinet.parts, KinematicTree({0: 1, 1: 0}), cabinet.base_indices
+            )
             evaluate(broken, cabinet, n_states=2, n_points=10)
 
     @pytest.mark.parametrize("tau", [0.0, -0.05, math.nan])
@@ -327,20 +334,3 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="tau must be positive"):
             evaluate(cabinet, cabinet, n_states=2, tau=tau)
 
-    def test_models_validated_once_each(self, cabinet, monkeypatch):
-        import artikit.kinematics
-        import artikit.metrics
-
-        calls = []
-        real = artikit.metrics.require_valid
-
-        def counting(model):
-            calls.append(model)
-            real(model)
-
-        monkeypatch.setattr(artikit.metrics, "require_valid", counting)
-        monkeypatch.setattr(artikit.kinematics, "require_valid", counting)
-        pred = build_cabinet(door_axis=(math.sin(0.1), 0.0, math.cos(0.1)))
-        evaluate(pred, cabinet, n_states=6)
-        assert len(calls) == 2
-        assert calls[0] is pred and calls[1] is cabinet

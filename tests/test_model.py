@@ -1,8 +1,12 @@
+import ast
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import artikit
 from artikit.errors import ParseError, ValidationError
 from artikit.model import (
     ROOT_ID,
@@ -18,18 +22,42 @@ from artikit.model import (
     model_from_dict,
     model_to_dict,
     save_model,
-    validate_model,
 )
 from tests.conftest import build_cabinet, build_random_model
 from tests.oracles import check_urdf
 
 
+def _rebuilt(model, **changes):
+    """``model`` built again with ``changes`` to its fields."""
+    fields = dict(points=model.points, parts=model.parts, tree=model.tree,
+                  base_indices=model.base_indices)
+    return ArticulatedModel(**{**fields, **changes})
+
+
+def _violations(model, **changes):
+    """The violations that ``_rebuilt(model, **changes)`` raises; [] when it builds."""
+    try:
+        _rebuilt(model, **changes)
+    except ValidationError as exc:
+        return exc.violations
+    return []
+
+
 def test_valid_cabinet_has_no_violations(cabinet):
-    assert validate_model(cabinet) == []
+    assert _violations(cabinet) == []
 
 
-def _with_parts(model, parts):
-    return ArticulatedModel(model.points, parts, model.tree, model.base_indices)
+def _called_name(call: ast.Call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_models_are_validated_in_one_place():
+    """Only ``ArticulatedModel.__post_init__`` calls ``require_valid``."""
+    src = Path(artikit.__file__).parent
+    callers = sorted(p.name for p in src.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+                     if isinstance(node, ast.Call) and _called_name(node) == "require_valid")
+    assert callers == ["model.py"]
+    assert "require_valid(self)" in inspect.getsource(ArticulatedModel.__post_init__)
 
 
 class TestValidation:
@@ -43,14 +71,10 @@ class TestValidation:
     def test_points_lie_in_the_canonical_cube(self, cabinet, coord, violation):
         points = cabinet.points.copy()
         points[7, 1] = coord
-        moved = ArticulatedModel(points, cabinet.parts, cabinet.tree, cabinet.base_indices)
-        assert validate_model(moved) == ([violation] if violation else [])
+        assert _violations(cabinet, points=points) == ([violation] if violation else [])
 
     def test_cycle_detection(self, cabinet):
-        broken = ArticulatedModel(
-            cabinet.points, cabinet.parts, KinematicTree({0: 1, 1: 0}), cabinet.base_indices
-        )
-        violations = validate_model(broken)
+        violations = _violations(cabinet, tree=KinematicTree({0: 1, 1: 0}))
         assert any("cycle {0, 1}" in v for v in violations)
 
     def test_zero_axis_revolute(self, cabinet):
@@ -59,7 +83,7 @@ class TestValidation:
             door.id, door.label, door.point_indices,
             JointSpec(JointType.REVOLUTE, [0, 0, 0], door.joint.pivot, door.joint.limits),
         )
-        violations = validate_model(_with_parts(cabinet, (body, bad_door)))
+        violations = _violations(cabinet, parts=(body, bad_door))
         assert any("joint axis not unit length" in v for v in violations)
 
     def test_negative_span(self, cabinet):
@@ -68,7 +92,7 @@ class TestValidation:
             door.id, door.label, door.point_indices,
             JointSpec(JointType.REVOLUTE, door.joint.axis, door.joint.pivot, JointLimits(0.5, -0.1)),
         )
-        violations = validate_model(_with_parts(cabinet, (body, bad)))
+        violations = _violations(cabinet, parts=(body, bad))
         assert any("span >= 0" in v for v in violations)
 
     def test_fixed_with_nonzero_limits(self, cabinet):
@@ -77,19 +101,18 @@ class TestValidation:
             body.id, body.label, body.point_indices,
             JointSpec(JointType.FIXED, body.joint.axis, body.joint.pivot, JointLimits(0.1, 0.0)),
         )
-        violations = validate_model(_with_parts(cabinet, (bad, door)))
+        violations = _violations(cabinet, parts=(bad, door))
         assert any("fixed joint must have center = span = 0" in v for v in violations)
 
     def test_nonfinite_point(self, cabinet):
         pts = np.array(cabinet.points)
         pts[3, 1] = np.nan
-        broken = ArticulatedModel(pts, cabinet.parts, cabinet.tree, cabinet.base_indices)
-        assert any("not finite" in v for v in validate_model(broken))
+        assert any("not finite" in v for v in _violations(cabinet, points=pts))
 
     def test_empty_point_indices(self, cabinet):
         body, door = cabinet.parts
         bad = PartSpec(door.id, door.label, np.zeros(0, dtype=np.int64), door.joint)
-        violations = validate_model(_with_parts(cabinet, (body, bad)))
+        violations = _violations(cabinet, parts=(body, bad))
         assert any("point_indices empty" in v for v in violations)
         assert any("not covered" in v for v in violations)
 
@@ -98,7 +121,7 @@ class TestValidation:
         idx = np.array(door.point_indices)
         idx[0] = idx[1]
         bad = PartSpec(door.id, door.label, idx, door.joint)
-        violations = validate_model(_with_parts(cabinet, (body, bad)))
+        violations = _violations(cabinet, parts=(body, bad))
         assert any("duplicates" in v for v in violations)
 
     def test_out_of_range_indices(self, cabinet):
@@ -106,7 +129,7 @@ class TestValidation:
         idx = np.array(door.point_indices)
         idx[0] = cabinet.num_points + 7
         bad = PartSpec(door.id, door.label, idx, door.joint)
-        violations = validate_model(_with_parts(cabinet, (body, bad)))
+        violations = _violations(cabinet, parts=(body, bad))
         assert any("out of range" in v for v in violations)
 
     def test_out_of_range_and_duplicate_indices_both_reported(self, cabinet):
@@ -114,7 +137,7 @@ class TestValidation:
         idx = np.concatenate([door.point_indices, [2**40, 2**40]])
         bad = PartSpec(door.id, door.label, idx, door.joint)
         # with an index out of range there is no coverage to report
-        assert validate_model(_with_parts(cabinet, (body, bad))) == [
+        assert _violations(cabinet, parts=(body, bad)) == [
             "part 1: point_indices out of range",
             "part 1: point_indices contains duplicates",
         ]
@@ -123,52 +146,47 @@ class TestValidation:
         body, door = cabinet.parts
         idx = np.concatenate([door.point_indices, door.point_indices[:1]])
         bad = PartSpec(door.id, door.label, idx, door.joint)
-        assert validate_model(_with_parts(cabinet, (body, bad))) == [
+        assert _violations(cabinet, parts=(body, bad)) == [
             "part 1: point_indices contains duplicates",
         ]
 
     def test_duplicate_base_indices(self, cabinet):
         """A repeated base index is reported as for parts; it still owns its point once."""
         bidx = np.concatenate([cabinet.base_indices[:1], cabinet.base_indices])
-        broken = ArticulatedModel(cabinet.points, cabinet.parts, cabinet.tree, bidx)
-        assert validate_model(broken) == ["base_indices contains duplicates"]
+        assert _violations(cabinet, base_indices=bidx) == ["base_indices contains duplicates"]
 
     def test_overlapping_parts(self, cabinet):
         body, door = cabinet.parts
         idx = np.array(door.point_indices)
         idx[0] = 0  # already owned by the body
         bad = PartSpec(door.id, door.label, idx, door.joint)
-        violations = validate_model(_with_parts(cabinet, (body, bad)))
+        violations = _violations(cabinet, parts=(body, bad))
         assert any("assigned more than once" in v for v in violations)
 
     def test_tree_unknown_and_missing_parts(self, cabinet):
-        broken = ArticulatedModel(
-            cabinet.points, cabinet.parts, KinematicTree({0: ROOT_ID, 7: 0}), cabinet.base_indices
-        )
-        violations = validate_model(broken)
+        violations = _violations(cabinet, tree=KinematicTree({0: ROOT_ID, 7: 0}))
         assert any("missing part 1" in v for v in violations)
         assert any("unknown part id 7" in v for v in violations)
 
     def test_self_parent(self, cabinet):
-        broken = ArticulatedModel(
-            cabinet.points, cabinet.parts, KinematicTree({0: ROOT_ID, 1: 1}), cabinet.base_indices
-        )
-        assert any("own parent" in v for v in validate_model(broken))
+        violations = _violations(cabinet, tree=KinematicTree({0: ROOT_ID, 1: 1}))
+        assert any("own parent" in v for v in violations)
 
     def test_mutating_one_field_at_a_time_always_caught(self, cabinet):
-        """Each single-field corruption must produce at least one violation."""
+        """Each single-field corruption must fail construction with a violation."""
         body, door = cabinet.parts
         mutations = [
-            _with_parts(cabinet, (body, PartSpec(door.id, door.label, door.point_indices,
+            dict(parts=(body, PartSpec(door.id, door.label, door.point_indices,
                 JointSpec(JointType.PRISMATIC, [0.5, 0, 0], door.joint.pivot, door.joint.limits)))),
-            _with_parts(cabinet, (body, PartSpec(door.id, door.label, door.point_indices,
+            dict(parts=(body, PartSpec(door.id, door.label, door.point_indices,
                 JointSpec(door.joint.jtype, door.joint.axis, [np.inf, 0, 0], door.joint.limits)))),
-            ArticulatedModel(cabinet.points, cabinet.parts, KinematicTree({0: ROOT_ID, 1: 99}),
-                             cabinet.base_indices),
-            ArticulatedModel(cabinet.points, cabinet.parts, cabinet.tree, np.array([0])),
+            dict(tree=KinematicTree({0: ROOT_ID, 1: 99})),
+            dict(base_indices=np.array([0])),
         ]
-        for broken in mutations:
-            assert validate_model(broken), "corrupted model incorrectly validated"
+        for changes in mutations:
+            with pytest.raises(ValidationError) as info:
+                _rebuilt(cabinet, **changes)
+            assert info.value.violations, "corrupted model raised no violation"
 
 
 class TestJsonRoundTrip:
@@ -294,11 +312,10 @@ class TestUrdfExport:
         assert check_urdf(doc) == []
 
     def test_invalid_model_raises(self, cabinet):
-        broken = ArticulatedModel(
-            cabinet.points, cabinet.parts, KinematicTree({0: 1, 1: 0}), cabinet.base_indices
-        )
         with pytest.raises(ValidationError):
-            export_urdf(broken)
+            export_urdf(ArticulatedModel(
+                cabinet.points, cabinet.parts, KinematicTree({0: 1, 1: 0}), cabinet.base_indices
+            ))
 
 
 class TestTypes:

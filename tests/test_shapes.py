@@ -30,7 +30,7 @@ from artikit.geometry import (
     triplane_gather,
     triplane_scatter,
 )
-from artikit.kinematics import AffinityMatrix, pairwise_affinity
+from artikit.kinematics import AffinityMatrix, apply_joint, pairwise_affinity
 from artikit.losses import MotionPrediction, object_category_loss, triplet_loss
 from artikit.meshio import save_point_cloud_ply
 from artikit.metrics import axis_error, chamfer, fscore, pivot_error
@@ -132,6 +132,10 @@ WRONG_SHAPES = {
                                      "part_probs must have shape (N, N_c), got (2,)"),
     "pairwise_affinity-compat": (lambda: pairwise_affinity(np.eye(2), np.zeros((2, 3))),
                                  "compat must have shape (2, 2), got (2, 3)"),
+    "apply_joint-points-vector": (lambda: apply_joint(_joint(), 0.0, np.zeros(6)),
+                                  "points must have shape (3,), got (6,)"),
+    "apply_joint-points-batch": (lambda: apply_joint(_joint(), 0.0, np.zeros((2, 2, 3))),
+                                 "points must have shape (M, 3), got (2, 2, 3)"),
     "AffinityMatrix-root_scores": (lambda: AffinityMatrix(np.zeros((2, 2)), np.zeros(3)),
                                    "root_scores must have shape (2,), got (3,)"),
     "object_category_loss-logits": (lambda: object_category_loss(np.zeros((1, 3)), 0),
