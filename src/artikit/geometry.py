@@ -12,6 +12,11 @@ Coordinate conventions (fixed so fixtures are portable across implementations):
   * Trilinear and bilinear blends visit the 2^n corners in binary order, last
     axis fastest, weigh each by the product of its per-axis weights in axis
     order, and sum them into zeros in that order (``_corners``).
+  * Each point is blended on its own.  Trilinear visits the points in the
+    order of their base cell keys, so its cell lookups search sorted keys,
+    and triplane gather reads each plane as (R * R, d) rows at the flat node
+    index ``u * R + v``.  Neither the visit order nor the thread count
+    changes the output bytes.
   * Random sampling uses NumPy's PCG64 generator (``np.random.default_rng``)
     with draw order: face picks, then the sqrt-shaped barycentric coordinate,
     then the second barycentric coordinate.
@@ -113,12 +118,17 @@ class SparseVoxelGrid:
             raise ValueError("duplicate cell keys")
 
         ijk, feats = ijk[order], feats[order]
-        for arr in (keys, ijk, feats):
+        # the lookup tables: every key ends in a sentinel above all cell keys,
+        # and the features in a zero row that absent cells read
+        keys = np.append(keys, np.iinfo(np.int64).max)
+        rows = np.concatenate([feats, np.zeros((1, feats.shape[1]), dtype=np.float32)])
+        for arr in (ijk, feats, keys, rows):
             arr.setflags(write=False)
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "ijk", ijk)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def feature_dim(self) -> int:
@@ -126,21 +136,24 @@ class SparseVoxelGrid:
 
     @property
     def n_active(self) -> int:
-        return self._keys.size
+        return self.features.shape[0]
 
     def features_at(self, ijk: np.ndarray) -> np.ndarray:
         """Features for integer cell coordinates (M, 3); absent cells give zero."""
         ijk = np.asarray(ijk, dtype=np.int64)
         r = self.resolution
         keys = (ijk[..., 0] * r + ijk[..., 1]) * r + ijk[..., 2]
-        flat = keys.reshape(-1)
-        out = np.zeros((flat.size, self.feature_dim), dtype=np.float64)
-        if self.n_active:
-            pos = np.searchsorted(self._keys, flat)
-            pos_c = np.minimum(pos, self.n_active - 1)
-            hit = self._keys[pos_c] == flat
-            out[hit] = self.features[pos_c[hit]]
-        return out.reshape(*keys.shape, self.feature_dim)
+        return self._at_keys(keys.reshape(-1)).reshape(*keys.shape, self.feature_dim)
+
+    def _at_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Float64 features for flat cell keys (M,), zero where no cell is.
+
+        One binary search finds each key's slot; a key that is not there
+        reads the zero row.  The search is fastest on sorted keys.
+        """
+        pos = np.searchsorted(self._keys, keys)
+        np.copyto(pos, self.n_active, where=self._keys[pos] != keys)
+        return self._rows.take(pos, axis=0).astype(np.float64)
 
 
 def save_grid(grid: SparseVoxelGrid, path) -> None:
@@ -266,20 +279,41 @@ def _blend(corners, lookup, out) -> None:
         out += values
 
 
+#: points blended at a time: one block's temporaries stay small and in cache
+_BLOCK_ROWS = 1 << 14
+
+
+def _blocks(start: int, stop: int) -> list:
+    """``range(start, stop)`` cut into consecutive slices of at most ``_BLOCK_ROWS``."""
+    return [slice(lo, min(lo + _BLOCK_ROWS, stop)) for lo in range(start, stop, _BLOCK_ROWS)]
+
+
 def trilinear_interpolate(grid: SparseVoxelGrid, points) -> np.ndarray:
     """Blend the 8 surrounding cell features at each point; absent cells are zero.
 
     Exact at stored cell centers under the cell-center mapping.  The points
     are split into contiguous ranges across the thread budget
-    (``ARTIKIT_THREADS``); each point is blended on its own, so the result
-    does not depend on the split.
+    (``ARTIKIT_THREADS``), and each range is blended in the order of its
+    points' base cell keys, block by block, so every corner looks its cells
+    up by sorted keys.  Each point is blended on its own, so the result
+    depends on neither the split nor the visit order.
     """
     pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
-    out = np.zeros((pts.shape[0], grid.feature_dim))
+    r = grid.resolution
+    out = np.empty((pts.shape[0], grid.feature_dim))
+
+    def cells(nodes):
+        return grid._at_keys((nodes[0] * r + nodes[1]) * r + nodes[2])
 
     def interpolate(rows):
-        _blend(_corners(pts[rows].T, grid.resolution),
-               lambda nodes: grid.features_at(np.stack(nodes, axis=-1)), out[rows])
+        i, j, k = (_grid_coords(c, r)[0] for c in pts[rows].T)
+        order = np.argsort((i * r + j) * r + k)
+        order += rows.start
+        for block in _blocks(0, order.size):
+            at = order[block]
+            blended = np.zeros((at.size, grid.feature_dim))
+            _blend(_corners(pts[at].T, r), cells, blended)
+            out[at] = blended
 
     _by_rows(len(pts), interpolate)
     return out
@@ -331,18 +365,25 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
 def triplane_gather(stack: TriplaneStack, points) -> np.ndarray:
     """Bilinearly sample all three planes and concatenate XY || YZ || ZX.
 
-    The points are split into contiguous ranges across the thread budget
-    (``ARTIKIT_THREADS``); each point is blended on its own, so the result
-    does not depend on the split.
+    Each plane is read as ``(R * R, d)`` rows at the flat node index
+    ``u * R + v``.  The points are split into contiguous ranges across the
+    thread budget (``ARTIKIT_THREADS``) and blended block by block, each
+    plane into a block of its own before it is copied to its columns.  Each
+    point is blended on its own, so the result does not depend on the split.
     """
     pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
-    dim = stack.feature_dim
-    out = np.zeros((pts.shape[0], 3 * dim), dtype=np.float64)
+    r, dim = stack.resolution, stack.feature_dim
+    flat_planes = stack.planes.reshape(3, r * r, dim)
+    out = np.empty((pts.shape[0], 3 * dim), dtype=np.float64)
 
     def gather(rows):
-        for plane, axes in enumerate(_PLANE_AXES):
-            _blend(_corners([pts[rows, a] for a in axes], stack.resolution),
-                   stack.planes[plane].__getitem__, out[rows, plane * dim : (plane + 1) * dim])
+        for block in _blocks(rows.start, rows.stop):
+            for plane, axes in enumerate(_PLANE_AXES):
+                blended = np.zeros((block.stop - block.start, dim))
+                _blend(_corners([pts[block, a] for a in axes], r),
+                       lambda nodes: flat_planes[plane].take(nodes[0] * r + nodes[1], axis=0),
+                       blended)
+                out[block, plane * dim : (plane + 1) * dim] = blended
 
     _by_rows(len(pts), gather)
     return out

@@ -45,9 +45,20 @@ TREE_SCORE = _magnitude(MAX_TREE_SCORE)
 TWO_PI = 2.0 * math.pi
 
 
+def _unit_axis(axis) -> np.ndarray:
+    """``axis`` as a finite float64 ``(3,)`` array whose norm is within
+    ``UNIT_AXIS_TOL`` of 1, the one axis rule of posing."""
+    axis = _as_array(axis, (3,), "axis", domain=FINITE)
+    norm = float(np.linalg.norm(axis))
+    if abs(norm - 1.0) > UNIT_AXIS_TOL:
+        raise ValueError(f"joint axis not unit length (norm={norm:.6g})")
+    return axis
+
+
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix for a unit axis and an angle in radians."""
-    axis = np.asarray(axis, dtype=np.float64)
+    """Rodrigues rotation matrix for a unit axis ``(3,)`` and an angle in
+    radians; a non-finite or non-unit axis raises ``ValueError``."""
+    axis = _unit_axis(axis)
     k = np.array(
         [
             [0.0, -axis[2], axis[1]],
@@ -56,12 +67,6 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
         ]
     )
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
-
-def _check_axis(joint: JointSpec) -> None:
-    norm = float(np.linalg.norm(joint.axis))
-    if abs(norm - 1.0) > UNIT_AXIS_TOL:
-        raise ValueError(f"joint axis not unit length (norm={norm:.6g})")
 
 
 def _check_limit(joint: JointSpec, value: float) -> None:
@@ -88,11 +93,11 @@ def joint_transform(joint: JointSpec, value: float):
     if joint.jtype is JointType.FIXED:
         _check_limit(joint, value)
         return np.eye(3), np.zeros(3)
-    _check_axis(joint)
+    axis = _unit_axis(joint.axis)
     _check_limit(joint, value)
     if joint.jtype is JointType.PRISMATIC:
-        return np.eye(3), value * joint.axis
-    rot = rotation_about_axis(joint.axis, value)
+        return np.eye(3), value * axis
+    rot = rotation_about_axis(axis, value)
     return rot, joint.pivot - rot @ joint.pivot
 
 

@@ -24,6 +24,7 @@ from artikit.kinematics import (
     joint_transform,
     limits_from_range,
     pairwise_affinity,
+    rotation_about_axis,
 )
 from artikit.losses import (
     LossWeights,
@@ -127,6 +128,11 @@ NAN_ARGUMENTS = {
     "joint_transform-fixed": (
         lambda: joint_transform(JointSpec(JointType.FIXED, [0, 0, 1], [0, 0, 0]), NAN),
         "joint value must be finite"),
+    "joint_transform-axis": (
+        lambda: joint_transform(JointSpec(JointType.PRISMATIC, [0, NAN, 1], [0, 0, 0]), 0.0),
+        "axis must be finite"),
+    "rotation_about_axis-axis": (lambda: rotation_about_axis([NAN, 0.0, 1.0], 0.5),
+                                 "axis must be finite"),
     "apply_joint-points": (
         lambda: apply_joint(JointSpec(JointType.REVOLUTE, [0, 0, 1], [0, 0, 0]), 0.0,
                             _with_nan((2, 3), 4)),

@@ -5,9 +5,11 @@ import os
 import struct
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import artikit
@@ -335,6 +337,46 @@ class TestGridKernelsSplitByRows:
         assert all(_same_bytes(got, serial) for got in split)
 
 
+def _grid_of(rng, resolution, n_cells, dim=3):
+    """A grid of up to ``n_cells`` distinct random cells with float32 features."""
+    keys = np.unique(np.floor(rng.random(n_cells) * resolution**3).astype(np.int64))
+    ijk = np.stack([keys // resolution**2, keys // resolution % resolution,
+                    keys % resolution], axis=1)
+    return SparseVoxelGrid(resolution, ijk, rng.standard_normal((len(keys), dim)))
+
+
+class TestOrderInvariance:
+    """Each point is blended on its own: permuting the points permutes the
+    output rows, bit for bit, whatever the visit order and thread count."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(resolution=st.integers(1, 70), n_cells=st.integers(0, 200),
+           seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([1, 3]))
+    def test_permuting_points_permutes_rows(self, resolution, n_cells, seed, budget):
+        rng = np.random.default_rng(seed)
+        grid = _grid_of(rng, resolution, n_cells)
+        pts = _kernel_points(rng, (resolution,))
+        stack = triplane_scatter(rng.random((50, 3)) - 0.5, rng.random((50, 2)) - 0.5,
+                                 resolution)
+        perm = rng.permutation(len(pts))
+        with mock.patch.object(artikit, "_thread_budget", lambda: budget):
+            for kernel, source in ((trilinear_interpolate, grid), (triplane_gather, stack)):
+                got, want = kernel(source, pts[perm]), kernel(source, pts)[perm]
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_blocks_give_the_bytes_of_one_point_at_a_time(self, monkeypatch, budget):
+        """Far more points than one block holds, against small separate calls."""
+        rng = np.random.default_rng(35)
+        grid = _grid_of(rng, 16, 1500)
+        stack = triplane_scatter(rng.random((300, 3)) - 0.5, rng.random((300, 2)) - 0.5, 16)
+        pts = rng.random((2 * geometry._BLOCK_ROWS + 7, 3)) - 0.5
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: budget)
+        for kernel, source in ((trilinear_interpolate, grid), (triplane_gather, stack)):
+            pieces = [kernel(source, pts[lo : lo + 999]) for lo in range(0, len(pts), 999)]
+            assert kernel(source, pts).tobytes() == np.concatenate(pieces).tobytes()
+
+
 class TestFanOut:
     def test_results_come_back_in_call_order(self, monkeypatch):
         monkeypatch.setattr(artikit, "_thread_budget", lambda: 3)
@@ -480,6 +522,40 @@ class TestSparseVoxelGrid:
         ijk = np.array(ijk, dtype=np.int64).reshape(-1, 3)
         with pytest.raises(ValueError, match=message):
             SparseVoxelGrid(resolution, ijk, np.ones((len(ijk), dim)))
+
+
+class TestFeaturesAt:
+    CELLS = [[1, 2, 3], [0, 0, 1], [3, 4, 4]]  # keys 38, 1 and 99 at R = 5
+    FEATURES = np.array([[0.1, -2.5], [1e-3, 3.0], [-0.7, 7.25]], dtype=np.float32)
+
+    @pytest.fixture
+    def grid(self):
+        return SparseVoxelGrid(5, self.CELLS, self.FEATURES)
+
+    def test_batched_cells_keep_their_shape(self, grid):
+        ijk = np.zeros((2, 4, 3), dtype=np.int64)
+        ijk[1, 2] = [3, 4, 4]
+        got = grid.features_at(ijk)
+        assert got.shape == (2, 4, 2) and got.dtype == np.float64
+        assert got[1, 2].tolist() == self.FEATURES[2].astype(np.float64).tolist()
+        assert not got[0].any() and not got[1, [0, 1, 3]].any()
+
+    def test_absent_cells_give_positive_zero(self, grid):
+        # below the first key, between keys, and past the last key
+        got = grid.features_at([[0, 0, 0], [0, 0, 2], [2, 0, 0], [3, 4, 3], [4, 4, 4]])
+        assert got.shape == (5, 2)
+        assert (got == 0.0).all() and not np.signbit(got).any()
+
+    def test_present_cells_are_their_float32_features_upcast(self, grid):
+        got = grid.features_at(self.CELLS)
+        assert got.tobytes() == self.FEATURES.astype(np.float64).tobytes()
+        assert got[0, 0] != 0.1  # the float32 value, not the float64 literal
+
+    def test_empty_grid_gives_zeros(self):
+        grid = SparseVoxelGrid(3, np.zeros((0, 3)), np.zeros((0, 4)))
+        got = grid.features_at([[0, 0, 0], [2, 2, 2]])
+        assert got.shape == (2, 4) and got.dtype == np.float64
+        assert (got == 0.0).all() and not np.signbit(got).any()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from artikit.kinematics import (
     parent_distribution,
     part_transforms,
     pose,
+    rotation_about_axis,
     sample_states,
 )
 from artikit.model import (
@@ -92,6 +93,30 @@ class TestApplyJoint:
         j = JointSpec(JointType.REVOLUTE, [0, 0, 2], [0, 0, 0], JointLimits(0, 1))
         with pytest.raises(ValueError, match="unit"):
             apply_joint(j, 0.5, [[0.1, 0, 0]])
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ([0, 0], r"axis must have shape \(3,\), got \(2,\)"),
+            ([[0, 0, 1]], r"axis must have shape \(3,\), got \(1, 3\)"),
+            ([0, 0, 2], r"joint axis not unit length \(norm=2\)"),
+            ([0.6, 0.8, 2e-3], r"joint axis not unit length \(norm=1\)"),
+            ([0, float("nan"), 1], "axis must be finite"),
+            ([0, 0, float("inf")], "axis must be finite"),
+        ],
+        ids=["short", "2d", "norm-2", "norm-1.000002", "nan", "inf"],
+    )
+    def test_rotation_about_axis_rejects_bad_axes(self, axis, message):
+        with pytest.raises(ValueError, match=message):
+            rotation_about_axis(axis, 1.0)
+
+    def test_rotation_about_axis_is_a_rotation(self):
+        # within UNIT_AXIS_TOL of unit length, as joint axes are checked
+        axis = np.array([1.0, 2.0, 2.0]) / 3.0 * (1 + 5e-7)
+        rot = rotation_about_axis(axis, 1.0)
+        np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-5)
+        np.testing.assert_allclose(rot @ axis, axis, atol=1e-12)
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-5)
 
     def test_out_of_limit_rejected(self):
         j = JointSpec(JointType.REVOLUTE, [0, 0, 1], [0, 0, 0], JointLimits(0.5, 0.5))
