@@ -16,16 +16,16 @@ def fmt_float(x: float) -> str:
     return format(x, ".9g")
 
 
-def dumps(obj, indent: int | None = 2) -> str:
-    """Serialize dicts/lists/scalars; dict order is preserved as given."""
+def dumps(obj) -> str:
+    """Serialize dicts/lists/scalars with a two-space indent; dict order is preserved as given."""
     pieces: list = []
-    _write(obj, pieces, indent, 0)
+    _write(obj, pieces, 0)
     return "".join(pieces)
 
 
-def _write(obj, out: list, indent, depth: int) -> None:
-    nl = "\n" + " " * (indent * (depth + 1)) if indent else ""
-    close_nl = "\n" + " " * (indent * depth) if indent else ""
+def _write(obj, out: list, depth: int) -> None:
+    nl = "\n" + "  " * (depth + 1)
+    close_nl = "\n" + "  " * depth
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -43,11 +43,11 @@ def _write(obj, out: list, indent, depth: int) -> None:
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
             if i:
-                out.append("," if indent else ", ")
+                out.append(",")
             out.append(nl)
             out.append(json.dumps(str(key)))
             out.append(": ")
-            _write(value, out, indent, depth + 1)
+            _write(value, out, depth + 1)
         out.append(close_nl)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
@@ -57,9 +57,9 @@ def _write(obj, out: list, indent, depth: int) -> None:
         out.append("[")
         for i, value in enumerate(obj):
             if i:
-                out.append("," if indent else ", ")
+                out.append(",")
             out.append(nl)
-            _write(value, out, indent, depth + 1)
+            _write(value, out, depth + 1)
         out.append(close_nl)
         out.append("]")
     else:

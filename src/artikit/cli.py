@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _fmt
-from .assignment import confidence_targets, hungarian, load_masks, matching_cost
+from .assignment import (HARD_MASK_THRESHOLD, confidence_targets, hungarian, load_masks,
+                         matching_cost)
 from .errors import GeometryError, ParseError, ValidationError
 from .geometry import (
     DEFAULT_TRIPLANE_RESOLUTION,
@@ -30,12 +31,12 @@ from .kinematics import (
     build_tree,
     pairwise_affinity,
     parent_distribution,
-    sample_states,
+    state_grid,
 )
 from .losses import selftest
 from .meshio import load_point_cloud_ply, save_point_cloud_ply
 from .metrics import evaluate
-from .model import PROBABILITY, _as_array, load_model
+from .model import PROBABILITY, UNIT_INTERVAL, _as_array, load_model
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -83,16 +84,12 @@ def _load_points_file(path) -> np.ndarray:
 
 def cmd_articulate(args) -> int:
     model = load_model(args.model)
+    states = state_grid(model, args.states)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    values = {
-        part.id: sample_states(part.joint.limits, part.joint.jtype, args.states)
-        for part in model.parts
-    }
     manifest_states = []
-    for k in range(args.states):
-        state = {pid: float(v[k]) for pid, v in values.items()}
+    for k, state in enumerate(states):
         cloud = articulate(model, state)
         name = f"state_{k:02}.ply"
         save_point_cloud_ply(cloud, out_dir / name)
@@ -102,7 +99,7 @@ def cmd_articulate(args) -> int:
     manifest = {"seed": args.seed, "states": manifest_states}
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         fh.write(_fmt.dumps(manifest) + "\n")
-    _diag(f"wrote {args.states} states to {out_dir}")
+    _diag(f"wrote {len(states)} states to {out_dir}")
     return EXIT_OK
 
 
@@ -143,6 +140,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_match(args) -> int:
+    threshold = float(_as_array(args.threshold, (), "threshold", domain=UNIT_INTERVAL))
     pred, pred_soft = load_masks(args.pred_masks)
     gt, gt_soft = load_masks(args.gt_masks)
     if gt_soft:
@@ -151,7 +149,7 @@ def cmd_match(args) -> int:
         raise ParseError(
             f"mask point counts differ: {pred.shape[1]} vs {gt.shape[1]}"
         )
-    hard = (pred > 0.5) if pred_soft else pred
+    hard = (pred > HARD_MASK_THRESHOLD) if pred_soft else pred
     # gt is a bool bitset: both kernels take it as it is
     match = hungarian(matching_cost(pred, gt))
     targets = confidence_targets(hard, gt, match)
@@ -161,7 +159,7 @@ def cmd_match(args) -> int:
             "unmatched_queries": list(match.unmatched_queries),
             "total_cost": match.total_cost,
             "confidence_targets": [float(t) for t in targets],
-            "confident": [int(i) for i in np.flatnonzero(targets >= args.threshold)],
+            "confident": [int(i) for i in np.flatnonzero(targets >= threshold)],
         }
     )
     return EXIT_OK

@@ -110,20 +110,34 @@ def apply_joint(joint: JointSpec, value: float, points) -> np.ndarray:
     return pts @ rot.T + trans
 
 
+def _state_count(n) -> int:
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"need at least 2 states, got {n}")
+    return n
+
+
 def sample_states(limits: JointLimits, jtype: JointType, n: int = 6) -> np.ndarray:
     """n joint values spanning the motion range.
 
     Fixed -> zeros; revolute/prismatic -> inclusive linspace over
     [center - span, center + span]; continuous -> uniform half-open [0, 2*pi).
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need at least 2 states, got {n}")
+    n = _state_count(n)
     if jtype is JointType.FIXED:
         return np.zeros(n)
     if jtype is JointType.CONTINUOUS:
         return np.arange(n) * (TWO_PI / n)
     return np.linspace(limits.lower, limits.upper, n)
+
+
+def state_grid(model: ArticulatedModel, n) -> list:
+    """The ``n`` protocol states of ``model``: state k maps each part id to the
+    k-th ``sample_states`` value of its joint.  Fewer than 2 states raise
+    ``ValueError`` for every model, one without parts too."""
+    n = _state_count(n)
+    values = {p.id: sample_states(p.joint.limits, p.joint.jtype, n) for p in model.parts}
+    return [{pid: float(v[k]) for pid, v in values.items()} for k in range(n)]
 
 
 def part_transforms(model: ArticulatedModel, state) -> dict:

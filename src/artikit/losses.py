@@ -31,10 +31,6 @@ class LossWeights:
     mask: float = 1.0
     score: float = 1.0
     motion: float = 1.0
-    focal: float = 1.0
-    dice: float = 1.0
-    gamma: float = 2.0
-    beta: float = 2.0
     type: float = 1.0
     dir: float = 1.0
     origin: float = 1.0

@@ -6,6 +6,13 @@ is compared against the k-th ground-truth state), accumulates Chamfer distance
 and F-score, and computes joint metrics over a Hungarian matching of parts
 established once on canonical-state hard masks.  Inputs are assumed to be
 pre-aligned in the shared canonical frame.
+
+Both mask sets come from one label rule: each canonical point is labelled
+with the row (in sorted part-id order) of the part that owns it, or -1 for
+the base, and mask row r holds the points labelled r.  The predicted labels
+are read over the ground-truth points: index for index when the two
+canonical clouds are equal, otherwise each ground-truth point takes the
+label of its nearest predicted point.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from . import _fan_out, _fmt
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .errors import GeometryError
 from .geometry import nearest_neighbor_distances, nearest_neighbors, sample_surface_points
-from .kinematics import part_transforms, pose, sample_states
+from .kinematics import part_transforms, pose, state_grid
 from .model import FINITE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array
 from .model import require_valid  # unused: kept for perfbench/spans.py, which wraps it here
 
@@ -152,8 +159,8 @@ class MetricReport:
             "per_joint": self.per_joint,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return _fmt.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return _fmt.dumps(self.to_dict())
 
 
 def _mean_or_none(values):
@@ -162,27 +169,17 @@ def _mean_or_none(values):
     return float(sum(values) / len(values))
 
 
-class _ShapeSource:
-    """Canonical point cloud of one model plus per-part point ownership."""
-
-    def __init__(self, model: ArticulatedModel, meshes, n_points: int, seed: int):
-        self.model = model
-        if meshes is None:
-            self.points = np.asarray(model.points, dtype=np.float64)
-            self.owner = {part.id: part.point_indices for part in model.parts}
-        else:
-            self.points, self.owner = _sample_from_meshes(model, meshes, n_points, seed)
-        if self.points.shape[0] == 0:
-            raise GeometryError("model has no surface points to evaluate")
-
-    def posed(self, state) -> np.ndarray:
-        return pose(self.points, self.owner, part_transforms(self.model, state))
-
-    def part_masks(self, part_ids) -> np.ndarray:
-        masks = np.zeros((len(part_ids), self.points.shape[0]), dtype=bool)
-        for row, pid in enumerate(part_ids):
-            masks[row, self.owner[pid]] = True
-        return masks
+def _surface(model: ArticulatedModel, meshes, n_points: int, seed: int):
+    """(points, owner) of one model: its own canonical points and part
+    ownership, or ``n_points`` sampled from ``meshes``."""
+    if meshes is None:
+        points = np.asarray(model.points, dtype=np.float64)
+        owner = {part.id: part.point_indices for part in model.parts}
+    else:
+        points, owner = _sample_from_meshes(model, meshes, n_points, seed)
+    if points.shape[0] == 0:
+        raise GeometryError("model has no surface points to evaluate")
+    return points, owner
 
 
 def _sample_from_meshes(model, meshes, n_points, seed):
@@ -224,24 +221,12 @@ def _sample_from_meshes(model, meshes, n_points, seed):
     return points, owner
 
 
-def _transfer_masks(pred_src: _ShapeSource, gt_src: _ShapeSource, pred_ids):
-    """Predicted part masks over the GT canonical points.
-
-    When both models share an identical canonical cloud the masks transfer
-    index-for-index; otherwise each GT point adopts the part label of its
-    nearest predicted canonical point.
-    """
-    if np.array_equal(pred_src.points, gt_src.points):
-        return pred_src.part_masks(pred_ids)
-    labels = np.full(pred_src.points.shape[0], -1, dtype=np.int64)
-    for row, pid in enumerate(pred_ids):
-        labels[pred_src.owner[pid]] = row
-    _, nearest = nearest_neighbors(gt_src.points, pred_src.points)
-    gt_labels = labels[nearest]
-    masks = np.zeros((len(pred_ids), gt_src.points.shape[0]), dtype=bool)
-    for row in range(len(pred_ids)):
-        masks[row] = gt_labels == row
-    return masks
+def _labels(owner, ids, n: int) -> np.ndarray:
+    """Row of ``ids`` whose part owns each of ``n`` points; -1 for the base."""
+    labels = np.full(n, -1, dtype=np.int64)
+    for row, pid in enumerate(ids):
+        labels[owner[pid]] = row
+    return labels
 
 
 def evaluate(
@@ -264,20 +249,13 @@ def evaluate(
     """
     tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
 
-    pred_src = _ShapeSource(pred, pred_meshes, n_points, seed)
-    gt_src = _ShapeSource(gt, gt_meshes, n_points, seed)
-
-    pred_values = {
-        p.id: sample_states(p.joint.limits, p.joint.jtype, n_states) for p in pred.parts
-    }
-    gt_values = {
-        p.id: sample_states(p.joint.limits, p.joint.jtype, n_states) for p in gt.parts
-    }
+    pred_points, pred_owner = _surface(pred, pred_meshes, n_points, seed)
+    gt_points, gt_owner = _surface(gt, gt_meshes, n_points, seed)
 
     per_state = []
-    for k in range(int(n_states)):
-        pred_cloud = pred_src.posed({pid: v[k] for pid, v in pred_values.items()})
-        gt_cloud = gt_src.posed({pid: v[k] for pid, v in gt_values.items()})
+    for pred_state, gt_state in zip(state_grid(pred, n_states), state_grid(gt, n_states)):
+        pred_cloud = pose(pred_points, pred_owner, part_transforms(pred, pred_state))
+        gt_cloud = pose(gt_points, gt_owner, part_transforms(gt, gt_state))
         cd, fs = _cd_fscore(pred_cloud, gt_cloud, tau)
         per_state.append({"cd": cd, "fscore": fs})
 
@@ -286,8 +264,11 @@ def evaluate(
 
     pred_ids = sorted(p.id for p in pred.parts)
     gt_ids = sorted(p.id for p in gt.parts)
-    pred_masks = _transfer_masks(pred_src, gt_src, pred_ids)
-    gt_masks = gt_src.part_masks(gt_ids)
+    pred_labels = _labels(pred_owner, pred_ids, len(pred_points))
+    if not np.array_equal(pred_points, gt_points):
+        pred_labels = pred_labels[nearest_neighbors(gt_points, pred_points)[1]]
+    pred_masks = pred_labels == np.arange(len(pred_ids))[:, None]
+    gt_masks = _labels(gt_owner, gt_ids, len(gt_points)) == np.arange(len(gt_ids))[:, None]
 
     match = hungarian(matching_cost(pred_masks, gt_masks))
     iou = confidence_targets(pred_masks, gt_masks, match)

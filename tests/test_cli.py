@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -19,8 +20,10 @@ from artikit.geometry import (
     load_features,
     save_grid,
 )
-from artikit.meshio import load_point_cloud_ply
-from artikit.model import MAX_JOINT_MAGNITUDE, model_to_dict, save_model
+from artikit.meshio import load_point_cloud_ply, save_point_cloud_ply
+from artikit.model import (MAX_JOINT_MAGNITUDE, ArticulatedModel, KinematicTree, model_to_dict,
+                           save_model)
+from perfbench import spans
 from tests.conftest import build_cabinet, build_random_model
 
 
@@ -210,6 +213,22 @@ def test_each_model_file_is_validated_once(tmp_path, monkeypatch, argv, validati
     assert len(calls) == validations
 
 
+@pytest.mark.parametrize("command", ["evaluate", "articulate"])
+@pytest.mark.parametrize("states", [0, 1, -3])
+def test_fewer_than_two_states_exit_2_for_a_model_without_parts(tmp_path, capsys, command,
+                                                                 states):
+    path = tmp_path / "base.json"
+    points = np.random.default_rng(3).uniform(-0.4, 0.4, size=(8, 3))
+    save_model(ArticulatedModel(points, (), KinematicTree({}), np.arange(8)), path)
+    out = tmp_path / "out"
+    argv = ([command, path, path] if command == "evaluate" else [command, path, "--out", out])
+    assert run(argv + [f"--states={states}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"need at least 2 states, got {states}" in captured.err
+    assert not out.exists()
+
+
 class TestTree:
     def test_root_dominant_star(self, tmp_path, capsys):
         (tmp_path / "logits.json").write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
@@ -355,6 +374,27 @@ class TestMatch:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite and lie in [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "2", "-1"])
+    def test_threshold_outside_the_unit_interval_exits_2(self, tmp_path, capsys, threshold):
+        save_masks(np.ones((1, 8), dtype=bool), tmp_path / "pred.bits")
+        save_masks(np.ones((1, 8), dtype=bool), tmp_path / "gt.bits")
+        argv = ["match", tmp_path / "pred.bits", tmp_path / "gt.bits", f"--threshold={threshold}"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold must be finite and lie in [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("threshold, confident", [("0", [0, 1]), ("1", [0])])
+    def test_threshold_on_the_unit_interval_bounds(self, tmp_path, capsys, threshold, confident):
+        pred = np.zeros((2, 8), dtype=bool)
+        pred[0, :4] = True
+        pred[1, 2:6] = True
+        save_masks(pred, tmp_path / "pred.bits")
+        save_masks(pred[:1], tmp_path / "gt.bits")
+        argv = ["match", tmp_path / "pred.bits", tmp_path / "gt.bits", f"--threshold={threshold}"]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["confident"] == confident
 
     def test_m_mismatch_exits_2(self, tmp_path):
         save_masks(np.ones((1, 8), dtype=bool), tmp_path / "pred.bits")
@@ -602,3 +642,41 @@ def test_features_files_do_not_depend_on_artikit_threads(tmp_path):
         outputs[value] = tuple((out / name).read_bytes() for name in ("f_geo.f32", "f_tri.f32"))
     assert len(set(outputs.values())) == 1
     assert len(outputs[None][1]) == 2001 * 9 * 4
+
+
+def test_every_traced_call_site_is_reached(tmp_path, monkeypatch):
+    """Each site perfbench wraps is still called by the workloads it times."""
+    calls = {(module, attr): 0 for module, attr, _name in spans.WRAPPED}
+
+    def counting(site, fn):
+        def counted(*args, **kwargs):
+            calls[site] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, attr in calls:
+        target = importlib.import_module(module)
+        monkeypatch.setattr(target, attr, counting((module, attr), getattr(target, attr)))
+
+    # evaluate on two different clouds, so predicted labels go through the NN transfer
+    save_model(build_random_model(np.random.default_rng(2), 3), tmp_path / "pred.json")
+    save_model(build_cabinet(), tmp_path / "gt.json")
+    assert run(["evaluate", tmp_path / "pred.json", tmp_path / "gt.json", "--states", 2]) == 0
+
+    pred = np.array([[0.9, 0.8, 0.1, 0.0], [0.0, 0.2, 0.7, 1.0]], dtype=np.float32)
+    save_masks(pred, tmp_path / "pred.f32")
+    save_masks(pred > 0.5, tmp_path / "gt.bits")
+    assert run(["match", tmp_path / "pred.f32", tmp_path / "gt.bits"]) == 0
+
+    save_grid(SparseVoxelGrid(8, [[2, 5, 1]], [[1.0, 2.0]]), tmp_path / "grid.bin")
+    points = np.array([[0.0, 0.1, -0.2], [0.3, -0.3, 0.25]])
+    (tmp_path / "pts.json").write_text(json.dumps(points.tolist()))
+    save_point_cloud_ply(points, tmp_path / "pts.ply")
+    for name in ("pts.json", "pts.ply"):
+        argv = ["features", tmp_path / "grid.bin", tmp_path / name, "--out", tmp_path / "f",
+                "--triplane-resolution", 8]
+        assert run(argv) == 0
+
+    # models are validated in model.py; these two names are kept only for perfbench
+    shims = {("artikit.metrics", "require_valid"), ("artikit.kinematics", "require_valid")}
+    assert {site for site, count in calls.items() if count == 0} <= shims

@@ -193,7 +193,7 @@ OUTSIDE = {
     "QuerySet-confidences-above": lambda: _queries((0.5, 1.0 + 1e-12)),
     "matching_cost-pred_soft-two": lambda: matching_cost(np.full((1, 3), 2.0), np.ones((1, 3))),
     "TriplaneStack-weights-negative": lambda: _stack(np.full((3, 2, 2), -1e-300)),
-    "LossWeights-infinite": lambda: LossWeights(dice=math.inf),
+    "LossWeights-infinite": lambda: LossWeights(limit=math.inf),
     "triplet_loss-tau-infinite": lambda: triplet_loss(np.ones(2), np.ones(2), np.ones(2),
                                                       math.inf),
     "fscore-tau-zero": lambda: fscore(CLOUD, CLOUD, tau=0.0),

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -238,8 +239,11 @@ class TestStage:
     def test_weights_default_values(self):
         w = DEFAULT_WEIGHTS
         assert (w.triplet, w.mask, w.score, w.motion) == (0.2, 1.0, 1.0, 1.0)
-        assert (w.focal, w.dice, w.gamma, w.beta) == (1.0, 1.0, 2.0, 2.0)
         assert (w.type, w.dir, w.origin, w.limit) == (1.0, 1.0, 1.0, 1.0)
+        assert len(vars(w)) == 8
+        # gamma and beta are the kernels' own defaults
+        assert inspect.signature(focal_loss).parameters["gamma"].default == 2.0
+        assert inspect.signature(confidence_loss).parameters["beta"].default == 2.0
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
