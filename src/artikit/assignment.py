@@ -15,7 +15,7 @@ import numpy as np
 from . import _by_rows, _compiled_scipy
 from ._fmt import read_sidecar, write_sidecar
 from .errors import ParseError
-from .losses import DICE_EPS, PROB_CLAMP
+from .losses import DICE_EPS, _clamp_prob
 from .model import FINITE, UNIT_INTERVAL, _as_array, _frozen, _value_eq
 
 HARD_MASK_THRESHOLD = 0.5
@@ -142,7 +142,7 @@ def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
         in_logit, in_p = np.zeros(k), np.zeros(k)
         for i in range(rows.start, rows.stop):
             p[...] = pred[i]  # float64 first, so the bounds are not rounded to float32
-            np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+            _clamp_prob(p, out=p)
             np.log1p(np.negative(p, out=log_q), out=log_q)
             np.subtract(np.log(p, out=logit), log_q, out=logit)
             in_logit[filled] = np.add.reduceat(logit[members], starts)

@@ -220,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred", help="predicted articulation JSON")
     p.add_argument("gt", help="ground-truth articulation JSON")
     p.add_argument("--states", type=int, default=DEFAULT_STATES)
-    p.add_argument("--points", type=int, default=DEFAULT_POINTS)
+    p.add_argument("--points", type=int, default=DEFAULT_POINTS,
+                   help="points (>= 1) sampled per model from meshes; the CLI reads none yet")
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of that mesh sampling")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("tree", help="build a kinematic tree from category logits")

@@ -225,18 +225,13 @@ def sample_surface_points(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
 
     Deterministic in (mesh, count, seed): faces are drawn from the cumulative
     area distribution, then points placed by the square-root barycentric
-    trick.  Raises GeometryError when the total surface area is zero.
+    trick.  Every ``TriMesh`` has a face of nonzero area.
     """
     count = int(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    bad = mesh.validate()
-    if bad:
-        raise GeometryError("invalid mesh: " + "; ".join(bad))
     areas = mesh.face_areas()
     total = float(areas.sum())
-    if total <= 0.0:
-        raise GeometryError("degenerate mesh: total surface area is zero")
 
     rng = np.random.default_rng(seed)
     cum = np.cumsum(areas)
@@ -248,6 +243,33 @@ def sample_surface_points(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
     tri = mesh.vertices[mesh.faces[face_idx]]
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     return (1.0 - r1) * a + r1 * (1.0 - r2) * b + r1 * r2 * c
+
+
+def _sample_from_meshes(meshes, count: int, seed: int) -> tuple:
+    """Sample ``count`` >= 1 points across a map of meshes in proportion to area.
+
+    ``meshes`` maps ids to TriMesh; ``(points, owner)`` holds the points and,
+    for each id, the indices of the points drawn from its mesh.  Counts use
+    largest-remainder rounding, and the mesh at position k in sorted-id order
+    is sampled with seed ``seed + k``, so results are deterministic.
+    """
+    if not meshes:
+        raise ValueError("no meshes to sample")
+    ids = sorted(meshes)
+    areas = np.array([float(meshes[i].face_areas().sum()) for i in ids])
+    share = areas / areas.sum() * count
+    counts = np.floor(share).astype(int)
+    for pos in np.argsort(-(share - counts), kind="stable")[:count - int(counts.sum())]:
+        counts[pos] += 1
+
+    chunks, owner, offset = [], {}, 0
+    for pos, mid in enumerate(ids):
+        n = int(counts[pos])
+        if n:
+            chunks.append(sample_surface_points(meshes[mid], n, seed=int(seed) + pos))
+        owner[mid] = np.arange(offset, offset + n, dtype=np.int64)
+        offset += n
+    return np.concatenate(chunks), owner
 
 
 def _corners(coords, resolution: int):

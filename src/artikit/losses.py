@@ -44,8 +44,9 @@ class LossWeights:
 DEFAULT_WEIGHTS = LossWeights()
 
 
-def _clamp_prob(p) -> np.ndarray:
-    return np.clip(np.asarray(p, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
+def _clamp_prob(p, out=None) -> np.ndarray:
+    """``p`` clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before a log, into ``out`` if given."""
+    return np.clip(np.asarray(p, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP, out=out)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -98,7 +99,7 @@ def confidence_loss(c_hat: float, u: float, beta: float = 2.0) -> float:
     beta = float(_as_array(beta, (), "beta", domain=NON_NEGATIVE))
     # exp overflows for c_hat below about -709.8; sigma is clamped long before
     sig = 1.0 / (1.0 + math.exp(min(-c_hat, 700.0)))
-    sig = min(max(sig, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    sig = float(_clamp_prob(sig))
     bce = -u * math.log(sig) - (1.0 - u) * math.log(1.0 - sig)
     return abs(sig - u) ** beta * bce
 
@@ -169,6 +170,7 @@ def structure_loss(parent_probs, gt_parents) -> float:
     if np.any(np.abs(probs.sum(axis=1) - 1.0) > PROB_ROW_TOL):
         raise ValueError("parent_probs rows must sum to 1")
     picked = probs[np.arange(probs.shape[0]), gt]
+    # a floor, not _clamp_prob: a one-hot row must give exactly 0 (see selftest)
     return float(np.mean(-np.log(np.maximum(picked, PROB_CLAMP))))
 
 

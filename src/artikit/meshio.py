@@ -6,7 +6,9 @@ Supported formats:
     then optional triangle faces.  Readers skip comment and obj_info lines
     and reject any other header or file size.
 
-Both readers reject a face whose vertex index falls outside the vertex list.
+A mesh file is read into a ``TriMesh``, which checks it as it is built: a
+vertex that is not finite or a face index outside the vertex list raises
+``ParseError``, and a mesh with no face of nonzero area ``GeometryError``.
 
 Point clouds are written as vertex-only binary PLY files.
 """
@@ -20,14 +22,11 @@ from .model import TriMesh, _as_array
 
 
 def _mesh(vertices: np.ndarray, faces: np.ndarray, path) -> TriMesh:
-    """The mesh a file holds; ParseError when a face refers past its vertices."""
-    n = len(vertices)
+    """The mesh a file holds; ParseError when its values break a ``TriMesh`` rule."""
     try:
-        faces = _as_array(faces, ("F", 3), "face vertex indices", np.int64,
-                          domain=(0, n - 1, f"non-negative and below the vertex count {n}"))
+        return TriMesh(vertices, faces)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return TriMesh(vertices, faces)
 
 
 def load_obj(path) -> TriMesh:
@@ -144,8 +143,8 @@ def _parse_ply_header(blob: bytes, path) -> tuple:
     return size, n_vertices, n_faces
 
 
-def load_ply(path) -> TriMesh:
-    """Read a binary little-endian PLY mesh (faces optional -> empty face list)."""
+def _read_ply(path) -> tuple:
+    """The (V, 3) float64 vertices and (F, 3) face indices of a PLY file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     offset, n_vertices, n_faces = _parse_ply_header(blob, path)
@@ -158,12 +157,17 @@ def load_ply(path) -> TriMesh:
     faces = np.frombuffer(blob, dtype=_PLY_FACE, count=n_faces, offset=offset + 12 * n_vertices)
     if np.any(faces["n"] != 3):
         raise ParseError(f"{path}: only triangular faces supported")
-    return _mesh(vertices.reshape(n_vertices, 3).astype(np.float64), faces["v"], path)
+    return vertices.reshape(n_vertices, 3).astype(np.float64), faces["v"]
+
+
+def load_ply(path) -> TriMesh:
+    """Read a binary little-endian PLY mesh."""
+    return _mesh(*_read_ply(path), path)
 
 
 def load_point_cloud_ply(path) -> np.ndarray:
     """Read the vertex block of a binary PLY file as an (M, 3) array."""
-    return load_ply(path).vertices
+    return _read_ply(path)[0]
 
 
 def load_mesh(path) -> TriMesh:

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import _fan_out, _fmt
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
-from .errors import GeometryError
-from .geometry import nearest_neighbor_distances, nearest_neighbors, sample_surface_points
+from .geometry import _sample_from_meshes, nearest_neighbor_distances, nearest_neighbors
 from .kinematics import part_transforms, pose, state_grid
 from .model import FINITE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array
 from .model import require_valid  # unused: kept for perfbench/spans.py, which wraps it here
@@ -171,53 +170,19 @@ def _mean_or_none(values):
 
 def _surface(model: ArticulatedModel, meshes, n_points: int, seed: int):
     """(points, owner) of one model: its own canonical points and part
-    ownership, or ``n_points`` sampled from ``meshes``."""
+    ownership, or ``n_points`` sampled from ``meshes``, a map from part id
+    (and ``ROOT_ID`` for the base) to mesh that covers every part."""
     if meshes is None:
-        points = np.asarray(model.points, dtype=np.float64)
-        owner = {part.id: part.point_indices for part in model.parts}
-    else:
-        points, owner = _sample_from_meshes(model, meshes, n_points, seed)
-    if points.shape[0] == 0:
-        raise GeometryError("model has no surface points to evaluate")
-    return points, owner
-
-
-def _sample_from_meshes(model, meshes, n_points, seed):
-    """Sample n_points across per-part meshes proportionally to surface area.
-
-    ``meshes`` maps part ids (plus ROOT_ID for the base, optional) to TriMesh.
-    Counts use largest-remainder rounding; each mesh is sampled with a seed
-    offset by its position in sorted-id order, so results are deterministic.
-    """
-    ids = sorted(meshes)
-    missing = [p.id for p in model.parts if p.id not in meshes]
+        return model.points, {part.id: part.point_indices for part in model.parts}
+    part_ids = [part.id for part in model.parts]
+    missing = [pid for pid in part_ids if pid not in meshes]
     if missing:
         raise ValueError(f"no mesh for part {missing[0]}")
-    areas = np.array([float(meshes[i].face_areas().sum()) for i in ids])
-    if areas.sum() <= 0:
-        raise GeometryError("degenerate meshes: total surface area is zero")
-    share = areas / areas.sum() * int(n_points)
-    counts = np.floor(share).astype(int)
-    remainder = int(n_points) - int(counts.sum())
-    for pos in np.argsort(-(share - counts), kind="stable")[:remainder]:
-        counts[pos] += 1
-
-    chunks = []
-    owner = {}
-    offset = 0
-    for pos, mid in enumerate(ids):
-        if counts[pos] == 0:
-            idx = np.zeros(0, dtype=np.int64)
-        else:
-            chunk = sample_surface_points(meshes[mid], int(counts[pos]), seed=int(seed) + pos)
-            chunks.append(chunk)
-            idx = np.arange(offset, offset + chunk.shape[0], dtype=np.int64)
-            offset += chunk.shape[0]
-        if mid != ROOT_ID:
-            owner[mid] = idx
-    for part in model.parts:
-        owner.setdefault(part.id, np.zeros(0, dtype=np.int64))
-    points = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 3))
+    unknown = sorted(set(meshes) - set(part_ids) - {ROOT_ID})
+    if unknown:
+        raise ValueError(f"mesh ids {unknown} are neither part ids nor the base id {ROOT_ID}")
+    points, owner = _sample_from_meshes(meshes, n_points, seed)
+    owner.pop(ROOT_ID, None)
     return points, owner
 
 
@@ -245,9 +210,13 @@ def evaluate(
     own joint limits and compared per state with Chamfer distance and F-score,
     then averaged.  Kinematics: parts are Hungarian-matched on canonical hard
     masks; type accuracy and per-pair axis/pivot errors are aggregated over
-    the pairs where they are defined; ``tau`` must be positive.
+    the pairs where they are defined; ``tau`` must be positive.  A model
+    given ``meshes`` is evaluated on ``n_points`` (at least 1) points sampled
+    from them with ``seed``; otherwise on its own points.
     """
     tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
+    n_points = int(_as_array(n_points, (), "n_points",
+                             domain=(1, FINITE[1], "finite and at least 1")))
 
     pred_points, pred_owner = _surface(pred, pred_meshes, n_points, seed)
     gt_points, gt_owner = _surface(gt, gt_meshes, n_points, seed)

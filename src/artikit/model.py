@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._fmt import fmt_float, read_json
-from .errors import ParseError, ValidationError
+from .errors import GeometryError, ParseError, ValidationError
 
 ROOT_ID = -1
 
@@ -233,7 +233,12 @@ class ArticulatedModel:
 
 @dataclass(frozen=True, eq=False)
 class TriMesh:
-    """Triangle mesh: (V, 3) float vertices and (F, 3) integer faces."""
+    """Triangle mesh: (V, 3) float vertices and (F, 3) integer faces.
+
+    A mesh is valid by construction: a vertex that is not finite or a face
+    index outside the vertices raises ``ValueError``, and a mesh with no face
+    of nonzero area raises ``GeometryError``.
+    """
 
     vertices: np.ndarray
     faces: np.ndarray
@@ -241,27 +246,21 @@ class TriMesh:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _frozen(self.vertices, ("V", 3), "vertices"))
-        object.__setattr__(self, "faces", _frozen(self.faces, ("F", 3), "faces", np.int64))
+        vertices = _frozen(self.vertices, ("V", 3), "vertices", domain=FINITE)
+        faces = _frozen(self.faces, ("F", 3), "faces", np.int64)
+        n = len(vertices)
+        _as_array(faces, ("F", 3), "face vertex indices", np.int64,
+                  domain=(0, n - 1, f"non-negative and below the vertex count {n}"))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "faces", faces)
+        if not np.any(self.face_areas() > 0.0):
+            raise GeometryError("mesh has no face with nonzero area")
 
     def face_areas(self) -> np.ndarray:
         a = self.vertices[self.faces[:, 0]]
         b = self.vertices[self.faces[:, 1]]
         c = self.vertices[self.faces[:, 2]]
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-
-    def validate(self) -> list:
-        out = []
-        if not np.all(np.isfinite(self.vertices)):
-            out.append("mesh: vertex component not finite")
-        if self.faces.shape[0] == 0:
-            out.append("mesh: no faces")
-        else:
-            if self.faces.min() < 0 or self.faces.max() >= self.vertices.shape[0]:
-                out.append("mesh: face index out of range")
-            elif not np.any(self.face_areas() > 0.0):
-                out.append("mesh: no face with nonzero area")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,9 @@ def require_valid(model: ArticulatedModel) -> None:
     out = []
     m = model.num_points
 
-    if not np.all(np.isfinite(model.points)):
+    if m == 0:
+        out.append("points: empty")
+    elif not np.all(np.isfinite(model.points)):
         bad = int(np.flatnonzero(~np.isfinite(model.points).all(axis=1))[0])
         out.append(f"points[{bad}]: component not finite")
     else:
@@ -375,24 +376,23 @@ def require_valid(model: ArticulatedModel) -> None:
         out.append("tree: cycle {%s}" % ", ".join(str(c) for c in cycle))
 
     # coverage: parts + base partition all point indices
-    if m > 0:
-        bidx = model.base_indices
-        if bidx.size:
-            if bidx.min() < 0 or bidx.max() >= m:
-                out.append("base_indices: index out of range")
-                owner = None
-            uniq, counts = np.unique(bidx, return_counts=True)
-            if counts.max() > 1:
-                out.append("base_indices contains duplicates")
-            if owner is not None:
-                owner[uniq] += 1
+    bidx = model.base_indices
+    if bidx.size:
+        if bidx.min() < 0 or bidx.max() >= m:
+            out.append("base_indices: index out of range")
+            owner = None
+        uniq, counts = np.unique(bidx, return_counts=True)
+        if counts.max() > 1:
+            out.append("base_indices contains duplicates")
         if owner is not None:
-            over = np.flatnonzero(owner > 1)
-            under = np.flatnonzero(owner == 0)
-            if over.size:
-                out.append(f"points: index {int(over[0])} assigned more than once")
-            if under.size:
-                out.append(f"points: index {int(under[0])} not covered by any part or base")
+            owner[uniq] += 1
+    if owner is not None:
+        over = np.flatnonzero(owner > 1)
+        under = np.flatnonzero(owner == 0)
+        if over.size:
+            out.append(f"points: index {int(over[0])} assigned more than once")
+        if under.size:
+            out.append(f"points: index {int(under[0])} not covered by any part or base")
 
     if out:
         raise ValidationError("model validation failed: " + "; ".join(out), out)

@@ -141,6 +141,13 @@ class TestEvaluate:
         assert captured.out == ""
         assert "tau must be positive" in captured.err
 
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_points_below_one_exit_2(self, cabinet_file, capsys, points):
+        assert run(["evaluate", cabinet_file, cabinet_file, "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_points must be finite and at least 1" in captured.err
+
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["evaluate", "articulate"])

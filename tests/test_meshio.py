@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
-from artikit.errors import ParseError
+from artikit.errors import GeometryError, ParseError
 from artikit.meshio import (
+    _ply_header,
     load_mesh,
     load_obj,
     load_ply,
@@ -50,13 +53,41 @@ def test_obj_face_index_past_the_vertices_rejected(tmp_path):
         load_obj(path)
 
 
+def _ply_bytes(vertices, faces) -> bytes:
+    """A PLY file of artikit's layout, written by hand: ``TriMesh`` cannot hold
+    the invalid meshes these tests read."""
+    records = b"".join(struct.pack("<B3i", 3, *face) for face in faces)
+    return (_ply_header(len(vertices), len(faces))
+            + np.asarray(vertices, dtype="<f4").tobytes() + records)
+
+
 @pytest.mark.parametrize("index", [3, 7, -1])
 def test_ply_face_index_outside_the_vertices_rejected(tmp_path, index):
     path = tmp_path / "f.ply"
-    save_ply(TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, index]]), path)
+    path.write_bytes(_ply_bytes([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, index]]))
     with pytest.raises(ParseError, match="face vertex indices must be non-negative and "
                                          "below the vertex count 3"):
         load_ply(path)
+
+
+@pytest.mark.parametrize("suffix", [".obj", ".ply"])
+def test_vertex_not_finite_rejected(tmp_path, suffix):
+    path = tmp_path / f"nan{suffix}"
+    if suffix == ".obj":
+        path.write_text("v 0 0 0\nv 1 0 nan\nv 0 1 0\nf 1 2 3\n")
+    else:
+        path.write_bytes(_ply_bytes([[0, 0, 0], [1, 0, np.nan], [0, 1, 0]], [[0, 1, 2]]))
+    with pytest.raises(ParseError, match="vertices must be finite"):
+        load_mesh(path)
+
+
+def test_mesh_without_area_is_degenerate(tmp_path):
+    """A vertex-only PLY file is a point cloud, not a mesh."""
+    path = tmp_path / "cloud.ply"
+    save_point_cloud_ply(np.eye(3), path)
+    with pytest.raises(GeometryError, match="no face with nonzero area"):
+        load_ply(path)
+    np.testing.assert_array_equal(load_point_cloud_ply(path), np.eye(3))
 
 
 def test_ply_round_trip(tetra, tmp_path):

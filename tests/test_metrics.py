@@ -21,8 +21,10 @@ from artikit.metrics import (
     pivot_error,
     type_accuracy,
 )
-from artikit.model import JointType, TriMesh, ROOT_ID
+from artikit.model import ArticulatedModel, JointType, KinematicTree, TriMesh, ROOT_ID
 from tests.conftest import build_cabinet, build_random_model
+
+TRIANGLE = TriMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
 
 
 class TestChamfer:
@@ -294,6 +296,51 @@ class TestEvaluate:
         )
         assert report.cd_mean < 1e-9
         assert report.fscore_mean == 1.0
+
+    def test_mesh_sampling_is_pinned(self, cabinet):
+        """Fixed-seed mesh sampling draws the same points as it always has."""
+        quad = lambda lo, hi, z: TriMesh(
+            [[lo, lo, z], [hi, lo, z], [hi, hi, z], [lo, hi, z]], [[0, 1, 2], [0, 2, 3]]
+        )
+        gt = {0: quad(-0.45, -0.05, -0.1), 1: quad(0.05, 0.45, 0.1), ROOT_ID: quad(-0.02, 0.02, 0.0)}
+        pred = {0: quad(-0.4, -0.1, -0.12), 1: quad(0.1, 0.45, 0.08)}
+        report = evaluate(cabinet, cabinet, pred_meshes=pred, gt_meshes=gt,
+                          n_states=3, n_points=301, seed=9)
+        assert report.to_dict() == {
+            "cd_mean": 0.002048282450121105, "fscore_mean": 0.9192100538599641,
+            "type_accuracy": 1.0, "axis_err_mean": 0.0, "pivot_err_mean": 0.0,
+            "per_state": [{"cd": 0.0021133910793789657, "fscore": 0.9192100538599641},
+                          {"cd": 0.0020178867200415294, "fscore": 0.9192100538599641},
+                          {"cd": 0.0020135695509428194, "fscore": 0.9192100538599641}],
+            "per_joint": [{"pred_part": 0, "gt_part": 0, "type_match": True, "iou": 1.0,
+                           "axis_err": None, "pivot_err": None},
+                          {"pred_part": 1, "gt_part": 1, "type_match": True,
+                           "iou": 0.9933774834437086, "axis_err": 0.0, "pivot_err": 0.0}],
+        }
+
+    def test_mesh_for_an_id_that_is_not_a_part_rejected(self, cabinet):
+        meshes = {0: TRIANGLE, 1: TRIANGLE, 7: TRIANGLE, 9: TRIANGLE, ROOT_ID: TRIANGLE}
+        with pytest.raises(ValueError, match=r"mesh ids \[7, 9\] are neither part ids nor "
+                                             r"the base id -1"):
+            evaluate(cabinet, cabinet, pred_meshes=meshes, gt_meshes=meshes, n_points=1000)
+
+    def test_empty_mesh_map_rejected(self):
+        base_only = ArticulatedModel([[0.0, 0.0, 0.0]], (), KinematicTree({}), [0])
+        with pytest.raises(ValueError, match="no meshes to sample"):
+            evaluate(base_only, base_only, pred_meshes={}, gt_meshes={}, n_points=10)
+
+    @pytest.mark.parametrize("with_meshes", [False, True], ids=["own-points", "meshes"])
+    @pytest.mark.parametrize("n_points", [0, -5])
+    def test_n_points_below_one_rejected(self, cabinet, n_points, with_meshes):
+        meshes = {0: TRIANGLE, 1: TRIANGLE} if with_meshes else None
+        with pytest.raises(ValueError, match="n_points must be finite and at least 1"):
+            evaluate(cabinet, cabinet, pred_meshes=meshes, gt_meshes=meshes, n_points=n_points)
+
+    def test_one_point_from_meshes(self, cabinet):
+        meshes = {0: TRIANGLE, 1: TRIANGLE}
+        report = evaluate(cabinet, cabinet, pred_meshes=meshes, gt_meshes=meshes,
+                          n_states=2, n_points=1)
+        assert report.cd_mean == 0.0 and report.fscore_mean == 1.0
 
     def test_different_point_clouds_still_match_parts(self):
         gt = build_cabinet()

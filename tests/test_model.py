@@ -1,13 +1,14 @@
 import ast
 import inspect
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import artikit
-from artikit.errors import ParseError, ValidationError
+from artikit.errors import GeometryError, ParseError, ValidationError
 from artikit.model import (
     ROOT_ID,
     ArticulatedModel,
@@ -108,6 +109,18 @@ class TestValidation:
         pts = np.array(cabinet.points)
         pts[3, 1] = np.nan
         assert any("not finite" in v for v in _violations(cabinet, points=pts))
+
+    def test_a_model_without_points_is_a_violation(self):
+        with pytest.raises(ValidationError) as info:
+            ArticulatedModel(points=np.zeros((0, 3)), parts=(), tree=KinematicTree({}),
+                             base_indices=[5, 5, -3])
+        assert info.value.violations == [
+            "points: empty",
+            "base_indices: index out of range",
+            "base_indices contains duplicates",
+        ]
+        with pytest.raises(ValidationError, match="points: empty"):
+            ArticulatedModel(np.zeros((0, 3)), (), KinematicTree({}), [])
 
     def test_empty_point_indices(self, cabinet):
         body, door = cabinet.parts
@@ -338,9 +351,21 @@ class TestTypes:
         assert shifted != cabinet
 
     def test_trimesh_validation(self):
-        degenerate = TriMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
-        assert any("nonzero area" in v for v in degenerate.validate())
-        out_of_range = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 5]])
-        assert any("out of range" in v for v in out_of_range.validate())
-        ok = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-        assert ok.validate() == []
+        triangle = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        # (vertices, faces) -> the error building the mesh raises
+        broken = [
+            (([[0, 0, 0], [1, 0, math.nan], [0, 1, 0]], [[0, 1, 2]]), ValueError,
+             "vertices must be finite"),
+            ((triangle, [[0, 1, 3]]), ValueError,
+             "face vertex indices must be non-negative and below the vertex count 3"),
+            ((triangle, [[0, 1, -1]]), ValueError,
+             "face vertex indices must be non-negative and below the vertex count 3"),
+            ((triangle, np.zeros((0, 3))), GeometryError, "no face with nonzero area"),
+            (([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2], [0, 0, 1]]), GeometryError,
+             "no face with nonzero area"),
+        ]
+        for (vertices, faces), error, message in broken:
+            with pytest.raises(error, match=message):
+                TriMesh(vertices, faces)
+        ok = TriMesh(triangle, [[0, 1, 2], [0, 0, 1]])
+        assert ok.face_areas().tolist() == [0.5, 0.0]
