@@ -17,10 +17,7 @@ import numpy as np
 from .model import (
     FINITE,
     JOINT_MAGNITUDE,
-    PROB_ROW_TOL,
-    PROBABILITY,
     ROOT_ID,
-    UNIT_AXIS_TOL,
     ArticulatedModel,
     JointLimits,
     JointSpec,
@@ -28,7 +25,9 @@ from .model import (
     KinematicTree,
     _as_array,
     _magnitude,
+    _prob_rows,
     _tree_cycles,
+    _unit_axis,
     _value_eq,
     require_valid,  # unused: kept for perfbench/spans.py, which wraps it here
 )
@@ -45,20 +44,13 @@ TREE_SCORE = _magnitude(MAX_TREE_SCORE)
 TWO_PI = 2.0 * math.pi
 
 
-def _unit_axis(axis) -> np.ndarray:
-    """``axis`` as a finite float64 ``(3,)`` array whose norm is within
-    ``UNIT_AXIS_TOL`` of 1, the one axis rule of posing."""
-    axis = _as_array(axis, (3,), "axis", domain=FINITE)
-    norm = float(np.linalg.norm(axis))
-    if abs(norm - 1.0) > UNIT_AXIS_TOL:
-        raise ValueError(f"joint axis not unit length (norm={norm:.6g})")
-    return axis
-
-
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix for a unit axis ``(3,)`` and an angle in
-    radians; a non-finite or non-unit axis raises ``ValueError``."""
-    axis = _unit_axis(axis)
+    radians; an axis ``_unit_axis`` rejects or a non-finite angle raises ``ValueError``."""
+    return _rodrigues(_unit_axis(axis), float(_as_array(angle, (), "angle", domain=FINITE)))
+
+
+def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
     k = np.array(
         [
             [0.0, -axis[2], axis[1]],
@@ -90,14 +82,12 @@ def _check_limit(joint: JointSpec, value: float) -> None:
 def joint_transform(joint: JointSpec, value: float):
     """Rigid transform (R, t) of a joint at the given value; x -> R @ x + t."""
     value = float(_as_array(value, (), "joint value", domain=FINITE))
-    if joint.jtype is JointType.FIXED:
-        _check_limit(joint, value)
-        return np.eye(3), np.zeros(3)
-    axis = _unit_axis(joint.axis)
     _check_limit(joint, value)
+    if joint.jtype is JointType.FIXED:
+        return np.eye(3), np.zeros(3)
     if joint.jtype is JointType.PRISMATIC:
-        return np.eye(3), value * axis
-    rot = rotation_about_axis(axis, value)
+        return np.eye(3), value * joint.axis
+    rot = _rodrigues(joint.axis, value)
     return rot, joint.pivot - rot @ joint.pivot
 
 
@@ -105,13 +95,13 @@ def apply_joint(joint: JointSpec, value: float, points) -> np.ndarray:
     """Transform one point ``(3,)`` or a cloud ``(M, 3)`` by one joint: identity,
     translation, or rotation about the axis line through the pivot."""
     pts = np.asarray(points, dtype=np.float64)
-    pts = _as_array(pts, (3,) if pts.ndim == 1 else ("M", 3), "points", domain=FINITE)
+    pts = _as_array(pts, (3,) if pts.ndim == 1 else ("M", 3), "points", domain=JOINT_MAGNITUDE)
     rot, trans = joint_transform(joint, value)
     return pts @ rot.T + trans
 
 
 def _state_count(n) -> int:
-    n = int(n)
+    n = int(_as_array(n, (), "state count", domain=FINITE))
     if n < 2:
         raise ValueError(f"need at least 2 states, got {n}")
     return n
@@ -228,11 +218,9 @@ class ParentDistribution:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        probs = _as_array(self.probs, ("N", "N+1"), "probs", domain=PROBABILITY)
+        probs = _prob_rows(self.probs, ("N", "N+1"), "probs")
         if probs.shape[1] != probs.shape[0] + 1:
             raise ValueError(f"probs must be (N, N+1), got {probs.shape}")
-        if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("rows must sum to 1")
         if np.any(np.diagonal(probs) != 0.0):
             raise ValueError("self-parent probabilities must be 0")
         object.__setattr__(self, "probs", probs)
@@ -248,10 +236,8 @@ def pairwise_affinity(part_probs, compat, root_scores=None) -> AffinityMatrix:
     ``root_scores`` defaults to zeros (a neutral root prior); callers with a
     trained root embedding can pass their own.
     """
-    probs = _as_array(part_probs, ("N", "N_c"), "part_probs", domain=PROBABILITY)
+    probs = _prob_rows(part_probs, ("N", "N_c"), "part_probs")
     comp = _as_array(compat, (probs.shape[1],) * 2, "compat")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > PROB_ROW_TOL):
-        raise ValueError("part_probs rows must sum to 1")
     scores = probs @ comp @ probs.T
     if root_scores is None:
         root_scores = np.zeros(probs.shape[0])
@@ -317,8 +303,6 @@ def limits_from_range(l_min: float, l_max: float) -> JointLimits:
     """Convert motion bounds to the center-span parameterization."""
     l_min = float(_as_array(l_min, (), "l_min", domain=JOINT_MAGNITUDE))
     l_max = float(_as_array(l_max, (), "l_max", domain=JOINT_MAGNITUDE))
-    if l_min > l_max:
-        raise ValueError(f"l_min={l_min!r} exceeds l_max={l_max!r}")
     return JointLimits(center=0.5 * (l_min + l_max), span=0.5 * (l_max - l_min))
 
 

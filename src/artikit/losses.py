@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FINITE, JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE, PROB_ROW_TOL, PROBABILITY,
-                    UNIT_INTERVAL, JointLimits, JointSpec, JointType, _as_array, _frozen,
-                    _value_eq)
+from .model import (FINITE, JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, JointLimits,
+                    JointSpec, JointType, _as_array, _frozen, _prob_rows, _value_eq)
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -162,13 +161,11 @@ def motion_loss(pred: MotionPrediction, gt: JointSpec, weights: LossWeights = DE
 
 def structure_loss(parent_probs, gt_parents) -> float:
     """Mean negative log-probability of the true parent over matched queries."""
-    probs = _as_array(parent_probs, ("R", "C"), "parent_probs", domain=PROBABILITY)
+    probs = _prob_rows(parent_probs, ("R", "C"), "parent_probs")
     columns = (0, probs.shape[1] - 1, f"parent indices in [0, {probs.shape[1] - 1}]")
     gt = _as_array(gt_parents, (probs.shape[0],), "gt_parents", np.int64, columns)
     if probs.shape[0] == 0:
         raise ValueError("structure loss needs at least one matched query")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > PROB_ROW_TOL):
-        raise ValueError("parent_probs rows must sum to 1")
     picked = probs[np.arange(probs.shape[0]), gt]
     # a floor, not _clamp_prob: a one-hot row must give exactly 0 (see selftest)
     return float(np.mean(-np.log(np.maximum(picked, PROB_CLAMP))))

@@ -28,8 +28,8 @@ UNIT_AXIS_TOL = 1e-6
 CUBE_HALF = 0.5
 _CUBE_TOL = 1e-9
 
-#: largest magnitude of a joint pivot component, limit center or span; posed
-#: coordinates then fit in float32 and their squares in float64
+#: largest magnitude of a joint pivot component, limit center or span, a point
+#: ``apply_joint`` poses and a mesh vertex; posed points and face areas stay finite
 MAX_JOINT_MAGNITUDE = 1e30
 #: how far a row of probabilities may sum from 1
 PROB_ROW_TOL = 1e-6
@@ -75,6 +75,25 @@ def _as_array(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
         if not (arr.min() >= low and arr.max() <= high):
             raise ValueError(f"{name} must be {rule}")
     return arr
+
+
+def _prob_rows(value, shape, name) -> np.ndarray:
+    """``_as_array`` of probability rows, each summing to 1 within ``PROB_ROW_TOL``."""
+    probs = _as_array(value, shape, name, domain=PROBABILITY)
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > PROB_ROW_TOL):
+        raise ValueError(f"{name} rows must sum to 1")
+    return probs
+
+
+def _unit_axis(axis) -> np.ndarray:
+    """``axis`` as a finite float64 ``(3,)`` array whose norm is within
+    ``UNIT_AXIS_TOL`` of 1, the one axis rule of every moving joint."""
+    axis = _as_array(axis, (3,), "axis", domain=FINITE)
+    with np.errstate(over="ignore"):  # a norm beyond the float range reads inf
+        norm = float(np.linalg.norm(axis))
+    if abs(norm - 1.0) > UNIT_AXIS_TOL:
+        raise ValueError(f"joint axis not unit length (norm={norm:.6g})")
+    return axis
 
 
 def _frozen(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
@@ -127,7 +146,9 @@ class JointLimits:
     """Symmetric motion range [center - span, center + span].
 
     Units are radians for revolute/continuous joints and normalized object
-    lengths for prismatic joints.  Fixed joints carry center = span = 0.
+    lengths for prismatic joints.  Fixed joints carry center = span = 0.  A
+    negative span, or a center or span not finite or above
+    ``MAX_JOINT_MAGNITUDE`` in magnitude, raises ``ValueError``.
     """
 
     center: float = 0.0
@@ -136,6 +157,12 @@ class JointLimits:
     def __post_init__(self):
         object.__setattr__(self, "center", float(self.center))
         object.__setattr__(self, "span", float(self.span))
+        if not (math.isfinite(self.center) and math.isfinite(self.span)):
+            raise ValueError("joint limits not finite")
+        if self.span < 0.0:
+            raise ValueError(f"joint limits violate span >= 0 (span={self.span!r})")
+        if max(abs(self.center), self.span) > MAX_JOINT_MAGNITUDE:
+            raise ValueError(f"joint limits above {MAX_JOINT_MAGNITUDE:g} in magnitude")
 
     @property
     def lower(self) -> float:
@@ -151,7 +178,9 @@ class JointSpec:
     """One joint: type, unit axis direction, pivot point and motion limits.
 
     The pivot is kept for prismatic joints for schema symmetry even though
-    translation ignores it.
+    translation ignores it.  An axis or pivot not finite, a pivot above
+    ``MAX_JOINT_MAGNITUDE`` in magnitude, nonzero limits on a fixed joint and a
+    non-unit axis (``_unit_axis``) on a moving one raise ``ValueError``.
     """
 
     jtype: JointType
@@ -164,6 +193,16 @@ class JointSpec:
     def __post_init__(self):
         object.__setattr__(self, "axis", _frozen(self.axis, (3,), "axis"))
         object.__setattr__(self, "pivot", _frozen(self.pivot, (3,), "pivot"))
+        if not np.all(np.isfinite(self.axis)):
+            raise ValueError("joint axis not finite")
+        if not np.all(np.isfinite(self.pivot)):
+            raise ValueError("joint pivot not finite")
+        if np.abs(self.pivot).max() > MAX_JOINT_MAGNITUDE:
+            raise ValueError(f"joint pivot above {MAX_JOINT_MAGNITUDE:g} in magnitude")
+        if self.jtype is not JointType.FIXED:
+            _unit_axis(self.axis)
+        elif self.limits != JointLimits():
+            raise ValueError("fixed joint must have center = span = 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,9 +274,9 @@ class ArticulatedModel:
 class TriMesh:
     """Triangle mesh: (V, 3) float vertices and (F, 3) integer faces.
 
-    A mesh is valid by construction: a vertex that is not finite or a face
-    index outside the vertices raises ``ValueError``, and a mesh with no face
-    of nonzero area raises ``GeometryError``.
+    A mesh is valid by construction: a vertex outside ``JOINT_MAGNITUDE`` or a
+    face index outside the vertices raises ``ValueError``, and a mesh with no
+    face of nonzero area raises ``GeometryError``.
     """
 
     vertices: np.ndarray
@@ -246,7 +285,7 @@ class TriMesh:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        vertices = _frozen(self.vertices, ("V", 3), "vertices", domain=FINITE)
+        vertices = _frozen(self.vertices, ("V", 3), "vertices", domain=JOINT_MAGNITUDE)
         faces = _frozen(self.faces, ("F", 3), "faces", np.int64)
         n = len(vertices)
         _as_array(faces, ("F", 3), "face vertex indices", np.int64,
@@ -323,27 +362,6 @@ def require_valid(model: ArticulatedModel) -> None:
     owner = np.zeros(m, dtype=np.int64)
     for part in model.parts:
         tag = f"part {part.id}"
-        j = part.joint
-        if not np.all(np.isfinite(j.axis)):
-            out.append(f"{tag}: joint axis not finite")
-        if not np.all(np.isfinite(j.pivot)):
-            out.append(f"{tag}: joint pivot not finite")
-        elif np.abs(j.pivot).max() > MAX_JOINT_MAGNITUDE:
-            out.append(f"{tag}: joint pivot above {MAX_JOINT_MAGNITUDE:g} in magnitude")
-        if not (math.isfinite(j.limits.center) and math.isfinite(j.limits.span)):
-            out.append(f"{tag}: joint limits not finite")
-        elif j.limits.span < 0.0:
-            out.append(f"{tag}: joint limits violate span >= 0 (span={j.limits.span!r})")
-        elif max(abs(j.limits.center), j.limits.span) > MAX_JOINT_MAGNITUDE:
-            out.append(f"{tag}: joint limits above {MAX_JOINT_MAGNITUDE:g} in magnitude")
-        if j.jtype is JointType.FIXED:
-            if j.limits.center != 0.0 or j.limits.span != 0.0:
-                out.append(f"{tag}: fixed joint must have center = span = 0")
-        else:
-            norm = float(np.linalg.norm(j.axis))
-            if abs(norm - 1.0) > UNIT_AXIS_TOL:
-                out.append(f"{tag}: joint axis not unit length (norm={norm:.6g})")
-
         idx = part.point_indices
         if idx.size == 0:
             out.append(f"{tag}: point_indices empty")
@@ -444,8 +462,8 @@ def model_to_dict(model: ArticulatedModel) -> dict:
 def model_from_dict(data: dict) -> ArticulatedModel:
     """Build a model from the articulation JSON schema; reject unknown keys.
 
-    Raises ParseError for structural problems and ValidationError when the
-    parsed model violates an invariant.
+    Raises ParseError for structural problems and bad values, a bad joint among
+    them, and ValidationError when the parsed model violates an invariant.
     """
     if not isinstance(data, dict):
         raise ParseError("document: expected a JSON object at top level")

@@ -159,7 +159,11 @@ class TestEvaluate:
         ({"type": "prismatic", "center": 0.0, "span": 1e150},
          "joint limits above 1e+30 in magnitude"),
         ({"center": -1e31, "span": 0.5}, "joint limits above 1e+30 in magnitude"),
-    ], ids=["pivot-1e154", "pivot-1e200", "span-1e154", "span-1e150", "center-1e31"])
+        ({"axis": [math.nan, 0.0, 1.0]}, "joint axis not finite"),
+        ({"span": -0.1}, "joint limits violate span >= 0 (span=-0.1)"),
+        ({"center": math.nan}, "joint limits not finite"),
+    ], ids=["pivot-1e154", "pivot-1e200", "span-1e154", "span-1e150", "center-1e31",
+            "axis-nan", "span-negative", "center-nan"])
     def test_huge_joint_values_exit_2_without_a_warning(self, cabinet_file, tmp_path, capsys,
                                                         command, joint, violation):
         doc = model_to_dict(build_cabinet())
@@ -171,7 +175,7 @@ class TestEvaluate:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"violation: part 1: {violation}" in captured.err
+        assert f"error: parts[1]: {violation}" in captured.err
         assert "Warning" not in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.filterwarnings("error")

@@ -130,13 +130,13 @@ NAN_ARGUMENTS = {
         "joint value must be finite"),
     "joint_transform-axis": (
         lambda: joint_transform(JointSpec(JointType.PRISMATIC, [0, NAN, 1], [0, 0, 0]), 0.0),
-        "axis must be finite"),
+        "joint axis not finite"),
     "rotation_about_axis-axis": (lambda: rotation_about_axis([NAN, 0.0, 1.0], 0.5),
                                  "axis must be finite"),
     "apply_joint-points": (
         lambda: apply_joint(JointSpec(JointType.REVOLUTE, [0, 0, 1], [0, 0, 0]), 0.0,
                             _with_nan((2, 3), 4)),
-        "points must be finite"),
+        "points must be finite and at most 1e+30 in magnitude"),
     "MotionPrediction-type_logits": (lambda: _motion(type_logits=_with_nan(4, 1)),
                                      "type_logits must be finite"),
     "MotionPrediction-axis": (lambda: _motion(axis=[0, NAN, 1]), "axis must be finite"),
@@ -259,6 +259,17 @@ def test_public_entry_points_take_the_bounds():
     assert ParentDistribution([[0.0, 1.0]]).probs.tolist() == [[0.0, 1.0]]
     assert fscore(CLOUD, CLOUD, tau=5e-324) == 1.0
     assert matching_cost([[0.0, 1.0]], [[False, True]]).shape == (1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda row: ParentDistribution([row]),
+    lambda row: pairwise_affinity([row], np.eye(2)),
+    lambda row: structure_loss([row], [1]),
+], ids=["ParentDistribution", "pairwise_affinity", "structure_loss"])
+def test_every_probability_row_keeps_one_row_sum_rule(call):
+    call([0.0, 1.0 + 5e-7])  # within PROB_ROW_TOL of 1
+    with pytest.raises(ValueError, match="rows must sum to 1"):
+        call([0.0, 1.0 - 2 * PROB_ROW_TOL])
 
 
 def test_matching_cost_reads_a_nonzero_gt_value_as_membership():

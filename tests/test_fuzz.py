@@ -387,5 +387,5 @@ def test_model_joint_values(data):
             warnings.simplefilter("error")
             code = main([str(a) for a in argv])
     assert code == 2, err.getvalue()
-    assert f"violation: part {part}: joint" in err.getvalue()
+    assert f"error: parts[{part}]: joint" in err.getvalue()
     assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()

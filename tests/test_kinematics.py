@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from artikit.errors import ValidationError
 from artikit.kinematics import (
@@ -90,9 +91,14 @@ class TestApplyJoint:
         np.testing.assert_allclose(back, pts, atol=1e-12)
 
     def test_non_unit_axis_rejected(self):
-        j = JointSpec(JointType.REVOLUTE, [0, 0, 2], [0, 0, 0], JointLimits(0, 1))
-        with pytest.raises(ValueError, match="unit"):
-            apply_joint(j, 0.5, [[0.1, 0, 0]])
+        with pytest.raises(ValueError, match=r"joint axis not unit length \(norm=2\)"):
+            JointSpec(JointType.REVOLUTE, [0, 0, 2], [0, 0, 0], JointLimits(0, 1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_pivot_that_would_overflow_posing_cannot_be_built(self):
+        with pytest.raises(ValueError, match=r"joint pivot above 1e\+30 in magnitude"):
+            apply_joint(JointSpec(JointType.REVOLUTE, [0, 0, 1], [1.7e308, -1.7e308, 0],
+                                  JointLimits(0.5, 0.5)), 0.5, [[0.1, 0, 0]])
 
     @pytest.mark.parametrize(
         "axis, message",
@@ -314,3 +320,72 @@ class TestLimitsRoundTrip:
         hi = lo + width
         back_lo, back_hi = limits_to_range(limits_from_range(lo, hi))
         assert abs(back_lo - lo) <= 1e-12 and abs(back_hi - hi) <= 1e-12
+
+
+# wild values: each breaks the rule of some joint argument, though not of every
+# one (2 is a valid pivot component but no valid axis component)
+WILD = [math.nan, math.inf, -math.inf, -1.0, 2.0, 1e300, 1.7e308]
+
+
+def _wild(data) -> bool:
+    """Whether an argument takes wild values: one time in four, so that most
+    calls also see valid arguments beside the wild one."""
+    return data.draw(st.integers(0, 3)) == 0
+
+
+def _scalar(data, *usual):
+    return data.draw(st.sampled_from(WILD if _wild(data) else usual))
+
+
+def _vector(data, usual):
+    """``usual``, or with one or two of its components replaced by wild values."""
+    out = np.array(usual, dtype=float)
+    if _wild(data):
+        for i in data.draw(st.lists(st.integers(0, out.size - 1), min_size=1, max_size=2)):
+            out.flat[i] = data.draw(st.sampled_from(WILD))
+    return out
+
+
+def _limits(data):
+    return JointLimits(_scalar(data, 0.0, 0.5), _scalar(data, 0.0, 0.25))
+
+
+def _joint(data):
+    return JointSpec(data.draw(st.sampled_from(JointType)), _vector(data, [0, 0, 1]),
+                     _vector(data, [0.1, 0, 0]), _limits(data))
+
+
+JOINT_CALLS = {
+    "JointLimits": _limits,
+    "JointSpec": _joint,
+    "apply_joint": lambda data: apply_joint(_joint(data), _scalar(data, 0.0, 0.3),
+                                            _vector(data, np.full((2, 3), 0.25))),
+    "sample_states": lambda data: sample_states(
+        _limits(data), data.draw(st.sampled_from(JointType)), _scalar(data, 6)),
+    "limits_from_range": lambda data: limits_from_range(_scalar(data, 0.0, 0.5),
+                                                        _scalar(data, 0.0, 0.5)),
+    "rotation_about_axis": lambda data: rotation_about_axis(_vector(data, [0, 0, 1]),
+                                                            _scalar(data, 0.3)),
+}
+
+
+def _numbers(result):
+    if isinstance(result, JointLimits):
+        return [result.center, result.span, result.lower, result.upper]
+    if isinstance(result, JointSpec):
+        return [*result.axis, *result.pivot, *_numbers(result.limits)]
+    return np.ravel(result)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(name=st.sampled_from(sorted(JOINT_CALLS)), data=st.data())
+def test_joint_values_give_finite_results_or_value_error(name, data):
+    """NaN, inf, -1, 2, 1e300 or 1.7e308 in any argument of a joint callable
+    gives a result of finite numbers or raises ``ValueError``, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = JOINT_CALLS[name](data)
+        except ValueError:
+            return
+    assert np.all(np.isfinite(_numbers(result))), (name, result)

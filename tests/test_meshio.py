@@ -81,6 +81,13 @@ def test_vertex_not_finite_rejected(tmp_path, suffix):
         load_mesh(path)
 
 
+def test_vertex_above_the_magnitude_bound_rejected(tmp_path):
+    path = tmp_path / "huge.obj"
+    path.write_text("v 0 0 0\nv 1e200 0 0\nv 0 1e200 0\nf 1 2 3\n")
+    with pytest.raises(ParseError, match=r"vertices must be finite and at most 1e\+30"):
+        load_obj(path)
+
+
 def test_mesh_without_area_is_degenerate(tmp_path):
     """A vertex-only PLY file is a point cloud, not a mesh."""
     path = tmp_path / "cloud.ply"

@@ -22,6 +22,7 @@ from artikit.model import (
     load_model,
     model_from_dict,
     model_to_dict,
+    require_valid,
     save_model,
 )
 from tests.conftest import build_cabinet, build_random_model
@@ -61,6 +62,15 @@ def test_models_are_validated_in_one_place():
     assert "require_valid(self)" in inspect.getsource(ArticulatedModel.__post_init__)
 
 
+def test_the_joint_rule_has_one_home():
+    """Only the ``JointLimits`` and ``JointSpec`` constructors check a joint."""
+    src = Path(artikit.__file__).parent
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    assert [name for name, text in texts.items() if "def _unit_axis(" in text] == ["model.py"]
+    assert sum(text.count("joint axis not unit length") for text in texts.values()) == 1
+    assert "joint" not in inspect.getsource(require_valid)
+
+
 class TestValidation:
     @pytest.mark.parametrize("coord, violation", [
         (0.5 + 1e-9, None),
@@ -79,31 +89,30 @@ class TestValidation:
         assert any("cycle {0, 1}" in v for v in violations)
 
     def test_zero_axis_revolute(self, cabinet):
-        body, door = cabinet.parts
-        bad_door = PartSpec(
-            door.id, door.label, door.point_indices,
-            JointSpec(JointType.REVOLUTE, [0, 0, 0], door.joint.pivot, door.joint.limits),
-        )
-        violations = _violations(cabinet, parts=(body, bad_door))
-        assert any("joint axis not unit length" in v for v in violations)
+        door = cabinet.parts[1].joint
+        with pytest.raises(ValueError, match=r"joint axis not unit length \(norm=0\)"):
+            JointSpec(JointType.REVOLUTE, [0, 0, 0], door.pivot, door.limits)
 
-    def test_negative_span(self, cabinet):
-        body, door = cabinet.parts
-        bad = PartSpec(
-            door.id, door.label, door.point_indices,
-            JointSpec(JointType.REVOLUTE, door.joint.axis, door.joint.pivot, JointLimits(0.5, -0.1)),
-        )
-        violations = _violations(cabinet, parts=(body, bad))
-        assert any("span >= 0" in v for v in violations)
+    def test_negative_span(self):
+        with pytest.raises(ValueError, match=r"joint limits violate span >= 0 \(span=-0.1\)"):
+            JointLimits(0.5, -0.1)
 
     def test_fixed_with_nonzero_limits(self, cabinet):
-        body, door = cabinet.parts
-        bad = PartSpec(
-            body.id, body.label, body.point_indices,
-            JointSpec(JointType.FIXED, body.joint.axis, body.joint.pivot, JointLimits(0.1, 0.0)),
-        )
-        violations = _violations(cabinet, parts=(bad, door))
-        assert any("fixed joint must have center = span = 0" in v for v in violations)
+        body = cabinet.parts[0].joint
+        with pytest.raises(ValueError, match="fixed joint must have center = span = 0"):
+            JointSpec(JointType.FIXED, body.axis, body.pivot, JointLimits(0.1, 0.0))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: JointLimits(math.nan, 1), "joint limits not finite"),
+        (lambda: JointLimits(-1e31, 0), r"joint limits above 1e\+30 in magnitude"),
+        (lambda: JointSpec(JointType.REVOLUTE, [0, math.nan, 1], [0, 0, 0]),
+         "joint axis not finite"),
+        (lambda: JointSpec(JointType.PRISMATIC, [0, 0, 1], [0, 1.7e308, 0]),
+         r"joint pivot above 1e\+30 in magnitude"),
+    ], ids=["limits-nan", "limits-1e31", "axis-nan", "pivot-1.7e308"])
+    def test_a_joint_breaking_a_rule_cannot_be_built(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_nonfinite_point(self, cabinet):
         pts = np.array(cabinet.points)
@@ -186,13 +195,14 @@ class TestValidation:
         assert any("own parent" in v for v in violations)
 
     def test_mutating_one_field_at_a_time_always_caught(self, cabinet):
-        """Each single-field corruption must fail construction with a violation."""
-        body, door = cabinet.parts
+        """Each single-field corruption must fail construction: a joint's when
+        the joint is built, a model's with a violation."""
+        door = cabinet.parts[1].joint
+        with pytest.raises(ValueError, match="joint axis not unit length"):
+            JointSpec(JointType.PRISMATIC, [0.5, 0, 0], door.pivot, door.limits)
+        with pytest.raises(ValueError, match="joint pivot not finite"):
+            JointSpec(door.jtype, door.axis, [np.inf, 0, 0], door.limits)
         mutations = [
-            dict(parts=(body, PartSpec(door.id, door.label, door.point_indices,
-                JointSpec(JointType.PRISMATIC, [0.5, 0, 0], door.joint.pivot, door.joint.limits)))),
-            dict(parts=(body, PartSpec(door.id, door.label, door.point_indices,
-                JointSpec(door.joint.jtype, door.joint.axis, [np.inf, 0, 0], door.joint.limits)))),
             dict(tree=KinematicTree({0: ROOT_ID, 1: 99})),
             dict(base_indices=np.array([0])),
         ]
@@ -356,6 +366,9 @@ class TestTypes:
         broken = [
             (([[0, 0, 0], [1, 0, math.nan], [0, 1, 0]], [[0, 1, 2]]), ValueError,
              "vertices must be finite"),
+            # its area would overflow to inf
+            (([[0, 0, 0], [1e200, 0, 0], [0, 1e200, 0]], [[0, 1, 2]]), ValueError,
+             r"vertices must be finite and at most 1e\+30 in magnitude"),
             ((triangle, [[0, 1, 3]]), ValueError,
              "face vertex indices must be non-negative and below the vertex count 3"),
             ((triangle, [[0, 1, -1]]), ValueError,
