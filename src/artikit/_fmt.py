@@ -87,15 +87,11 @@ def read_json(path):
 
 
 def read_sidecar(path, minimums: dict) -> tuple:
-    """Sizes named by ``minimums`` from ``<path>.json``, each checked against its minimum."""
+    """Sizes named by ``minimums`` from ``<path>.json``, each an integer in [minimum, 2**32 - 1]."""
+    from .model import _as_array, _int_domain  # model imports this module
     meta = read_json(str(path) + ".json")
     try:
-        sizes = tuple(int(meta[key]) for key in minimums)
+        return tuple(int(_as_array(meta[key], (), key, "int64", _int_domain(low, 2**32 - 1)))
+                     for key, low in minimums.items())
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad sidecar: {exc}") from exc
-    if any(size < low for size, low in zip(sizes, minimums.values())):
-        bounds = " and ".join(f"{key} >= {low}" for key, low in minimums.items())
-        raise ParseError(f"{path}: sidecar must have {bounds}")
-    if max(sizes) >= 2**32:
-        raise ParseError(f"{path}: sidecar sizes must be below 2**32, got {sizes}")
-    return sizes

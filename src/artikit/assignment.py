@@ -85,8 +85,11 @@ class MatchResult:
     total_cost: float
 
     def __post_init__(self):
-        pairs = tuple((int(q), int(g)) for q, g in self.pairs)
-        unmatched = tuple(int(q) for q in self.unmatched_queries)
+        pairs = _as_array(self.pairs if len(self.pairs) else np.zeros((0, 2)), ("P", 2), "pairs",
+                          np.int64)
+        pairs = tuple(map(tuple, pairs.tolist()))
+        unmatched = tuple(_as_array(self.unmatched_queries, ("U",), "unmatched_queries",
+                                    np.int64).tolist())
         qs = [q for q, _ in pairs]
         gs = [g for _, g in pairs]
         if len(set(qs)) != len(qs) or len(set(gs)) != len(gs):

@@ -35,7 +35,8 @@ import numpy as np
 from . import _by_rows, _compiled_scipy, _thread_budget
 from ._fmt import read_sidecar, write_sidecar
 from .errors import GeometryError, ParseError
-from .model import CUBE_HALF, _CUBE_TOL, FINITE, NON_NEGATIVE, TriMesh, _as_array, _value_eq
+from .model import (CUBE_HALF, _CUBE_TOL, FINITE, NON_NEGATIVE, TriMesh, _as_array, _int_domain,
+                    _value_eq)
 
 #: stock configuration of the source pipeline
 DEFAULT_TRIPLANE_RESOLUTION = 128
@@ -93,9 +94,8 @@ class SparseVoxelGrid:
     def __post_init__(self):
         """Check and sort the cells; they may come in any order but must be
         distinct and inside the grid.  The arrays are copied."""
-        resolution = int(self.resolution)
-        if not 1 <= resolution <= 0xFFFF:
-            raise ValueError(f"resolution must be in [1, 65535], got {resolution}")
+        resolution = int(_as_array(self.resolution, (), "resolution", np.int64,
+                                   _int_domain(1, 0xFFFF)))
         ijk = _as_array(self.ijk, ("n", 3), "ijk", np.int64)
         feats = _as_array(self.features, ("n", "d"), "features", np.float32)
         if len(feats) != len(ijk):
@@ -140,7 +140,7 @@ class SparseVoxelGrid:
 
     def features_at(self, ijk: np.ndarray) -> np.ndarray:
         """Features for integer cell coordinates (M, 3); absent cells give zero."""
-        ijk = np.asarray(ijk, dtype=np.int64)
+        ijk = _as_array(ijk, np.shape(ijk)[:-1] + (3,), "ijk", np.int64)
         r = self.resolution
         keys = (ijk[..., 0] * r + ijk[..., 1]) * r + ijk[..., 2]
         return self._at_keys(keys.reshape(-1)).reshape(*keys.shape, self.feature_dim)
@@ -205,7 +205,7 @@ class TriplaneStack:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        r = int(self.resolution)
+        r = int(_as_array(self.resolution, (), "resolution", np.int64, _int_domain(1)))
         planes = _as_array(self.planes, (3, r, r, "d"), "planes")
         weights = _as_array(self.weights, (3, r, r), "weights", domain=NON_NEGATIVE)
         object.__setattr__(self, "resolution", r)
@@ -227,9 +227,7 @@ def sample_surface_points(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
     area distribution, then points placed by the square-root barycentric
     trick.  Every ``TriMesh`` has a face of nonzero area.
     """
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = int(_as_array(count, (), "count", np.int64, _int_domain(1)))
     areas = mesh.face_areas()
     total = float(areas.sum())
 
@@ -262,11 +260,12 @@ def _sample_from_meshes(meshes, count: int, seed: int) -> tuple:
     for pos in np.argsort(-(share - counts), kind="stable")[:count - int(counts.sum())]:
         counts[pos] += 1
 
+    seed = int(_as_array(seed, (), "seed", np.int64))
     chunks, owner, offset = [], {}, 0
     for pos, mid in enumerate(ids):
         n = int(counts[pos])
         if n:
-            chunks.append(sample_surface_points(meshes[mid], n, seed=int(seed) + pos))
+            chunks.append(sample_surface_points(meshes[mid], n, seed=seed + pos))
         owner[mid] = np.arange(offset, offset + n, dtype=np.int64)
         offset += n
     return np.concatenate(chunks), owner
@@ -353,9 +352,8 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
         raise ValueError(
             f"point/feature count mismatch: {pts.shape[0]} vs {feats.shape[0]}"
         )
-    r = int(resolution)
-    if not 1 <= r <= MAX_TRIPLANE_RESOLUTION:
-        raise ValueError(f"resolution must be in [1, {MAX_TRIPLANE_RESOLUTION}], got {r}")
+    r = int(_as_array(resolution, (), "resolution", np.int64,
+                      _int_domain(1, MAX_TRIPLANE_RESOLUTION)))
     dim = feats.shape[1]
 
     # One bincount per column sums each node's corner contributions in corner

@@ -24,6 +24,7 @@ from .model import (
     JointType,
     KinematicTree,
     _as_array,
+    _int_domain,
     _magnitude,
     _prob_rows,
     _tree_cycles,
@@ -101,10 +102,7 @@ def apply_joint(joint: JointSpec, value: float, points) -> np.ndarray:
 
 
 def _state_count(n) -> int:
-    n = int(_as_array(n, (), "state count", domain=FINITE))
-    if n < 2:
-        raise ValueError(f"need at least 2 states, got {n}")
-    return n
+    return int(_as_array(n, (), "state count", np.int64, _int_domain(2)))
 
 
 def sample_states(limits: JointLimits, jtype: JointType, n: int = 6) -> np.ndarray:
@@ -113,7 +111,7 @@ def sample_states(limits: JointLimits, jtype: JointType, n: int = 6) -> np.ndarr
     Fixed -> zeros; revolute/prismatic -> inclusive linspace over
     [center - span, center + span]; continuous -> uniform half-open [0, 2*pi).
     """
-    n = _state_count(n)
+    n, jtype = _state_count(n), JointType(jtype)
     if jtype is JointType.FIXED:
         return np.zeros(n)
     if jtype is JointType.CONTINUOUS:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (FINITE, JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, JointLimits,
-                    JointSpec, JointType, _as_array, _frozen, _prob_rows, _value_eq)
+                    JointSpec, JointType, _as_array, _frozen, _int_domain, _prob_rows, _value_eq)
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -162,8 +162,8 @@ def motion_loss(pred: MotionPrediction, gt: JointSpec, weights: LossWeights = DE
 def structure_loss(parent_probs, gt_parents) -> float:
     """Mean negative log-probability of the true parent over matched queries."""
     probs = _prob_rows(parent_probs, ("R", "C"), "parent_probs")
-    columns = (0, probs.shape[1] - 1, f"parent indices in [0, {probs.shape[1] - 1}]")
-    gt = _as_array(gt_parents, (probs.shape[0],), "gt_parents", np.int64, columns)
+    gt = _as_array(gt_parents, (probs.shape[0],), "gt_parents", np.int64,
+                   _int_domain(0, probs.shape[1] - 1))
     if probs.shape[0] == 0:
         raise ValueError("structure loss needs at least one matched query")
     picked = probs[np.arange(probs.shape[0]), gt]
@@ -174,9 +174,7 @@ def structure_loss(parent_probs, gt_parents) -> float:
 def object_category_loss(logits, gt_index: int) -> float:
     """Softmax cross-entropy for the auxiliary object-category head."""
     logits = _as_array(logits, ("C",), "logits", domain=FINITE)
-    gt_index = int(gt_index)
-    if not 0 <= gt_index < logits.size:
-        raise ValueError(f"gt index {gt_index} out of range for {logits.size} classes")
+    gt_index = int(_as_array(gt_index, (), "gt_index", np.int64, _int_domain(0, logits.size - 1)))
     return float(-_log_softmax(logits)[gt_index])
 
 
@@ -189,9 +187,7 @@ def stage_loss(stage: int, components, weights: LossWeights = DEFAULT_WEIGHTS, r
     Stages I, II and IV are single unweighted terms; stage III is the weighted
     sum of triplet, mask, score and ramp-scaled motion losses.
     """
-    stage = int(stage)
-    if stage not in _STAGE_TERMS:
-        raise ValueError(f"stage must be 1..4, got {stage}")
+    stage = int(_as_array(stage, (), "stage", np.int64, _int_domain(1, 4)))
     missing = [name for name in _STAGE_TERMS[stage] if name not in components]
     if missing:
         raise ValueError(f"stage {stage} missing component {missing[0]!r}")

@@ -50,17 +50,11 @@ def load_obj(path) -> TriMesh:
             elif tag == "f":
                 if len(fields) != 4:
                     raise ParseError(f"{path}:{lineno}: only triangular faces supported")
-                idx = []
-                for token in fields[1:4]:
-                    head = token.split("/")[0]
-                    try:
-                        value = int(head)
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: bad face index {token!r}") from exc
-                    if value <= 0:
-                        raise ParseError(f"{path}:{lineno}: face indices must be positive")
-                    idx.append(value - 1)
-                faces.append(idx)
+                # OBJ counts from 1, so TriMesh takes an index below 1 as negative
+                try:
+                    faces.append([int(token.split("/")[0]) - 1 for token in fields[1:4]])
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad face index in {stripped!r}") from exc
             # other record types (vn, vt, usemtl, ...) are ignored
     if not vertices:
         raise ParseError(f"{path}: no vertices")

@@ -26,7 +26,7 @@ from . import _fan_out, _fmt
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .geometry import _sample_from_meshes, nearest_neighbor_distances, nearest_neighbors
 from .kinematics import part_transforms, pose, state_grid
-from .model import FINITE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array
+from .model import FINITE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array, _int_domain
 from .model import require_valid  # unused: kept for perfbench/spans.py, which wraps it here
 
 _PARALLEL_EPS = 1e-9
@@ -215,8 +215,7 @@ def evaluate(
     from them with ``seed``; otherwise on its own points.
     """
     tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
-    n_points = int(_as_array(n_points, (), "n_points",
-                             domain=(1, FINITE[1], "finite and at least 1")))
+    n_points = int(_as_array(n_points, (), "n_points", np.int64, _int_domain(1)))
 
     pred_points, pred_owner = _surface(pred, pred_meshes, n_points, seed)
     gt_points, gt_owner = _surface(gt, gt_meshes, n_points, seed)

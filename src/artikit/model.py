@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import types
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
 
@@ -35,6 +36,7 @@ MAX_JOINT_MAGNITUDE = 1e30
 PROB_ROW_TOL = 1e-6
 
 _FLOAT_MAX = np.finfo(np.float64).max
+_INT_MAX = int(np.iinfo(np.int64).max)
 
 
 def _magnitude(bound: float) -> tuple:
@@ -52,18 +54,36 @@ PROBABILITY = (0.0, 1 + PROB_ROW_TOL, f"finite and non-negative and at most 1 + 
 JOINT_MAGNITUDE = _magnitude(MAX_JOINT_MAGNITUDE)
 
 
+def _int_domain(low, high=_INT_MAX) -> tuple:
+    """The domain of integers in [low, high], by default of those at least ``low``."""
+    return (low, high, f"at least {low}" if high == _INT_MAX else f"in [{low}, {high}]")
+
+
 def _as_array(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
     """``value`` as a ``dtype`` array of the given shape and domain, the one
     shape and value rule for array arguments.
 
     Each entry of ``shape`` is an int, which fixes that axis's length, or a
     name such as ``"M"``, which allows any length: ``("M", 3)`` is a point
-    cloud and ``()`` a scalar.  With a ``domain`` ``(low, high, rule)``, every
-    value must satisfy ``low <= v <= high``, or ``ValueError("<name> must be
-    <rule>")`` is raised.  An array that already has the dtype is returned as
-    it is, never copied.
+    cloud and ``()`` a scalar.  An integer ``dtype`` casts integers and decimal
+    strings as numpy does; a fraction, NaN, inf, a bool or a value outside its
+    range raises ``ValueError("<name> must be integers")``.  With a ``domain``
+    ``(low, high, rule)``, every value must satisfy ``low <= v <= high``, or
+    ``ValueError("<name> must be <rule>")`` is raised.  An array that already
+    has the dtype is returned as it is, never copied.
     """
-    arr = np.asarray(value, dtype=dtype)
+    if np.dtype(dtype).kind != "i":
+        arr = np.asarray(value, dtype=dtype)
+    else:  # cast only what is exact: numpy holds [2**63] as uint64, [2**64] as objects
+        arr, info = np.asarray(value), np.iinfo(dtype)
+        if arr.dtype.kind == "f":  # NaN fails every comparison; -info.min is past info.max
+            exact = np.all((arr == np.trunc(arr)) & (arr >= info.min) & (arr < -float(info.min)))
+        else:  # integers and strings
+            exact = arr.dtype.kind in "iuSU" and not (
+                arr.dtype.kind == "u" and arr.size and int(arr.max()) > info.max)
+        if not exact:
+            raise ValueError(f"{name} must be integers")
+        arr = arr.astype(dtype, copy=False)
     if arr.ndim != len(shape) or any(
         not isinstance(want, str) and got != want for got, want in zip(arr.shape, shape)
     ):
@@ -178,9 +198,10 @@ class JointSpec:
     """One joint: type, unit axis direction, pivot point and motion limits.
 
     The pivot is kept for prismatic joints for schema symmetry even though
-    translation ignores it.  An axis or pivot not finite, a pivot above
-    ``MAX_JOINT_MAGNITUDE`` in magnitude, nonzero limits on a fixed joint and a
-    non-unit axis (``_unit_axis``) on a moving one raise ``ValueError``.
+    translation ignores it.  A ``jtype`` that is no ``JointType`` value, an axis
+    or pivot not finite, a pivot above ``MAX_JOINT_MAGNITUDE`` in magnitude,
+    nonzero limits on a fixed joint and a non-unit axis (``_unit_axis``) on a
+    moving one raise ``ValueError``.
     """
 
     jtype: JointType
@@ -191,6 +212,7 @@ class JointSpec:
     __eq__ = _value_eq
 
     def __post_init__(self):
+        object.__setattr__(self, "jtype", JointType(self.jtype))
         object.__setattr__(self, "axis", _frozen(self.axis, (3,), "axis"))
         object.__setattr__(self, "pivot", _frozen(self.pivot, (3,), "pivot"))
         if not np.all(np.isfinite(self.axis)):
@@ -217,23 +239,24 @@ class PartSpec:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        object.__setattr__(self, "id", int(self.id))
-        object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(
-            self, "point_indices", _frozen(self.point_indices, ("N",), "point_indices", np.int64)
-        )
+        for name, shape in (("id", ()), ("label", ()), ("point_indices", ("N",))):
+            value = _frozen(getattr(self, name), shape, name, np.int64)
+            object.__setattr__(self, name, value if shape else int(value))
 
 
 @dataclass(frozen=True)
 class KinematicTree:
-    """Parent map part-id -> parent part-id, with ROOT_ID for root attachment."""
+    """Read-only parent map part-id -> parent part-id, with ROOT_ID for root attachment."""
 
     parent: dict
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "parent", {int(k): int(v) for k, v in self.parent.items()}
-        )
+        ids = _as_array(list(self.parent), ("N",), "part ids", np.int64).tolist()
+        parents = _as_array(list(self.parent.values()), ("N",), "parents", np.int64).tolist()
+        object.__setattr__(self, "parent", types.MappingProxyType(dict(zip(ids, parents))))
+
+    def __reduce__(self):  # a mapping proxy can be neither copied nor pickled
+        return KinematicTree, (dict(self.parent),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,10 +309,9 @@ class TriMesh:
 
     def __post_init__(self):
         vertices = _frozen(self.vertices, ("V", 3), "vertices", domain=JOINT_MAGNITUDE)
-        faces = _frozen(self.faces, ("F", 3), "faces", np.int64)
         n = len(vertices)
-        _as_array(faces, ("F", 3), "face vertex indices", np.int64,
-                  domain=(0, n - 1, f"non-negative and below the vertex count {n}"))
+        faces = _frozen(self.faces, ("F", 3), "faces", np.int64,
+                        (0, n - 1, f"non-negative and below the vertex count {n}"))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "faces", faces)
         if not np.any(self.face_areas() > 0.0):
@@ -491,14 +513,9 @@ def model_from_dict(data: dict) -> ArticulatedModel:
         if not isinstance(raw_joint, dict):
             raise ParseError(f"{where}.joint: expected an object")
         _reject_unknown(raw_joint, _JOINT_KEYS, f"{where}.joint")
-        jtype_name = _require(raw_joint, "type", f"{where}.joint")
-        try:
-            jtype = JointType(jtype_name)
-        except ValueError as exc:
-            raise ParseError(f"{where}.joint: unknown type {jtype_name!r}") from exc
         try:
             joint = JointSpec(
-                jtype=jtype,
+                jtype=_require(raw_joint, "type", f"{where}.joint"),
                 axis=_require(raw_joint, "axis", f"{where}.joint"),
                 pivot=_require(raw_joint, "pivot", f"{where}.joint"),
                 limits=JointLimits(
@@ -518,18 +535,16 @@ def model_from_dict(data: dict) -> ArticulatedModel:
 
     if not isinstance(raw_tree, dict):
         raise ParseError("tree: expected an object")
-    tree = {}
-    for key, value in raw_tree.items():
-        try:
-            tree[int(key)] = int(value)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ParseError(f"tree: bad entry {key!r}: {value!r}") from exc
+    try:
+        tree = KinematicTree(raw_tree)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ParseError(f"tree: {exc}") from exc
 
     try:
         return ArticulatedModel(
             points=points,
             parts=tuple(parts),
-            tree=KinematicTree(tree),
+            tree=tree,
             base_indices=base_indices,
         )
     except (ValueError, TypeError, OverflowError) as exc:

@@ -2,7 +2,9 @@
 
 A value outside an argument's domain raises ``ValueError("<name> must be
 <rule>")`` at each public entry point.  NaN fails every domain, values on a
-domain's bounds pass, and the range messages live in one module only.
+domain's bounds pass, and the range messages live in one module only.  An
+integer argument takes no fraction, bool or value past int64: each raises
+``ValueError("<name> must be integers")``.
 """
 
 import ast
@@ -13,8 +15,10 @@ import numpy as np
 import pytest
 
 import artikit
-from artikit.assignment import QuerySet, SoftMaskSet, filter_queries, hungarian, matching_cost
-from artikit.geometry import TriplaneStack, global_pool_concat
+from artikit.assignment import (MatchResult, QuerySet, SoftMaskSet, filter_queries, hungarian,
+                                matching_cost)
+from artikit.geometry import (SparseVoxelGrid, TriplaneStack, global_pool_concat,
+                              sample_surface_points, triplane_scatter)
 from artikit.kinematics import (
     MAX_TREE_SCORE,
     TREE_SCORE,
@@ -25,6 +29,8 @@ from artikit.kinematics import (
     limits_from_range,
     pairwise_affinity,
     rotation_about_axis,
+    sample_states,
+    state_grid,
 )
 from artikit.losses import (
     LossWeights,
@@ -47,8 +53,13 @@ from artikit.model import (
     PROB_ROW_TOL,
     PROBABILITY,
     UNIT_INTERVAL,
+    ArticulatedModel,
+    JointLimits,
     JointSpec,
     JointType,
+    KinematicTree,
+    PartSpec,
+    TriMesh,
     _as_array,
     _frozen,
 )
@@ -179,6 +190,53 @@ NAN_ARGUMENTS = {
                                  "f_geo must be finite"),
 }
 
+FIXED = JointSpec(JointType.FIXED, [0, 0, 1], [0, 0, 0])
+TRIANGLE = TriMesh(np.eye(3), [[0, 1, 2]])
+
+# integer argument -> (call with the value v in every entry of it, its name)
+INTEGER_ARGUMENTS = {
+    "PartSpec-id": (lambda v: PartSpec(v, 0, [0], FIXED), "id"),
+    "PartSpec-label": (lambda v: PartSpec(0, v, [0], FIXED), "label"),
+    "PartSpec-point_indices": (lambda v: PartSpec(0, 0, [v], FIXED), "point_indices"),
+    "ArticulatedModel-base_indices": (
+        lambda v: ArticulatedModel(CLOUD, (), KinematicTree({}), [v]), "base_indices"),
+    "KinematicTree-ids": (lambda v: KinematicTree({v: -1}), "part ids"),
+    "KinematicTree-parents": (lambda v: KinematicTree({0: v}), "parents"),
+    "TriMesh-faces": (lambda v: TriMesh(np.eye(3), [[v, v, v]]), "faces"),
+    "sample_states-n": (lambda v: sample_states(JointLimits(), JointType.FIXED, v),
+                        "state count"),
+    "state_grid-n": (lambda v: state_grid(build_cabinet(), v), "state count"),
+    "SparseVoxelGrid-resolution": (lambda v: SparseVoxelGrid(v, [[0, 0, 0]], [[1.0]]),
+                                   "resolution"),
+    "SparseVoxelGrid-ijk": (lambda v: SparseVoxelGrid(8, [[v, v, v]], [[1.0]]), "ijk"),
+    "features_at-ijk": (lambda v: SparseVoxelGrid(8, [[0, 0, 0]], [[1.0]]).features_at(
+        [[v, v, v]]), "ijk"),
+    "TriplaneStack-resolution": (lambda v: TriplaneStack(v, np.zeros((3, 2, 2, 1)),
+                                                         np.zeros((3, 2, 2))), "resolution"),
+    "triplane_scatter-resolution": (
+        lambda v: triplane_scatter(np.zeros((1, 3)), np.zeros((1, 1)), v), "resolution"),
+    "sample_surface_points-count": (lambda v: sample_surface_points(TRIANGLE, v, 0), "count"),
+    "evaluate-seed": (lambda v: evaluate(build_cabinet(), build_cabinet(),
+                                         pred_meshes={0: TRIANGLE, 1: TRIANGLE},
+                                         gt_meshes={0: TRIANGLE, 1: TRIANGLE},
+                                         n_points=10, seed=v), "seed"),
+    "evaluate-n_points": (lambda v: evaluate(build_cabinet(), build_cabinet(), n_points=v),
+                          "n_points"),
+    "object_category_loss-gt_index": (lambda v: object_category_loss([0.0, 0.0], v),
+                                       "gt_index"),
+    "stage_loss-stage": (lambda v: stage_loss(v, STAGE_III), "stage"),
+    "structure_loss-gt_parents": (lambda v: structure_loss([[1.0, 0.0]], [v]), "gt_parents"),
+    "MatchResult-pairs": (lambda v: MatchResult([(v, v)], (), 0.0), "pairs"),
+    "MatchResult-unmatched_queries": (lambda v: MatchResult((), [v], 0.0),
+                                      "unmatched_queries"),
+}
+# an integer argument rejects NaN, a fraction, a bool and a value past int64 alike
+NAN_ARGUMENTS.update({
+    f"{case}-{label}": (lambda call=call, v=v: call(v), f"{name} must be integers")
+    for case, (call, name) in INTEGER_ARGUMENTS.items()
+    for label, v in (("nan", NAN), ("1.5", 1.5), ("True", True), ("2**63", 2**63))
+})
+
 
 @pytest.mark.parametrize("case", sorted(NAN_ARGUMENTS))
 def test_nan_is_rejected_naming_the_argument(case):
@@ -193,6 +251,8 @@ OUTSIDE = {
     "QuerySet-confidences-above": lambda: _queries((0.5, 1.0 + 1e-12)),
     "matching_cost-pred_soft-two": lambda: matching_cost(np.full((1, 3), 2.0), np.ones((1, 3))),
     "TriplaneStack-weights-negative": lambda: _stack(np.full((3, 2, 2), -1e-300)),
+    "TriplaneStack-resolution-zero": lambda: TriplaneStack(0, np.zeros((3, 0, 0, 1)),
+                                                           np.zeros((3, 0, 0))),
     "LossWeights-infinite": lambda: LossWeights(limit=math.inf),
     "triplet_loss-tau-infinite": lambda: triplet_loss(np.ones(2), np.ones(2), np.ones(2),
                                                       math.inf),
@@ -292,13 +352,11 @@ def test_the_domain_check_copies_nothing():
 
 # phrases of a range rule in an error message
 RANGE_PHRASES = ("must be finite", "must lie in", "must be positive", "must be >= 0",
-                 "must be nonnegative")
+                 "must be nonnegative", "must be >=", "must be in [", "need at least")
 # (module, message text) of the raises that keep such a phrase, and why:
 KEPT = {
     # a shape rule on the feature axis, not a value rule
     ("geometry.py", "feature dimension must be positive"),
-    # one token of an OBJ file, named by its line
-    ("meshio.py", ": face indices must be positive"),
 }
 
 
@@ -318,3 +376,25 @@ def test_the_value_message_has_one_home():
     assert found == KEPT
     homes = sorted(p.name for p in src.glob("*.py") if "must be {rule}" in p.read_text())
     assert homes == ["model.py"]
+
+
+def _int_of_an_argument(fn):
+    """Every ``int(x)`` in ``fn`` whose ``x`` is a parameter of ``fn`` or a ``self.`` field."""
+    args = fn.args
+    params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int" and node.args:
+            arg = node.args[0]
+            if (isinstance(arg, ast.Name) and arg.id in params) or (
+                    isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "self"):
+                yield ast.unparse(node)
+
+
+def test_no_argument_becomes_an_integer_by_int():
+    """Integer arguments go through ``_as_array``; ``int()`` of one would truncate."""
+    src = Path(artikit.__file__).parent
+    found = [(p.name, text) for p in sorted(src.glob("*.py"))
+             for fn in ast.walk(ast.parse(p.read_text()))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for text in _int_of_an_argument(fn)]
+    assert found == []

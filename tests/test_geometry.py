@@ -510,7 +510,7 @@ class TestSparseVoxelGrid:
     @pytest.mark.parametrize(
         "resolution, ijk, dim, message",
         [
-            (0, [], 1, r"resolution must be in \[1, 65535\], got 0"),
+            (0, [], 1, r"resolution must be in \[1, 65535\]"),
             (8, [(0, 0, 0)], 0, "feature dimension must be positive"),
             (8, [(0, 0, 0), (1, 8, 2), (-1, 0, 0)], 1,
              r"cell \(1, 8, 2\) outside grid of resolution 8"),
@@ -610,13 +610,16 @@ class TestFormats:
         with pytest.raises(ParseError, match="duplicate cell keys"):
             load_grid(path)
 
-    @pytest.mark.parametrize("sizes", [(0, 2**32), (2**70, 0)], ids=["huge-dim", "huge-M"])
-    def test_features_sidecar_huge_size_with_empty_payload(self, tmp_path, sizes):
+    @pytest.mark.parametrize("sizes, message", [
+        ((0, 2**32), r"dim must be in \[0, 4294967295\]"),
+        ((2**70, 0), "M must be integers"),
+    ], ids=["huge-dim", "huge-M"])
+    def test_features_sidecar_huge_size_with_empty_payload(self, tmp_path, sizes, message):
         # the payload holds 4 * M * dim = 0 bytes, but no array has such a side
         path = tmp_path / "h.f32"
         path.write_bytes(b"")
         (tmp_path / "h.f32.json").write_text(json.dumps({"M": sizes[0], "dim": sizes[1]}))
-        with pytest.raises(ParseError, match="below 2"):
+        with pytest.raises(ParseError, match=message):
             load_features(path)
 
     def test_features_missing_sidecar_names_it(self, tmp_path):
@@ -645,5 +648,5 @@ class TestFormats:
         path = tmp_path / "h.f32"
         path.write_bytes(bytes(16))
         (tmp_path / "h.f32.json").write_text('{"M": -2, "dim": -2}')
-        with pytest.raises(ParseError, match="M >= 0 and dim >= 0"):
+        with pytest.raises(ParseError, match=r"M must be in \[0, 4294967295\]"):
             load_features(path)

@@ -48,7 +48,7 @@ def test_obj_quad_rejected(tmp_path):
 def test_obj_face_index_past_the_vertices_rejected(tmp_path):
     path = tmp_path / "f.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
-    with pytest.raises(ParseError, match="face vertex indices must be non-negative and "
+    with pytest.raises(ParseError, match="faces must be non-negative and "
                                          "below the vertex count 3"):
         load_obj(path)
 
@@ -65,7 +65,7 @@ def _ply_bytes(vertices, faces) -> bytes:
 def test_ply_face_index_outside_the_vertices_rejected(tmp_path, index):
     path = tmp_path / "f.ply"
     path.write_bytes(_ply_bytes([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, index]]))
-    with pytest.raises(ParseError, match="face vertex indices must be non-negative and "
+    with pytest.raises(ParseError, match="faces must be non-negative and "
                                          "below the vertex count 3"):
         load_ply(path)
 

@@ -9,6 +9,7 @@ import pytest
 
 import artikit
 from artikit.errors import GeometryError, ParseError, ValidationError
+from artikit.kinematics import apply_joint, sample_states
 from artikit.model import (
     ROOT_ID,
     ArticulatedModel,
@@ -109,10 +110,30 @@ class TestValidation:
          "joint axis not finite"),
         (lambda: JointSpec(JointType.PRISMATIC, [0, 0, 1], [0, 1.7e308, 0]),
          r"joint pivot above 1e\+30 in magnitude"),
-    ], ids=["limits-nan", "limits-1e31", "axis-nan", "pivot-1.7e308"])
+        (lambda: JointSpec("hinge", [0, 0, 1], [0, 0, 0]), "'hinge' is not a valid JointType"),
+    ], ids=["limits-nan", "limits-1e31", "axis-nan", "pivot-1.7e308", "type-hinge"])
     def test_a_joint_breaking_a_rule_cannot_be_built(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_a_joint_type_is_read_by_its_value(self):
+        slide = JointSpec("prismatic", [0, 0, 1], [0, 0, 0], JointLimits(0.5, 0.5))
+        assert slide.jtype is JointType.PRISMATIC
+        assert apply_joint(slide, 0.5, [0.1, 0, 0]).tolist() == [0.1, 0.0, 0.5]
+        assert JointSpec("fixed", [0, 0, 0], [0, 0, 0]).jtype is JointType.FIXED
+        spin = sample_states(JointLimits(), "continuous", 4)
+        assert spin.tolist() == sample_states(JointLimits(), JointType.CONTINUOUS, 4).tolist()
+
+    def test_an_unknown_joint_type_in_a_file_names_its_part(self, cabinet):
+        doc = model_to_dict(cabinet)
+        doc["parts"][1]["joint"]["type"] = "hinge"
+        with pytest.raises(ParseError, match=r"^parts\[1\]: 'hinge' is not a valid JointType$"):
+            model_from_dict(doc)
+
+    def test_a_built_tree_is_read_only(self, cabinet):
+        with pytest.raises(TypeError):
+            cabinet.tree.parent[1] = 2
+        assert cabinet.tree == KinematicTree({0: ROOT_ID, 1: 0})
 
     def test_nonfinite_point(self, cabinet):
         pts = np.array(cabinet.points)
@@ -370,9 +391,9 @@ class TestTypes:
             (([[0, 0, 0], [1e200, 0, 0], [0, 1e200, 0]], [[0, 1, 2]]), ValueError,
              r"vertices must be finite and at most 1e\+30 in magnitude"),
             ((triangle, [[0, 1, 3]]), ValueError,
-             "face vertex indices must be non-negative and below the vertex count 3"),
+             "faces must be non-negative and below the vertex count 3"),
             ((triangle, [[0, 1, -1]]), ValueError,
-             "face vertex indices must be non-negative and below the vertex count 3"),
+             "faces must be non-negative and below the vertex count 3"),
             ((triangle, np.zeros((0, 3))), GeometryError, "no face with nonzero area"),
             (([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2], [0, 0, 1]]), GeometryError,
              "no face with nonzero area"),
