@@ -1,8 +1,11 @@
-"""Deterministic JSON rendering with floats at 9 significant digits, the one JSON file reader,
-and the ``<path>.json`` sidecars that give the shape of raw binary payloads."""
+"""Deterministic JSON rendering with floats at 9 significant digits, and the
+file boundary: the one JSON file reader, the rule that turns a bad value in a
+file into ``ParseError``, the key check of JSON objects, and raw binary
+payloads with the ``<path>.json`` sidecar that gives their shape."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -66,13 +69,6 @@ def _write(obj, out: list, depth: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_sidecar(path, sizes: dict) -> None:
-    """Write the integer sizes of the payload at ``path`` to ``<path>.json``."""
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sizes, fh)
-        fh.write("\n")
-
-
 def read_json(path):
     """The decoded JSON document at ``path``; a missing or malformed file raises ParseError."""
     try:
@@ -86,12 +82,45 @@ def read_json(path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def read_sidecar(path, minimums: dict) -> tuple:
-    """Sizes named by ``minimums`` from ``<path>.json``, each an integer in [minimum, 2**32 - 1]."""
+@contextlib.contextmanager
+def parse_errors(where):
+    """Inside the block, a ValueError, TypeError, OverflowError or KeyError (a
+    value read from a file that breaks a rule) becomes ``ParseError("<where>: <exc>")``."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError, KeyError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def fields(obj: dict, keys: tuple, where: str) -> list:
+    """The values of ``keys`` in the JSON object ``obj``, in ``keys`` order; an
+    unknown key, then a missing one, raises ParseError naming ``where``."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ParseError(f"{where}: unknown key {unknown[0]!r}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ParseError(f"{where}: missing field {missing[0]!r}")
+    return [obj[key] for key in keys]
+
+
+def write_payload(path, data, sizes: dict) -> None:
+    """Write the raw bytes ``data`` to ``path`` and the integer ``sizes`` that
+    give its shape to ``<path>.json``."""
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+        json.dump(sizes, fh)
+        fh.write("\n")
+
+
+def read_payload(path, minimums: dict) -> tuple:
+    """``(sizes, data)``: the sizes named by ``minimums`` from ``<path>.json``,
+    each an integer in [minimum, 2**32 - 1], and the raw bytes at ``path``."""
     from .model import _as_array, _int_domain  # model imports this module
     meta = read_json(str(path) + ".json")
-    try:
-        return tuple(int(_as_array(meta[key], (), key, "int64", _int_domain(low, 2**32 - 1)))
-                     for key, low in minimums.items())
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: bad sidecar: {exc}") from exc
+    with parse_errors(f"{path}: bad sidecar"):
+        sizes = tuple(int(_as_array(meta[key], (), key, "int64", _int_domain(low, 2**32 - 1)))
+                      for key, low in minimums.items())
+    with open(path, "rb") as fh:
+        return sizes, fh.read()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _by_rows, _compiled_scipy
-from ._fmt import read_sidecar, write_sidecar
+from ._fmt import parse_errors, read_payload, write_payload
 from .errors import ParseError
 from .losses import DICE_EPS, _clamp_prob
 from .model import FINITE, UNIT_INTERVAL, _as_array, _frozen, _value_eq
@@ -339,12 +339,11 @@ def filter_queries(queries: QuerySet, threshold: float = 0.5) -> QuerySet:
 def save_masks(masks, path) -> None:
     """Write hard masks as packed bits or soft masks as f32 rows."""
     arr = _as_array(masks, ("N", "M"), "masks", dtype=None)
-    with open(path, "wb") as fh:
-        if arr.dtype == bool:
-            fh.write(np.packbits(arr, axis=1, bitorder="little").tobytes())
-        else:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    write_sidecar(path, {"rows": int(arr.shape[0]), "M": int(arr.shape[1])})
+    if arr.dtype == bool:
+        data = np.packbits(arr, axis=1, bitorder="little")
+    else:
+        data = np.ascontiguousarray(arr, dtype="<f4")
+    write_payload(path, data, {"rows": int(arr.shape[0]), "M": int(arr.shape[1])})
 
 
 def load_masks(path):
@@ -354,9 +353,7 @@ def load_masks(path):
     arrays, as read.  The two encodings are distinguished by file size, which
     can never collide.  Soft mask values must be finite and lie in [0, 1].
     """
-    rows, m = read_sidecar(path, {"rows": 0, "M": 1})
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    (rows, m), blob = read_payload(path, {"rows": 0, "M": 1})
     if rows == 0:
         if blob:
             raise ParseError(f"{path}: expected empty payload for rows=0")
@@ -369,10 +366,8 @@ def load_masks(path):
         return masks, False
     if len(blob) == f32_size:
         soft = np.frombuffer(blob, dtype="<f4").reshape(rows, m)
-        try:
+        with parse_errors(path):
             return _as_array(soft, (rows, m), "soft mask values", "<f4", UNIT_INTERVAL), True
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
     raise ParseError(
         f"{path}: size {len(blob)} matches neither bitset ({bits_size}) nor f32 ({f32_size})"
     )

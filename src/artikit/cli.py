@@ -65,10 +65,8 @@ def _load_json_array(path, shape, name: str, domain=None) -> np.ndarray:
         arr = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {name} must be a numeric array") from exc
-    try:
+    with _fmt.parse_errors(path):
         return _as_array(arr, shape, name, domain=domain)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _load_points_file(path) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _by_rows, _compiled_scipy, _thread_budget
-from ._fmt import read_sidecar, write_sidecar
+from ._fmt import parse_errors, read_payload, write_payload
 from .errors import GeometryError, ParseError
 from .model import (CUBE_HALF, _CUBE_TOL, FINITE, NON_NEGATIVE, TriMesh, _as_array, _int_domain,
                     _value_eq)
@@ -139,9 +139,9 @@ class SparseVoxelGrid:
         return self.features.shape[0]
 
     def features_at(self, ijk: np.ndarray) -> np.ndarray:
-        """Features for integer cell coordinates (M, 3); absent cells give zero."""
-        ijk = _as_array(ijk, np.shape(ijk)[:-1] + (3,), "ijk", np.int64)
+        """Features for integer cell coordinates (M, 3) in [0, R - 1]; absent cells give zero."""
         r = self.resolution
+        ijk = _as_array(ijk, np.shape(ijk)[:-1] + (3,), "ijk", np.int64, _int_domain(0, r - 1))
         keys = (ijk[..., 0] * r + ijk[..., 1]) * r + ijk[..., 2]
         return self._at_keys(keys.reshape(-1)).reshape(*keys.shape, self.feature_dim)
 
@@ -177,7 +177,7 @@ def load_grid(path) -> SparseVoxelGrid:
     offset += _GRID_HEADER.size
     if dim > MAX_GRID_FEATURE_DIM:
         raise ParseError(f"{path}: feature dimension {dim} exceeds {MAX_GRID_FEATURE_DIM}")
-    try:
+    with parse_errors(path):
         record = _grid_record(dim)
         size = offset + record.itemsize * n_active
         if len(blob) != size:
@@ -185,8 +185,6 @@ def load_grid(path) -> SparseVoxelGrid:
                              f"the header declares {size}")
         cells = np.frombuffer(blob, dtype=record, count=n_active, offset=offset)
         return SparseVoxelGrid(resolution, cells["ijk"], cells["f"])
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,15 +456,12 @@ def global_pool_concat(h, f_geo) -> np.ndarray:
 
 def save_features(features, path) -> None:
     feats = _as_array(features, ("M", "d"), "features")
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(feats, dtype="<f4"))
-    write_sidecar(path, {"M": int(feats.shape[0]), "dim": int(feats.shape[1])})
+    write_payload(path, np.ascontiguousarray(feats, dtype="<f4"),
+                  {"M": int(feats.shape[0]), "dim": int(feats.shape[1])})
 
 
 def load_features(path) -> np.ndarray:
-    m, dim = read_sidecar(path, {"M": 0, "dim": 0})
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    (m, dim), blob = read_payload(path, {"M": 0, "dim": 0})
     if len(blob) != 4 * m * dim:
         raise ParseError(f"{path}: expected {4 * m * dim} bytes for M={m}, dim={dim}")
     return np.frombuffer(blob, dtype="<f4").reshape(m, dim).astype(np.float64)

@@ -17,16 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._fmt import parse_errors
 from .errors import ParseError
 from .model import TriMesh, _as_array
-
-
-def _mesh(vertices: np.ndarray, faces: np.ndarray, path) -> TriMesh:
-    """The mesh a file holds; ParseError when its values break a ``TriMesh`` rule."""
-    try:
-        return TriMesh(vertices, faces)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_obj(path) -> TriMesh:
@@ -58,7 +51,8 @@ def load_obj(path) -> TriMesh:
             # other record types (vn, vt, usemtl, ...) are ignored
     if not vertices:
         raise ParseError(f"{path}: no vertices")
-    return _mesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64).reshape(-1, 3), path)
+    with parse_errors(path):
+        return TriMesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64).reshape(-1, 3))
 
 
 def save_obj(mesh: TriMesh, path) -> None:
@@ -156,7 +150,9 @@ def _read_ply(path) -> tuple:
 
 def load_ply(path) -> TriMesh:
     """Read a binary little-endian PLY mesh."""
-    return _mesh(*_read_ply(path), path)
+    vertices, faces = _read_ply(path)
+    with parse_errors(path):
+        return TriMesh(vertices, faces)
 
 
 def load_point_cloud_ply(path) -> np.ndarray:

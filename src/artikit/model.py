@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._fmt import fmt_float, read_json
+from ._fmt import fields as json_fields
+from ._fmt import fmt_float, parse_errors, read_json
 from .errors import GeometryError, ParseError, ValidationError
 
 ROOT_ID = -1
@@ -246,14 +247,19 @@ class PartSpec:
 
 @dataclass(frozen=True)
 class KinematicTree:
-    """Read-only parent map part-id -> parent part-id, with ROOT_ID for root attachment."""
+    """Read-only parent map part-id -> parent part-id, with ROOT_ID for root attachment.
+
+    Two keys that name one part id raise ``ValueError``."""
 
     parent: dict
 
     def __post_init__(self):
         ids = _as_array(list(self.parent), ("N",), "part ids", np.int64).tolist()
         parents = _as_array(list(self.parent.values()), ("N",), "parents", np.int64).tolist()
-        object.__setattr__(self, "parent", types.MappingProxyType(dict(zip(ids, parents))))
+        parent = dict(zip(ids, parents))
+        if len(parent) != len(ids):  # keys such as "1" and "01" name one part
+            raise ValueError("part ids must be distinct")
+        object.__setattr__(self, "parent", types.MappingProxyType(parent))
 
     def __reduce__(self):  # a mapping proxy can be neither copied nor pickled
         return KinematicTree, (dict(self.parent),)
@@ -441,21 +447,9 @@ def require_valid(model: ArticulatedModel) -> None:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-_MODEL_KEYS = {"points", "base_indices", "parts", "tree"}
-_PART_KEYS = {"id", "label", "point_indices", "joint"}
-_JOINT_KEYS = {"type", "axis", "pivot", "center", "span"}
-
-
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ParseError(f"{where}: unknown key {sorted(unknown)[0]!r}")
-
-
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ParseError(f"{where}: missing field {key!r}")
-    return mapping[key]
+_MODEL_KEYS = ("points", "base_indices", "parts", "tree")
+_PART_KEYS = ("id", "label", "point_indices", "joint")
+_JOINT_KEYS = ("type", "axis", "pivot", "center", "span")
 
 
 def model_to_dict(model: ArticulatedModel) -> dict:
@@ -489,17 +483,9 @@ def model_from_dict(data: dict) -> ArticulatedModel:
     """
     if not isinstance(data, dict):
         raise ParseError("document: expected a JSON object at top level")
-    _reject_unknown(data, _MODEL_KEYS, "document")
-
-    points = _require(data, "points", "document")
-    base_indices = _require(data, "base_indices", "document")
-    raw_parts = _require(data, "parts", "document")
-    raw_tree = _require(data, "tree", "document")
-
-    try:
+    points, base_indices, raw_parts, raw_tree = json_fields(data, _MODEL_KEYS, "document")
+    with parse_errors("points"):
         points = _as_array(points, ("M", 3), "points")
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ParseError(f"points: {exc}") from exc
 
     if not isinstance(raw_parts, list):
         raise ParseError("parts: expected an array")
@@ -508,47 +494,20 @@ def model_from_dict(data: dict) -> ArticulatedModel:
         where = f"parts[{k}]"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: expected an object")
-        _reject_unknown(raw, _PART_KEYS, where)
-        raw_joint = _require(raw, "joint", where)
+        part_id, label, point_indices, raw_joint = json_fields(raw, _PART_KEYS, where)
         if not isinstance(raw_joint, dict):
             raise ParseError(f"{where}.joint: expected an object")
-        _reject_unknown(raw_joint, _JOINT_KEYS, f"{where}.joint")
-        try:
-            joint = JointSpec(
-                jtype=_require(raw_joint, "type", f"{where}.joint"),
-                axis=_require(raw_joint, "axis", f"{where}.joint"),
-                pivot=_require(raw_joint, "pivot", f"{where}.joint"),
-                limits=JointLimits(
-                    center=_require(raw_joint, "center", f"{where}.joint"),
-                    span=_require(raw_joint, "span", f"{where}.joint"),
-                ),
-            )
-            part = PartSpec(
-                id=_require(raw, "id", where),
-                label=_require(raw, "label", where),
-                point_indices=_require(raw, "point_indices", where),
-                joint=joint,
-            )
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-        parts.append(part)
+        jtype, axis, pivot, center, span = json_fields(raw_joint, _JOINT_KEYS, f"{where}.joint")
+        with parse_errors(where):
+            joint = JointSpec(jtype, axis, pivot, JointLimits(center, span))
+            parts.append(PartSpec(part_id, label, point_indices, joint))
 
     if not isinstance(raw_tree, dict):
         raise ParseError("tree: expected an object")
-    try:
+    with parse_errors("tree"):
         tree = KinematicTree(raw_tree)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ParseError(f"tree: {exc}") from exc
-
-    try:
-        return ArticulatedModel(
-            points=points,
-            parts=tuple(parts),
-            tree=tree,
-            base_indices=base_indices,
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ParseError(f"document: {exc}") from exc
+    with parse_errors("document"):
+        return ArticulatedModel(points, tuple(parts), tree, base_indices)
 
 
 def load_model(path) -> ArticulatedModel:

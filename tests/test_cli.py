@@ -126,6 +126,16 @@ class TestEvaluate:
         assert captured.out == ""
         assert "violation: points[3]: outside the canonical cube [-0.5, 0.5]^3" in captured.err
 
+    def test_tree_keys_naming_one_part_twice_exit_2(self, cabinet_file, tmp_path, capsys):
+        doc = model_to_dict(build_cabinet())
+        doc["tree"] = {"0": -1, "1": 0, "01": -1}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert run(["evaluate", path, cabinet_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tree: part ids must be distinct\n"
+
     def test_non_list_parts_exits_2(self, cabinet_file, tmp_path, capsys):
         doc = model_to_dict(build_cabinet())
         doc["parts"] = 5

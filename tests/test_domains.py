@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 import artikit
+from artikit import _fmt, meshio
+from artikit import model as model_module
 from artikit.assignment import (MatchResult, QuerySet, SoftMaskSet, filter_queries, hungarian,
                                 matching_cost)
 from artikit.geometry import (SparseVoxelGrid, TriplaneStack, global_pool_concat,
@@ -376,6 +378,37 @@ def test_the_value_message_has_one_home():
     assert found == KEPT
     homes = sorted(p.name for p in src.glob("*.py") if "must be {rule}" in p.read_text())
     assert homes == ["model.py"]
+
+
+def _parse_errors_of_a_caught_exception(path: Path):
+    """The function of every ``raise ParseError(...)`` whose message embeds the
+    exception that an enclosing ``except ... as name`` caught."""
+    tree = ast.parse(path.read_text())
+    functions = [fn for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for handler in ast.walk(tree):
+        if not (isinstance(handler, ast.ExceptHandler) and handler.name):
+            continue
+        for node in ast.walk(handler):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ParseError"
+                    and any(isinstance(name, ast.Name) and name.id == handler.name
+                            for arg in node.exc.args for name in ast.walk(arg))):
+                # the innermost function holding the handler
+                yield max((fn for fn in functions if fn.lineno <= handler.lineno <= fn.end_lineno),
+                          key=lambda fn: fn.lineno).name
+
+
+def test_the_file_boundary_has_one_home():
+    """A bad value read from a file becomes ``ParseError`` in ``_fmt`` alone:
+    ``read_json`` for the JSON decode and ``parse_errors`` for everything else."""
+    src = Path(artikit.__file__).parent
+    found = {(p.name, fn) for p in sorted(src.glob("*.py"))
+             for fn in _parse_errors_of_a_caught_exception(p)}
+    assert found == {("_fmt.py", "read_json"), ("_fmt.py", "parse_errors")}
+    for module, name in ((model_module, "_reject_unknown"), (model_module, "_require"),
+                         (meshio, "_mesh"), (_fmt, "read_sidecar"), (_fmt, "write_sidecar")):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def _int_of_an_argument(fn):

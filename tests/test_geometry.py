@@ -523,6 +523,14 @@ class TestSparseVoxelGrid:
         with pytest.raises(ValueError, match=message):
             SparseVoxelGrid(resolution, ijk, np.ones((len(ijk), dim)))
 
+    @pytest.mark.parametrize("ijk", [[[0, 0, 8], [-1, 9, 0]], [[0, 0, 8]], [[-1, 9, 0]]],
+                             ids=["both", "past-R", "negative"])
+    def test_features_at_rejects_cells_outside_the_grid(self, ijk):
+        # (0, 0, 8) and (-1, 9, 0) have the flat key of the stored cell (0, 1, 0)
+        grid = SparseVoxelGrid(8, [[0, 1, 0]], [[5.0]])
+        with pytest.raises(ValueError, match=r"ijk must be in \[0, 7\]"):
+            grid.features_at(ijk)
+
 
 class TestFeaturesAt:
     CELLS = [[1, 2, 3], [0, 0, 1], [3, 4, 4]]  # keys 38, 1 and 99 at R = 5

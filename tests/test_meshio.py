@@ -53,6 +53,13 @@ def test_obj_face_index_past_the_vertices_rejected(tmp_path):
         load_obj(path)
 
 
+def test_obj_face_index_past_int64_rejected(tmp_path):
+    path = tmp_path / "f.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
+    with pytest.raises(ParseError, match="too large"):
+        load_obj(path)
+
+
 def _ply_bytes(vertices, faces) -> bytes:
     """A PLY file of artikit's layout, written by hand: ``TriMesh`` cannot hold
     the invalid meshes these tests read."""

@@ -211,6 +211,15 @@ class TestValidation:
         assert any("missing part 1" in v for v in violations)
         assert any("unknown part id 7" in v for v in violations)
 
+    def test_tree_keys_naming_one_part_twice_are_rejected(self, cabinet):
+        tree = {"0": -1, "1": 0, "01": -1}
+        with pytest.raises(ValueError, match="part ids must be distinct"):
+            KinematicTree(tree)
+        doc = model_to_dict(cabinet)
+        doc["tree"] = tree
+        with pytest.raises(ParseError, match="^tree: part ids must be distinct$"):
+            model_from_dict(doc)
+
     def test_self_parent(self, cabinet):
         violations = _violations(cabinet, tree=KinematicTree({0: ROOT_ID, 1: 1}))
         assert any("own parent" in v for v in violations)
