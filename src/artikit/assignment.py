@@ -16,7 +16,7 @@ from . import _by_rows, _compiled_scipy
 from ._fmt import parse_errors, read_payload, write_payload
 from .errors import ParseError
 from .losses import DICE_EPS, _clamp_prob
-from .model import FINITE, UNIT_INTERVAL, _as_array, _frozen, _value_eq
+from .model import FINITE, NON_NEGATIVE, UNIT_INTERVAL, _as_array, _frozen, _value_eq
 
 HARD_MASK_THRESHOLD = 0.5
 
@@ -37,11 +37,11 @@ class QuerySet:
     __eq__ = _value_eq
 
     def __post_init__(self):
-        pos = _frozen(self.positions, ("N", 3), "positions")
+        pos = _frozen(self.positions, ("N", 3), "positions", domain=FINITE)
         n = pos.shape[0]
-        con = _frozen(self.contents, (n, "d"), "contents")
+        con = _frozen(self.contents, (n, "d"), "contents", domain=FINITE)
         conf = _frozen(self.confidences, (n,), "confidences", domain=UNIT_INTERVAL)
-        logits = _frozen(self.part_logits, (n, "C"), "part_logits")
+        logits = _frozen(self.part_logits, (n, "C"), "part_logits", domain=FINITE)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "contents", con)
         object.__setattr__(self, "confidences", conf)
@@ -85,8 +85,8 @@ class MatchResult:
     total_cost: float
 
     def __post_init__(self):
-        pairs = _as_array(self.pairs if len(self.pairs) else np.zeros((0, 2)), ("P", 2), "pairs",
-                          np.int64)
+        pairs = _as_array(self.pairs if np.size(self.pairs) else np.zeros((0, 2)), ("P", 2),
+                          "pairs", np.int64)
         pairs = tuple(map(tuple, pairs.tolist()))
         unmatched = tuple(_as_array(self.unmatched_queries, ("U",), "unmatched_queries",
                                     np.int64).tolist())
@@ -98,13 +98,14 @@ class MatchResult:
             raise ValueError("a query cannot be both matched and unmatched")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "unmatched_queries", unmatched)
-        object.__setattr__(self, "total_cost", float(self.total_cost))
+        # no domain: a total of near-maximal finite costs may round to inf
+        object.__setattr__(self, "total_cost", float(_as_array(self.total_cost, (), "total_cost")))
 
 
 def compute_mask_logits(contents, features) -> SoftMaskSet:
     """Part-mask logits as the affinity between content queries and point features."""
-    con = _as_array(contents, ("N", "d"), "contents")
-    feats = _as_array(features, ("M", "d"), "features")
+    con = _as_array(contents, ("N", "d"), "contents", domain=FINITE)
+    feats = _as_array(features, ("M", "d"), "features", domain=FINITE)
     if con.shape[1] != feats.shape[1]:
         raise ValueError(
             f"feature dimension mismatch: contents {con.shape[1]} vs features {feats.shape[1]}"
@@ -138,7 +139,8 @@ def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
     filled = sizes > 0
     starts = (np.cumsum(sizes) - sizes)[filled]
     cost = np.empty((n, k))
-    w_bce, w_dice = float(w_bce), float(w_dice)
+    w_bce = float(_as_array(w_bce, (), "w_bce", domain=NON_NEGATIVE))
+    w_dice = float(_as_array(w_dice, (), "w_dice", domain=NON_NEGATIVE))
 
     def rows_of(rows):
         p, log_q, logit = np.empty(m), np.empty(m), np.empty(m)

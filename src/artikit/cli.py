@@ -60,13 +60,8 @@ def _diag(message: str) -> None:
 
 def _load_json_array(path, shape, name: str, domain=None) -> np.ndarray:
     """A JSON array file as a float64 array of ``shape`` and ``domain`` (see ``_as_array``)."""
-    data = _fmt.read_json(path)
-    try:
-        arr = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: {name} must be a numeric array") from exc
-    with _fmt.parse_errors(path):
-        return _as_array(arr, shape, name, domain=domain)
+    with _fmt.parse_errors(path):  # read_json raises ParseError, which passes through
+        return _as_array(_fmt.read_json(path), shape, name, domain=domain)
 
 
 def _load_points_file(path) -> np.ndarray:

@@ -35,8 +35,8 @@ import numpy as np
 from . import _by_rows, _compiled_scipy, _thread_budget
 from ._fmt import parse_errors, read_payload, write_payload
 from .errors import GeometryError, ParseError
-from .model import (CUBE_HALF, _CUBE_TOL, FINITE, NON_NEGATIVE, TriMesh, _as_array, _int_domain,
-                    _value_eq)
+from .model import (CUBE_HALF, FINITE, NON_NEGATIVE, TriMesh, _as_array, _int_domain, _magnitude,
+                    _outside_cube, _value_eq)
 
 #: stock configuration of the source pipeline
 DEFAULT_TRIPLANE_RESOLUTION = 128
@@ -49,6 +49,8 @@ MAX_GRID_FEATURE_DIM = 1024
 #: largest triplane resolution; a stack then holds at most 3 x 2048^2 nodes,
 #: 96 MiB of float64 per feature channel
 MAX_TRIPLANE_RESOLUTION = 2048
+#: the domain of point coordinates in a nearest-neighbour query: no squared distance overflows
+NN_MAGNITUDE = _magnitude(1e150)
 
 
 def _grid_record(dim: int) -> np.dtype:
@@ -58,12 +60,10 @@ def _grid_record(dim: int) -> np.dtype:
 
 def _check_in_cube(pts: np.ndarray) -> np.ndarray:
     """Error on non-finite points and points outside the cube beyond tolerance, then clamp."""
-    inside = np.abs(pts) <= CUBE_HALF + _CUBE_TOL
-    if not np.all(inside):
-        bad = int(np.flatnonzero(~inside.all(axis=1))[0])
-        raise GeometryError(
-            f"point {bad} outside the canonical cube [-0.5, 0.5]^3: {pts[bad].tolist()}"
-        )
+    bad = _outside_cube(pts)
+    if bad is not None:
+        raise GeometryError(f"point {bad} outside the canonical cube [-0.5, 0.5]^3: "
+                            f"{pts[bad].tolist()}")
     return np.clip(pts, -CUBE_HALF, CUBE_HALF)
 
 
@@ -97,7 +97,8 @@ class SparseVoxelGrid:
         resolution = int(_as_array(self.resolution, (), "resolution", np.int64,
                                    _int_domain(1, 0xFFFF)))
         ijk = _as_array(self.ijk, ("n", 3), "ijk", np.int64)
-        feats = _as_array(self.features, ("n", "d"), "features", np.float32)
+        with np.errstate(over="ignore"):  # a value past the float32 range reads inf
+            feats = _as_array(self.features, ("n", "d"), "features", np.float32)
         if len(feats) != len(ijk):
             raise ValueError(f"cell/feature count mismatch: {len(ijk)} vs {len(feats)}")
         if feats.shape[1] < 1:
@@ -204,7 +205,7 @@ class TriplaneStack:
 
     def __post_init__(self):
         r = int(_as_array(self.resolution, (), "resolution", np.int64, _int_domain(1)))
-        planes = _as_array(self.planes, (3, r, r, "d"), "planes")
+        planes = _as_array(self.planes, (3, r, r, "d"), "planes", domain=FINITE)
         weights = _as_array(self.weights, (3, r, r), "weights", domain=NON_NEGATIVE)
         object.__setattr__(self, "resolution", r)
         object.__setattr__(self, "planes", planes)
@@ -226,6 +227,7 @@ def sample_surface_points(mesh: TriMesh, count: int, seed: int) -> np.ndarray:
     trick.  Every ``TriMesh`` has a face of nonzero area.
     """
     count = int(_as_array(count, (), "count", np.int64, _int_domain(1)))
+    seed = int(_as_array(seed, (), "seed", np.int64, _int_domain(0)))
     areas = mesh.face_areas()
     total = float(areas.sum())
 
@@ -345,7 +347,7 @@ def triplane_scatter(points, features, resolution=DEFAULT_TRIPLANE_RESOLUTION) -
     weight), which makes the result invariant to duplicating a point.
     """
     pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
-    feats = _as_array(features, ("M", "d"), "features")
+    feats = _as_array(features, ("M", "d"), "features", domain=FINITE)
     if feats.shape[0] != pts.shape[0]:
         raise ValueError(
             f"point/feature count mismatch: {pts.shape[0]} vs {feats.shape[0]}"
@@ -426,8 +428,8 @@ def nearest_neighbors(from_points, to_points):
     each point is searched on its own, so distances, indices and ties do not
     depend on the split.
     """
-    src = _as_array(from_points, ("M", 3), "from_points")
-    dst = _as_array(to_points, ("N", 3), "to_points")
+    src = _as_array(from_points, ("M", 3), "from_points", domain=NN_MAGNITUDE)
+    dst = _as_array(to_points, ("N", 3), "to_points", domain=NN_MAGNITUDE)
     if dst.shape[0] == 0:
         raise ValueError("nearest_neighbors: 'to_points' must be non-empty")
     if src.shape[0] == 0:

@@ -95,8 +95,8 @@ def joint_transform(joint: JointSpec, value: float):
 def apply_joint(joint: JointSpec, value: float, points) -> np.ndarray:
     """Transform one point ``(3,)`` or a cloud ``(M, 3)`` by one joint: identity,
     translation, or rotation about the axis line through the pivot."""
-    pts = np.asarray(points, dtype=np.float64)
-    pts = _as_array(pts, (3,) if pts.ndim == 1 else ("M", 3), "points", domain=JOINT_MAGNITUDE)
+    shape = (3,) if np.ndim(points) == 1 else ("M", 3)
+    pts = _as_array(points, shape, "points", domain=JOINT_MAGNITUDE)
     rot, trans = joint_transform(joint, value)
     return pts @ rot.T + trans
 

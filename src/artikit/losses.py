@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FINITE, JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, JointLimits,
-                    JointSpec, JointType, _as_array, _frozen, _int_domain, _prob_rows, _value_eq)
+from .model import (FINITE, JOINT_MAGNITUDE, JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE,
+                    UNIT_INTERVAL, JointLimits, JointSpec, JointType, _as_array, _frozen,
+                    _int_domain, _prob_rows, _value_eq)
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -63,9 +64,9 @@ def triplet_loss(h_a, h_b, h_c, tau: float) -> float:
     three are vectors of one length.
     """
     tau = float(_as_array(tau, (), "tau", domain=POSITIVE))
-    a = _as_array(h_a, ("d",), "h_a", domain=FINITE)
-    b = _as_array(h_b, a.shape, "h_b", domain=FINITE)
-    c = _as_array(h_c, a.shape, "h_c", domain=FINITE)
+    a = _as_array(h_a, ("d",), "h_a", domain=JOINT_MAGNITUDE)
+    b = _as_array(h_b, a.shape, "h_b", domain=JOINT_MAGNITUDE)
+    c = _as_array(h_c, a.shape, "h_c", domain=JOINT_MAGNITUDE)
     x_ab = _cosine(a, b) / tau
     x_ac = _cosine(a, c) / tau
     x_bc = _cosine(b, c) / tau
@@ -79,8 +80,9 @@ def focal_loss(pred, gt, gamma: float = 2.0) -> float:
     """Mean focal loss -(1 - p_t)^gamma * log(p_t) over mask points."""
     pred = _clamp_prob(_as_array(pred, np.shape(pred), "pred", domain=UNIT_INTERVAL))
     gt = _as_array(gt, pred.shape, "gt", domain=UNIT_INTERVAL)
+    gamma = float(_as_array(gamma, (), "gamma", domain=NON_NEGATIVE))
     p_t = np.where(gt > 0.5, pred, 1.0 - pred)
-    return float(np.mean(-((1.0 - p_t) ** float(gamma)) * np.log(p_t)))
+    return float(np.mean(-((1.0 - p_t) ** gamma) * np.log(p_t)))
 
 
 def dice_loss(pred, gt) -> float:
@@ -123,7 +125,7 @@ class MotionPrediction:
     def __post_init__(self):
         shapes = {"type_logits": ("T",), "axis": (3,), "pivot": (3,), "center": (), "span": ()}
         for name, shape in shapes.items():
-            value = _frozen(getattr(self, name), shape, name, domain=FINITE)
+            value = _frozen(getattr(self, name), shape, name, domain=JOINT_MAGNITUDE)
             object.__setattr__(self, name, value if shape else float(value))
 
 

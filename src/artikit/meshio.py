@@ -36,18 +36,14 @@ def load_obj(path) -> TriMesh:
             if tag == "v":
                 if len(fields) < 4:
                     raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                try:
+                with parse_errors(f"{path}:{lineno}: bad vertex coordinate"):
                     vertices.append([float(c) for c in fields[1:4]])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad vertex coordinate") from exc
             elif tag == "f":
                 if len(fields) != 4:
                     raise ParseError(f"{path}:{lineno}: only triangular faces supported")
                 # OBJ counts from 1, so TriMesh takes an index below 1 as negative
-                try:
+                with parse_errors(f"{path}:{lineno}: bad face index"):
                     faces.append([int(token.split("/")[0]) - 1 for token in fields[1:4]])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad face index in {stripped!r}") from exc
             # other record types (vn, vt, usemtl, ...) are ignored
     if not vertices:
         raise ParseError(f"{path}: no vertices")

@@ -26,7 +26,8 @@ from . import _fan_out, _fmt
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .geometry import _sample_from_meshes, nearest_neighbor_distances, nearest_neighbors
 from .kinematics import part_transforms, pose, state_grid
-from .model import FINITE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array, _int_domain
+from .model import (JOINT_MAGNITUDE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array,
+                    _int_domain)
 from .model import require_valid  # unused: kept for perfbench/spans.py, which wraps it here
 
 _PARALLEL_EPS = 1e-9
@@ -38,16 +39,17 @@ _PIVOT_TYPES = (JointType.REVOLUTE, JointType.CONTINUOUS)
 
 
 def _cloud(points, name) -> np.ndarray:
-    pts = _as_array(points, ("M", 3), name)
+    pts = _as_array(points, ("M", 3), name, domain=JOINT_MAGNITUDE)
     if pts.shape[0] == 0:
         raise ValueError(f"{name} must be non-empty")
     return pts
 
 
 def _cd_fscore(a: np.ndarray, b: np.ndarray, tau: float):
-    """(Chamfer distance, F-score at tau) of two non-empty (M, 3) clouds.
+    """(Chamfer distance, F-score at tau) of two non-empty (M, 3) clouds of
+    coordinates within ``JOINT_MAGNITUDE`` or posed from them.
 
-    A twin is a finite row of one cloud equal to the row at the same index
+    A twin is a row of one cloud equal to the row at the same index
     of the other (so ``-0.0`` matches ``0.0``); it is its own nearest
     neighbour at distance exactly 0 in both directions and is not queried.
     The other rows are queried against the whole other cloud, so every
@@ -59,8 +61,7 @@ def _cd_fscore(a: np.ndarray, b: np.ndarray, tau: float):
     d_ab, d_ba = np.zeros(len(a)), np.zeros(len(b))
     ask_a, ask_b = np.ones(len(a), dtype=bool), np.ones(len(b), dtype=bool)
     if a.shape == b.shape:
-        # a non-finite row stays queried, so the KD-tree still rejects it
-        ask_a = ask_b = ~((a == b).all(axis=1) & np.isfinite(a).all(axis=1))
+        ask_a = ask_b = ~(a == b).all(axis=1)
     d_ab[ask_a], d_ba[ask_b] = _fan_out([lambda: nearest_neighbor_distances(a[ask_a], b),
                                          lambda: nearest_neighbor_distances(b[ask_b], a)])
     cd = float(np.mean(d_ab**2) + np.mean(d_ba**2))
@@ -84,8 +85,8 @@ def fscore(a, b, tau: float = 0.05) -> float:
 
 def axis_error(a_p, a_g) -> float:
     """Unsigned angular deviation between axis directions, in [0, pi/2]."""
-    ap = _as_array(a_p, (3,), "a_p", domain=FINITE)
-    ag = _as_array(a_g, (3,), "a_g", domain=FINITE)
+    ap = _as_array(a_p, (3,), "a_p", domain=JOINT_MAGNITUDE)
+    ag = _as_array(a_g, (3,), "a_g", domain=JOINT_MAGNITUDE)
     np_norm = float(np.linalg.norm(ap))
     ng_norm = float(np.linalg.norm(ag))
     if np_norm < _PARALLEL_EPS or ng_norm < _PARALLEL_EPS:
@@ -104,10 +105,10 @@ def pivot_error(o_p, a_p, o_g, a_g) -> float:
     that is the limit of the generic formula under an infinitesimal axis
     perturbation in the common-perpendicular direction.
     """
-    op = _as_array(o_p, (3,), "o_p", domain=FINITE)
-    og = _as_array(o_g, (3,), "o_g", domain=FINITE)
-    ap = _as_array(a_p, (3,), "a_p", domain=FINITE)
-    ag = _as_array(a_g, (3,), "a_g", domain=FINITE)
+    op = _as_array(o_p, (3,), "o_p", domain=JOINT_MAGNITUDE)
+    og = _as_array(o_g, (3,), "o_g", domain=JOINT_MAGNITUDE)
+    ap = _as_array(a_p, (3,), "a_p", domain=JOINT_MAGNITUDE)
+    ag = _as_array(a_g, (3,), "a_g", domain=JOINT_MAGNITUDE)
     if float(np.linalg.norm(ap)) < _PARALLEL_EPS or float(np.linalg.norm(ag)) < _PARALLEL_EPS:
         raise ValueError("pivot_error: zero-length axis")
     cross = np.cross(ap, ag)

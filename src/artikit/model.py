@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 import types
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
@@ -53,6 +54,7 @@ UNIT_INTERVAL = (0.0, 1.0, "finite and lie in [0, 1]")
 POSITIVE = (math.ulp(0.0), _FLOAT_MAX, "positive and finite")
 PROBABILITY = (0.0, 1 + PROB_ROW_TOL, f"finite and non-negative and at most 1 + {PROB_ROW_TOL:g}")
 JOINT_MAGNITUDE = _magnitude(MAX_JOINT_MAGNITUDE)
+JOINT_SPAN = (0.0, MAX_JOINT_MAGNITUDE, f"finite and lie in [0, {MAX_JOINT_MAGNITUDE:g}]")
 
 
 def _int_domain(low, high=_INT_MAX) -> tuple:
@@ -66,25 +68,28 @@ def _as_array(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
 
     Each entry of ``shape`` is an int, which fixes that axis's length, or a
     name such as ``"M"``, which allows any length: ``("M", 3)`` is a point
-    cloud and ``()`` a scalar.  An integer ``dtype`` casts integers and decimal
-    strings as numpy does; a fraction, NaN, inf, a bool or a value outside its
-    range raises ``ValueError("<name> must be integers")``.  With a ``domain``
-    ``(low, high, rule)``, every value must satisfy ``low <= v <= high``, or
-    ``ValueError("<name> must be <rule>")`` is raised.  An array that already
-    has the dtype is returned as it is, never copied.
+    cloud and ``()`` a scalar.  Only numbers pass: a string, bytes, a complex
+    value or an object (``None``) raises ``ValueError("<name> must be numbers")``,
+    and so does a bool unless ``dtype`` is ``bool`` or ``None`` (keep its own).
+    An integer ``dtype`` takes no fraction, NaN, inf, bool or value outside its
+    range: each raises ``ValueError("<name> must be integers")``.  With a
+    ``domain`` ``(low, high, rule)``, every value must satisfy ``low <= v <=
+    high``, or ``ValueError("<name> must be <rule>")`` is raised.  An array that
+    already has the dtype is returned as it is, never copied.
     """
-    if np.dtype(dtype).kind != "i":
-        arr = np.asarray(value, dtype=dtype)
-    else:  # cast only what is exact: numpy holds [2**63] as uint64, [2**64] as objects
-        arr, info = np.asarray(value), np.iinfo(dtype)
+    arr = np.asarray(value)
+    kind = "b" if dtype is None else np.dtype(dtype).kind
+    if arr.dtype.kind not in ("biuf" if kind == "b" else "iuf"):
+        raise ValueError(f"{name} must be {'integers' if kind == 'i' else 'numbers'}")
+    if kind == "i":  # cast only what is exact: numpy holds [2**63] as uint64
+        info = np.iinfo(dtype)
         if arr.dtype.kind == "f":  # NaN fails every comparison; -info.min is past info.max
             exact = np.all((arr == np.trunc(arr)) & (arr >= info.min) & (arr < -float(info.min)))
-        else:  # integers and strings
-            exact = arr.dtype.kind in "iuSU" and not (
-                arr.dtype.kind == "u" and arr.size and int(arr.max()) > info.max)
+        else:
+            exact = not (arr.dtype.kind == "u" and arr.size and int(arr.max()) > info.max)
         if not exact:
             raise ValueError(f"{name} must be integers")
-        arr = arr.astype(dtype, copy=False)
+    arr = arr if dtype is None else arr.astype(dtype, copy=False)
     if arr.ndim != len(shape) or any(
         not isinstance(want, str) and got != want for got, want in zip(arr.shape, shape)
     ):
@@ -168,22 +173,17 @@ class JointLimits:
 
     Units are radians for revolute/continuous joints and normalized object
     lengths for prismatic joints.  Fixed joints carry center = span = 0.  A
-    negative span, or a center or span not finite or above
-    ``MAX_JOINT_MAGNITUDE`` in magnitude, raises ``ValueError``.
+    center outside ``JOINT_MAGNITUDE`` or a span outside ``JOINT_SPAN``
+    raises ``ValueError`` (``_as_array``).
     """
 
     center: float = 0.0
     span: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "span", float(self.span))
-        if not (math.isfinite(self.center) and math.isfinite(self.span)):
-            raise ValueError("joint limits not finite")
-        if self.span < 0.0:
-            raise ValueError(f"joint limits violate span >= 0 (span={self.span!r})")
-        if max(abs(self.center), self.span) > MAX_JOINT_MAGNITUDE:
-            raise ValueError(f"joint limits above {MAX_JOINT_MAGNITUDE:g} in magnitude")
+        for name, domain in (("center", JOINT_MAGNITUDE), ("span", JOINT_SPAN)):
+            value = _as_array(getattr(self, name), (), f"joint {name}", domain=domain)
+            object.__setattr__(self, name, float(value))
 
     @property
     def lower(self) -> float:
@@ -199,10 +199,9 @@ class JointSpec:
     """One joint: type, unit axis direction, pivot point and motion limits.
 
     The pivot is kept for prismatic joints for schema symmetry even though
-    translation ignores it.  A ``jtype`` that is no ``JointType`` value, an axis
-    or pivot not finite, a pivot above ``MAX_JOINT_MAGNITUDE`` in magnitude,
-    nonzero limits on a fixed joint and a non-unit axis (``_unit_axis``) on a
-    moving one raise ``ValueError``.
+    translation ignores it.  A ``jtype`` that is no ``JointType``, an axis
+    outside ``FINITE``, a pivot outside ``JOINT_MAGNITUDE``, nonzero limits on a
+    fixed joint and a non-unit axis on a moving one raise ``ValueError``.
     """
 
     jtype: JointType
@@ -214,14 +213,9 @@ class JointSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "jtype", JointType(self.jtype))
-        object.__setattr__(self, "axis", _frozen(self.axis, (3,), "axis"))
-        object.__setattr__(self, "pivot", _frozen(self.pivot, (3,), "pivot"))
-        if not np.all(np.isfinite(self.axis)):
-            raise ValueError("joint axis not finite")
-        if not np.all(np.isfinite(self.pivot)):
-            raise ValueError("joint pivot not finite")
-        if np.abs(self.pivot).max() > MAX_JOINT_MAGNITUDE:
-            raise ValueError(f"joint pivot above {MAX_JOINT_MAGNITUDE:g} in magnitude")
+        object.__setattr__(self, "axis", _frozen(self.axis, (3,), "joint axis", domain=FINITE))
+        object.__setattr__(self, "pivot",
+                           _frozen(self.pivot, (3,), "joint pivot", domain=JOINT_MAGNITUDE))
         if self.jtype is not JointType.FIXED:
             _unit_axis(self.axis)
         elif self.limits != JointLimits():
@@ -247,18 +241,14 @@ class PartSpec:
 
 @dataclass(frozen=True)
 class KinematicTree:
-    """Read-only parent map part-id -> parent part-id, with ROOT_ID for root attachment.
-
-    Two keys that name one part id raise ``ValueError``."""
+    """Read-only parent map part-id -> parent part-id, with ROOT_ID for root attachment."""
 
     parent: dict
 
     def __post_init__(self):
-        ids = _as_array(list(self.parent), ("N",), "part ids", np.int64).tolist()
-        parents = _as_array(list(self.parent.values()), ("N",), "parents", np.int64).tolist()
-        parent = dict(zip(ids, parents))
-        if len(parent) != len(ids):  # keys such as "1" and "01" name one part
-            raise ValueError("part ids must be distinct")
+        # one value at a time: numpy reads [-1, True] as two integers
+        parent = {int(_as_array(pid, (), "part ids", np.int64)):
+                  int(_as_array(pa, (), "parents", np.int64)) for pid, pa in self.parent.items()}
         object.__setattr__(self, "parent", types.MappingProxyType(parent))
 
     def __reduce__(self):  # a mapping proxy can be neither copied nor pickled
@@ -362,6 +352,12 @@ def _tree_cycles(parent: dict) -> list:
     return cycles
 
 
+def _outside_cube(points: np.ndarray):
+    """The first row of ``points`` outside the canonical cube (NaN is), or None."""
+    inside = (np.abs(points) <= CUBE_HALF + _CUBE_TOL).all(axis=1)
+    return None if inside.all() else int(np.argmin(inside))
+
+
 def require_valid(model: ArticulatedModel) -> None:
     """Raise ``ValidationError`` unless the model keeps every type invariant.
 
@@ -377,10 +373,8 @@ def require_valid(model: ArticulatedModel) -> None:
     elif not np.all(np.isfinite(model.points)):
         bad = int(np.flatnonzero(~np.isfinite(model.points).all(axis=1))[0])
         out.append(f"points[{bad}]: component not finite")
-    else:
-        outside = np.flatnonzero((np.abs(model.points) > CUBE_HALF + _CUBE_TOL).any(axis=1))
-        if outside.size:
-            out.append(f"points[{int(outside[0])}]: outside the canonical cube [-0.5, 0.5]^3")
+    elif (outside := _outside_cube(model.points)) is not None:
+        out.append(f"points[{outside}]: outside the canonical cube [-0.5, 0.5]^3")
 
     part_ids = [p.id for p in model.parts]
     if len(set(part_ids)) != len(part_ids):
@@ -478,8 +472,9 @@ def model_to_dict(model: ArticulatedModel) -> dict:
 def model_from_dict(data: dict) -> ArticulatedModel:
     """Build a model from the articulation JSON schema; reject unknown keys.
 
-    Raises ParseError for structural problems and bad values, a bad joint among
-    them, and ValidationError when the parsed model violates an invariant.
+    A tree key, which JSON holds as text, must be ASCII ``-?[0-9]+``.  Raises
+    ParseError for structural problems and bad values, a bad joint among them,
+    and ValidationError when the parsed model violates an invariant.
     """
     if not isinstance(data, dict):
         raise ParseError("document: expected a JSON object at top level")
@@ -505,7 +500,12 @@ def model_from_dict(data: dict) -> ArticulatedModel:
     if not isinstance(raw_tree, dict):
         raise ParseError("tree: expected an object")
     with parse_errors("tree"):
-        tree = KinematicTree(raw_tree)
+        bad = [key for key in raw_tree if not re.fullmatch("-?[0-9]+", key)]
+        if bad:
+            raise ValueError(f"part ids must be integers, got {bad[0]!r}")
+        tree = KinematicTree({int(key): parent for key, parent in raw_tree.items()})
+        if len(tree.parent) != len(raw_tree):  # keys such as "1" and "01" name one part
+            raise ValueError("part ids must be distinct")
     with parse_errors("document"):
         return ArticulatedModel(points, tuple(parts), tree, base_indices)
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from artikit.model import (
     ArticulatedModel,
@@ -20,6 +21,14 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 _PATHS = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 if _SRC not in _PATHS:
     os.environ["PYTHONPATH"] = os.pathsep.join([_SRC] + _PATHS)
+
+#: settings of every fuzz and sweep property: derandomized, so each run draws
+#: the same examples
+FUZZ = settings(
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 _JOINT_CYCLE = (JointType.REVOLUTE, JointType.PRISMATIC, JointType.CONTINUOUS)
 

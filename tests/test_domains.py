@@ -4,7 +4,8 @@ A value outside an argument's domain raises ``ValueError("<name> must be
 <rule>")`` at each public entry point.  NaN fails every domain, values on a
 domain's bounds pass, and the range messages live in one module only.  An
 integer argument takes no fraction, bool or value past int64: each raises
-``ValueError("<name> must be integers")``.
+``ValueError("<name> must be integers")``.  Only numbers pass: a string, a
+bool or another non-number raises ``ValueError("<name> must be numbers")``.
 """
 
 import ast
@@ -17,10 +18,11 @@ import pytest
 import artikit
 from artikit import _fmt, meshio
 from artikit import model as model_module
-from artikit.assignment import (MatchResult, QuerySet, SoftMaskSet, filter_queries, hungarian,
-                                matching_cost)
-from artikit.geometry import (SparseVoxelGrid, TriplaneStack, global_pool_concat,
-                              sample_surface_points, triplane_scatter)
+from artikit.assignment import (MatchResult, QuerySet, SoftMaskSet, compute_mask_logits,
+                                filter_queries, hungarian, matching_cost)
+from artikit.geometry import (NN_MAGNITUDE, SparseVoxelGrid, TriplaneStack, global_pool_concat,
+                              nearest_neighbor_distances, sample_surface_points,
+                              triplane_scatter)
 from artikit.kinematics import (
     MAX_TREE_SCORE,
     TREE_SCORE,
@@ -45,10 +47,11 @@ from artikit.losses import (
     structure_loss,
     triplet_loss,
 )
-from artikit.metrics import axis_error, evaluate, fscore, pivot_error
+from artikit.metrics import axis_error, chamfer, evaluate, fscore, pivot_error
 from artikit.model import (
     FINITE,
     JOINT_MAGNITUDE,
+    JOINT_SPAN,
     MAX_JOINT_MAGNITUDE,
     NON_NEGATIVE,
     POSITIVE,
@@ -70,6 +73,7 @@ from tests.conftest import build_cabinet
 NAN = math.nan
 CLOUD = np.zeros((4, 3))
 PROB_RULE = f"finite and non-negative and at most 1 + {PROB_ROW_TOL:g}"
+JOINT_RULE = JOINT_MAGNITUDE[2]
 
 
 def _queries(confidences=(0.5, 0.5)):
@@ -143,7 +147,7 @@ NAN_ARGUMENTS = {
         "joint value must be finite"),
     "joint_transform-axis": (
         lambda: joint_transform(JointSpec(JointType.PRISMATIC, [0, NAN, 1], [0, 0, 0]), 0.0),
-        "joint axis not finite"),
+        "joint axis must be finite"),
     "rotation_about_axis-axis": (lambda: rotation_about_axis([NAN, 0.0, 1.0], 0.5),
                                  "axis must be finite"),
     "apply_joint-points": (
@@ -151,30 +155,31 @@ NAN_ARGUMENTS = {
                             _with_nan((2, 3), 4)),
         "points must be finite and at most 1e+30 in magnitude"),
     "MotionPrediction-type_logits": (lambda: _motion(type_logits=_with_nan(4, 1)),
-                                     "type_logits must be finite"),
-    "MotionPrediction-axis": (lambda: _motion(axis=[0, NAN, 1]), "axis must be finite"),
-    "MotionPrediction-pivot": (lambda: _motion(pivot=_with_nan(3, 2)), "pivot must be finite"),
-    "MotionPrediction-center": (lambda: _motion(center=NAN), "center must be finite"),
-    "MotionPrediction-span": (lambda: _motion(span=NAN), "span must be finite"),
+                                     f"type_logits must be {JOINT_RULE}"),
+    "MotionPrediction-axis": (lambda: _motion(axis=[0, NAN, 1]), f"axis must be {JOINT_RULE}"),
+    "MotionPrediction-pivot": (lambda: _motion(pivot=_with_nan(3, 2)),
+                               f"pivot must be {JOINT_RULE}"),
+    "MotionPrediction-center": (lambda: _motion(center=NAN), f"center must be {JOINT_RULE}"),
+    "MotionPrediction-span": (lambda: _motion(span=NAN), f"span must be {JOINT_RULE}"),
     "object_category_loss-logits": (lambda: object_category_loss([NAN, 0.0, 0.0], 0),
                                     "logits must be finite"),
-    "axis_error-a_p": (lambda: axis_error([NAN, 0, 0], [0, 0, 1]), "a_p must be finite"),
-    "axis_error-a_g": (lambda: axis_error([0, 0, 1], [0, NAN, 1]), "a_g must be finite"),
+    "axis_error-a_p": (lambda: axis_error([NAN, 0, 0], [0, 0, 1]), f"a_p must be {JOINT_RULE}"),
+    "axis_error-a_g": (lambda: axis_error([0, 0, 1], [0, NAN, 1]), f"a_g must be {JOINT_RULE}"),
     "pivot_error-o_p": (lambda: pivot_error([NAN, 0, 0], [0, 0, 1], [0, 0, 0], [0, 0, 1]),
-                        "o_p must be finite"),
+                        f"o_p must be {JOINT_RULE}"),
     "pivot_error-a_p": (lambda: pivot_error([0, 0, 0], [0, 0, NAN], [0, 0, 0], [0, 0, 1]),
-                        "a_p must be finite"),
+                        f"a_p must be {JOINT_RULE}"),
     "pivot_error-o_g": (lambda: pivot_error([0, 0, 0], [0, 0, 1], [0, NAN, 0], [0, 0, 1]),
-                        "o_g must be finite"),
+                        f"o_g must be {JOINT_RULE}"),
     "pivot_error-a_g": (lambda: pivot_error([0, 0, 0], [0, 0, 1], [0, 0, 0], [NAN, 0, 1]),
-                        "a_g must be finite"),
+                        f"a_g must be {JOINT_RULE}"),
     "focal_loss-gt": (lambda: focal_loss([0.5, 0.5], [1.0, NAN]),
                       "gt must be finite and lie in [0, 1]"),
     "dice_loss-gt": (lambda: dice_loss([0.5, 0.5], [NAN, 0.0]),
                      "gt must be finite and lie in [0, 1]"),
-    "triplet_loss-h_a": (lambda: _triplet(h_a=[NAN, 1.0]), "h_a must be finite"),
-    "triplet_loss-h_b": (lambda: _triplet(h_b=[1.0, NAN]), "h_b must be finite"),
-    "triplet_loss-h_c": (lambda: _triplet(h_c=[NAN, NAN]), "h_c must be finite"),
+    "triplet_loss-h_a": (lambda: _triplet(h_a=[NAN, 1.0]), f"h_a must be {JOINT_RULE}"),
+    "triplet_loss-h_b": (lambda: _triplet(h_b=[1.0, NAN]), f"h_b must be {JOINT_RULE}"),
+    "triplet_loss-h_c": (lambda: _triplet(h_c=[NAN, NAN]), f"h_c must be {JOINT_RULE}"),
     "focal_loss-pred": (lambda: focal_loss([NAN, 0.5], [1.0, 0.0]),
                         "pred must be finite and lie in [0, 1]"),
     "dice_loss-pred": (lambda: dice_loss([0.5, NAN], [1.0, 0.0]),
@@ -190,6 +195,38 @@ NAN_ARGUMENTS = {
                              "h must be finite"),
     "global_pool_concat-f_geo": (lambda: global_pool_concat(np.zeros((2, 3)), _with_nan((2, 1))),
                                  "f_geo must be finite"),
+    "JointLimits-center": (lambda: JointLimits(NAN, 0.25), f"joint center must be {JOINT_RULE}"),
+    "JointLimits-span": (lambda: JointLimits(0.5, NAN), f"joint span must be {JOINT_SPAN[2]}"),
+    "JointSpec-pivot": (lambda: JointSpec(JointType.REVOLUTE, [0, 0, 1], [NAN, 0, 0]),
+                        f"joint pivot must be {JOINT_RULE}"),
+    "matching_cost-w_bce": (lambda: matching_cost([[0.5]], [[True]], w_bce=NAN),
+                            "w_bce must be finite and non-negative"),
+    "matching_cost-w_dice": (lambda: matching_cost([[0.5]], [[True]], w_dice=NAN),
+                             "w_dice must be finite and non-negative"),
+    "focal_loss-gamma": (lambda: focal_loss([0.5], [1.0], NAN),
+                         "gamma must be finite and non-negative"),
+    "QuerySet-positions": (lambda: QuerySet(_with_nan((2, 3)), np.zeros((2, 4)), [0.5, 0.5],
+                                            np.zeros((2, 5))), "positions must be finite"),
+    "QuerySet-contents": (lambda: QuerySet(np.zeros((2, 3)), _with_nan((2, 4)), [0.5, 0.5],
+                                           np.zeros((2, 5))), "contents must be finite"),
+    "QuerySet-part_logits": (lambda: QuerySet(np.zeros((2, 3)), np.zeros((2, 4)), [0.5, 0.5],
+                                              _with_nan((2, 5))), "part_logits must be finite"),
+    "TriplaneStack-planes": (lambda: TriplaneStack(2, _with_nan((3, 2, 2, 1)), np.ones((3, 2, 2))),
+                             "planes must be finite"),
+    "triplane_scatter-features": (lambda: triplane_scatter(np.zeros((1, 3)), [[NAN]], 2),
+                                  "features must be finite"),
+    "compute_mask_logits-contents": (
+        lambda: compute_mask_logits(_with_nan((1, 2)), np.ones((3, 2))), "contents must be finite"),
+    "compute_mask_logits-features": (
+        lambda: compute_mask_logits(np.ones((1, 2)), _with_nan((3, 2))), "features must be finite"),
+    "nearest_neighbor_distances-from_points": (
+        lambda: nearest_neighbor_distances(_with_nan((2, 3)), CLOUD),
+        f"from_points must be {NN_MAGNITUDE[2]}"),
+    "nearest_neighbor_distances-to_points": (
+        lambda: nearest_neighbor_distances(CLOUD, _with_nan((2, 3))),
+        f"to_points must be {NN_MAGNITUDE[2]}"),
+    "chamfer-a": (lambda: chamfer(_with_nan((2, 3)), CLOUD), f"a must be {JOINT_RULE}"),
+    "fscore-b": (lambda: fscore(CLOUD, _with_nan((2, 3))), f"b must be {JOINT_RULE}"),
 }
 
 FIXED = JointSpec(JointType.FIXED, [0, 0, 1], [0, 0, 0])
@@ -231,6 +268,7 @@ INTEGER_ARGUMENTS = {
     "MatchResult-pairs": (lambda v: MatchResult([(v, v)], (), 0.0), "pairs"),
     "MatchResult-unmatched_queries": (lambda v: MatchResult((), [v], 0.0),
                                       "unmatched_queries"),
+    "sample_surface_points-seed": (lambda v: sample_surface_points(TRIANGLE, 1, v), "seed"),
 }
 # an integer argument rejects NaN, a fraction, a bool and a value past int64 alike
 NAN_ARGUMENTS.update({
@@ -293,9 +331,12 @@ def test_a_value_outside_the_domain_is_rejected(case):
         (POSITIVE, 5e-324, np.finfo(float).max),
         (PROBABILITY, 0.0, 1.0 + PROB_ROW_TOL),
         (JOINT_MAGNITUDE, -MAX_JOINT_MAGNITUDE, MAX_JOINT_MAGNITUDE),
+        (JOINT_SPAN, 0.0, MAX_JOINT_MAGNITUDE),
         (TREE_SCORE, -MAX_TREE_SCORE, MAX_TREE_SCORE),
+        (NN_MAGNITUDE, -1e150, 1e150),
     ],
-    ids=["finite", "non-negative", "unit", "positive", "probability", "joint", "tree-score"],
+    ids=["finite", "non-negative", "unit", "positive", "probability", "joint", "joint-span",
+         "tree-score", "nearest-neighbour"],
 )
 def test_the_bounds_are_in_the_domain_and_their_neighbours_are_not(domain, low, high):
     assert domain[:2] == (low, high)
@@ -338,6 +379,42 @@ def test_matching_cost_reads_a_nonzero_gt_value_as_membership():
     pred = np.array([[0.2, 0.7, 0.9, 0.4]])
     fractional = matching_cost(pred, [[0.5, 0.0, 1.0, -2.0]])
     assert fractional.tobytes() == matching_cost(pred, [[True, False, True, True]]).tobytes()
+
+
+@pytest.mark.parametrize("value", ["0.5", b"1", None, 1j, [0.5, "1"], [1, None], {"a": 1},
+                                   True, [True, False], 10**30],
+                         ids=["str", "bytes", "None", "complex", "str-entry", "None-entry",
+                              "dict", "bool", "bools", "past-uint64"])
+def test_only_numbers_pass(value):
+    """A string, bytes, None, a complex number, an object or a bool is no
+    number, whatever the wanted dtype; numpy holds an integer past uint64 as
+    an object, so it is none either."""
+    for dtype, word in ((np.float64, "numbers"), ("<f4", "numbers"), (np.int64, "integers")):
+        with pytest.raises(ValueError) as info:
+            _as_array(value, np.shape(value), "x", dtype)
+        assert str(info.value) == f"x must be {word}"
+    if not isinstance(np.asarray(value).flat[0], (bool, np.bool_)):
+        for dtype in (bool, None):
+            with pytest.raises(ValueError, match="^x must be numbers$"):
+                _as_array(value, np.shape(value), "x", dtype)
+
+
+def test_bool_and_none_dtypes_take_bools():
+    assert _as_array([True, False], ("N",), "x", bool).tolist() == [True, False]
+    assert _as_array([True], ("N",), "x", None).dtype == bool
+    assert _as_array([0.5, 2.0], ("N",), "x", bool).tolist() == [True, True]
+
+
+def test_a_bool_among_numbers_is_promoted_by_numpy():
+    """A known limit: numpy reads [0.1, False] as float64, so no rule sees the bool."""
+    assert _as_array([0.1, False], ("N",), "x").tolist() == [0.1, 0.0]
+
+
+def test_match_total_cost_is_a_number_of_any_size():
+    assert MatchResult((), (), math.inf).total_cost == math.inf
+    for value in ("1", True, None):
+        with pytest.raises(ValueError, match="^total_cost must be numbers$"):
+            MatchResult((), (), value)
 
 
 def test_an_empty_array_passes_every_domain():

@@ -5,7 +5,9 @@ grid file, or edits one of its header or sidecar fields.  The loaders may
 accept the result or reject it with ParseError or ValidationError, and nothing
 else; the CLI exits 0, 2 or 3.  A grid or a soft-mask file edited to hold a
 value outside its domain must raise ParseError, and a `tree` score or a
-model's joint value outside its domain must exit 2.
+model's joint value outside its domain must exit 2.  So must a number of a
+model document or a JSON sidecar written as text, or as a bool where one
+number belongs.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artikit.assignment import load_masks, save_masks
@@ -36,14 +38,7 @@ from artikit.geometry import (
 from artikit.kinematics import MAX_TREE_SCORE
 from artikit.meshio import load_ply, load_point_cloud_ply, save_ply, save_point_cloud_ply
 from artikit.model import MAX_JOINT_MAGNITUDE, TriMesh, load_model, model_to_dict, save_model
-from tests.conftest import build_cabinet
-
-FUZZ = settings(
-    derandomize=True,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
+from tests.conftest import FUZZ, build_cabinet
 
 def _grid(path):
     rng = np.random.default_rng(0)
@@ -389,3 +384,94 @@ def test_model_joint_values(data):
     assert code == 2, err.getvalue()
     assert f"error: parts[{part}]: joint" in err.getvalue()
     assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def _model_numbers(doc) -> list:
+    """``(path, where, name, word, scalar)`` of every number of a model
+    document: its path in ``doc``, the field its error names, the argument,
+    ``numbers`` or ``integers``, and whether it stands alone."""
+    sites = [(("points", i, j), "points", "points", "numbers", False)
+             for i in range(len(doc["points"])) for j in range(3)]
+    sites += [(("base_indices", i), "document", "base_indices", "integers", False)
+              for i in range(len(doc["base_indices"]))]
+    for k, part in enumerate(doc["parts"]):
+        where = f"parts[{k}]"
+        sites += [(("parts", k, key), where, key, "integers", True) for key in ("id", "label")]
+        sites += [(("parts", k, "point_indices", i), where, "point_indices", "integers", False)
+                  for i in range(len(part["point_indices"]))]
+        sites += [(("parts", k, "joint", key, i), where, f"joint {key}", "numbers", False)
+                  for key in ("axis", "pivot") for i in range(3)]
+        sites += [(("parts", k, "joint", key), where, f"joint {key}", "numbers", True)
+                  for key in ("center", "span")]
+    sites += [(("tree", key), "tree", "parents", "integers", True) for key in doc["tree"]]
+    return sites
+
+
+_DOC = model_to_dict(build_cabinet())
+_DOC_NUMBERS = _model_numbers(_DOC)
+
+
+def _not_a_number(data, value, scalar: bool):
+    """``value`` written as its decimal string, or, when it stands alone, as a bool."""
+    if scalar and data.draw(st.booleans()):
+        return data.draw(st.booleans())
+    return repr(value)
+
+
+def _run(argv) -> tuple:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@settings(FUZZ, max_examples=80)
+@given(data=st.data())
+def test_a_model_number_that_is_no_json_number_exits_2(data):
+    path, where, name, word, scalar = data.draw(st.sampled_from(_DOC_NUMBERS))
+    doc = json.loads(json.dumps(_DOC))
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = _not_a_number(data, node[last], scalar)
+    message = f"{where}: {name} must be {word}"
+    with tempfile.TemporaryDirectory() as tmp:
+        pred, gt = Path(tmp) / "pred.json", Path(tmp) / "gt.json"
+        pred.write_text(json.dumps(doc))
+        _model(gt)
+        with pytest.raises(ParseError) as info:
+            load_model(pred)
+        assert str(info.value) == message
+        assert _run(["evaluate", pred, gt]) == (2, f"error: {message}\n")
+
+
+# sidecar of a format -> (file name, artikit writer, loader, CLI argv or None)
+_SIDECARS = {
+    "bitset-masks": ("pred.bits", _bitset, load_masks, lambda d, f: ["match", f, d / "gt.bits"]),
+    "f32-masks": ("pred.f32", _soft, load_masks, lambda d, f: ["match", f, d / "gt.bits"]),
+    "features": ("feats.f32", _features, load_features, None),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_SIDECARS))
+@settings(FUZZ, max_examples=10)
+@given(data=st.data())
+def test_a_sidecar_size_that_is_no_json_number_raises_parse_error(fmt, data):
+    filename, write, load, argv = _SIDECARS[fmt]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        path = root / filename
+        write(path)
+        sidecar = Path(str(path) + ".json")
+        sizes = json.loads(sidecar.read_text())
+        key = data.draw(st.sampled_from(sorted(sizes)))
+        sizes[key] = _not_a_number(data, sizes[key], True)
+        sidecar.write_text(json.dumps(sizes))
+        message = f"{path}: bad sidecar: {key} must be integers"
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == message
+        if argv is not None:
+            _bitset(root / "gt.bits")
+            assert _run(argv(root, path)) == (2, f"error: {message}\n")

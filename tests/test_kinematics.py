@@ -96,7 +96,8 @@ class TestApplyJoint:
 
     @pytest.mark.filterwarnings("error")
     def test_a_pivot_that_would_overflow_posing_cannot_be_built(self):
-        with pytest.raises(ValueError, match=r"joint pivot above 1e\+30 in magnitude"):
+        with pytest.raises(ValueError,
+                           match=r"joint pivot must be finite and at most 1e\+30 in magnitude"):
             apply_joint(JointSpec(JointType.REVOLUTE, [0, 0, 1], [1.7e308, -1.7e308, 0],
                                   JointLimits(0.5, 0.5)), 0.5, [[0.1, 0, 0]])
 

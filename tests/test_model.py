@@ -95,7 +95,7 @@ class TestValidation:
             JointSpec(JointType.REVOLUTE, [0, 0, 0], door.pivot, door.limits)
 
     def test_negative_span(self):
-        with pytest.raises(ValueError, match=r"joint limits violate span >= 0 \(span=-0.1\)"):
+        with pytest.raises(ValueError, match=r"joint span must be finite and lie in \[0, 1e\+30\]"):
             JointLimits(0.5, -0.1)
 
     def test_fixed_with_nonzero_limits(self, cabinet):
@@ -104,12 +104,12 @@ class TestValidation:
             JointSpec(JointType.FIXED, body.axis, body.pivot, JointLimits(0.1, 0.0))
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: JointLimits(math.nan, 1), "joint limits not finite"),
-        (lambda: JointLimits(-1e31, 0), r"joint limits above 1e\+30 in magnitude"),
+        (lambda: JointLimits(math.nan, 1), r"joint center must be finite and at most 1e\+30"),
+        (lambda: JointLimits(-1e31, 0), r"joint center must be finite and at most 1e\+30"),
         (lambda: JointSpec(JointType.REVOLUTE, [0, math.nan, 1], [0, 0, 0]),
-         "joint axis not finite"),
+         "joint axis must be finite"),
         (lambda: JointSpec(JointType.PRISMATIC, [0, 0, 1], [0, 1.7e308, 0]),
-         r"joint pivot above 1e\+30 in magnitude"),
+         r"joint pivot must be finite and at most 1e\+30 in magnitude"),
         (lambda: JointSpec("hinge", [0, 0, 1], [0, 0, 0]), "'hinge' is not a valid JointType"),
     ], ids=["limits-nan", "limits-1e31", "axis-nan", "pivot-1.7e308", "type-hinge"])
     def test_a_joint_breaking_a_rule_cannot_be_built(self, build, message):
@@ -213,12 +213,25 @@ class TestValidation:
 
     def test_tree_keys_naming_one_part_twice_are_rejected(self, cabinet):
         tree = {"0": -1, "1": 0, "01": -1}
-        with pytest.raises(ValueError, match="part ids must be distinct"):
-            KinematicTree(tree)
+        with pytest.raises(ValueError, match="^part ids must be integers$"):
+            KinematicTree(tree)  # text is no part id; model_from_dict reads the keys
         doc = model_to_dict(cabinet)
         doc["tree"] = tree
         with pytest.raises(ParseError, match="^tree: part ids must be distinct$"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["a", "1.5", " 1", "+1", "1_0", "\u0661", ""])
+    def test_a_tree_key_that_is_no_ascii_integer_is_rejected(self, cabinet, key):
+        doc = model_to_dict(cabinet)
+        doc["tree"] = {"0": -1, key: 0}
+        with pytest.raises(ParseError) as info:
+            model_from_dict(doc)
+        assert str(info.value) == f"tree: part ids must be integers, got {key!r}"
+
+    def test_tree_keys_are_read_as_integers(self, cabinet):
+        doc = model_to_dict(cabinet)
+        doc["tree"] = {"00": -1, "1": 0}
+        assert model_from_dict(doc).tree.parent == {0: -1, 1: 0}
 
     def test_self_parent(self, cabinet):
         violations = _violations(cabinet, tree=KinematicTree({0: ROOT_ID, 1: 1}))
@@ -230,7 +243,7 @@ class TestValidation:
         door = cabinet.parts[1].joint
         with pytest.raises(ValueError, match="joint axis not unit length"):
             JointSpec(JointType.PRISMATIC, [0.5, 0, 0], door.pivot, door.limits)
-        with pytest.raises(ValueError, match="joint pivot not finite"):
+        with pytest.raises(ValueError, match=r"joint pivot must be finite and at most 1e\+30"):
             JointSpec(door.jtype, door.axis, [np.inf, 0, 0], door.limits)
         mutations = [
             dict(tree=KinematicTree({0: ROOT_ID, 1: 99})),

@@ -63,9 +63,9 @@ def _cabinet(points):
 
 # entry point -> (call with one wrong-shaped argument, the message it must give)
 WRONG_SHAPES = {
-    "JointSpec-axis": (lambda: _joint(axis=(0, 1)), "axis must have shape (3,), got (2,)"),
+    "JointSpec-axis": (lambda: _joint(axis=(0, 1)), "joint axis must have shape (3,), got (2,)"),
     "JointSpec-pivot": (lambda: _joint(pivot=np.zeros((1, 3))),
-                        "pivot must have shape (3,), got (1, 3)"),
+                        "joint pivot must have shape (3,), got (1, 3)"),
     "PartSpec-point_indices": (lambda: PartSpec(0, 0, [[0, 1]], _joint()),
                                "point_indices must have shape (N,), got (1, 2)"),
     "ArticulatedModel-points": (lambda: _cabinet(np.zeros((75, 2))),
