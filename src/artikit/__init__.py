@@ -18,9 +18,9 @@ def _threads_setting() -> int:
 
 
 def _thread_budget() -> int:
-    """Threads the nearest-neighbour queries, grid kernels and matching cost
-    may use: the CPUs this process may run on, capped by ``ARTIKIT_THREADS``
-    when that is set.  Read at each call."""
+    """Threads the nearest-neighbour queries and grid kernels may use: the
+    CPUs this process may run on, capped by ``ARTIKIT_THREADS`` when that is
+    set.  Read at each call."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:

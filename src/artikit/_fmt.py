@@ -70,16 +70,51 @@ def _write(obj, out: list, depth: int) -> None:
 
 
 def read_json(path):
-    """The decoded JSON document at ``path``; a missing or malformed file raises ParseError."""
+    """The decoded JSON document at ``path``; a missing or malformed file, or
+    one holding a ``true`` or ``false`` anywhere, raises ParseError.
+
+    No artikit file holds a bool, and numpy would read one among numbers as 0
+    or 1, so the first bool is named by its path, such as ``points[17][1]``.
+    The document is walked only when the raw bytes hold either literal.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        doc = json.loads(blob.decode("utf-8"))
     except FileNotFoundError as exc:
         raise ParseError(f"{path}: file not found") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
         # longer than the interpreter's digit limit; RecursionError, nesting
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if b"true" in blob or b"false" in blob:
+        found = _first_bool(doc)
+        if found is not None:
+            raise ParseError(f"{path}: {found[0]} must be a number, not {json.dumps(found[1])}")
+    return doc
+
+
+def _first_bool(doc):
+    """``(path, value)`` of the first bool of ``doc`` in document order, or None."""
+    stack = [("document", doc)]
+    while stack:
+        where, node = stack.pop()
+        if isinstance(node, bool):
+            return where, node
+        # only a bool or a container can hold a bool
+        if isinstance(node, dict):
+            stack.extend(reversed([(_key_path(where, key), value) for key, value in node.items()
+                                   if isinstance(value, (bool, dict, list))]))
+        elif isinstance(node, list):
+            stack.extend(reversed([(f"{where}[{i}]", value) for i, value in enumerate(node)
+                                   if isinstance(value, (bool, dict, list))]))
+    return None
+
+
+def _key_path(where: str, key: str) -> str:
+    if not key.isidentifier():
+        return f"{where}[{json.dumps(key)}]"
+    return key if where == "document" else f"{where}.{key}"
 
 
 @contextlib.contextmanager

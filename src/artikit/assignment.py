@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _by_rows, _compiled_scipy
+from . import _compiled_scipy
 from ._fmt import parse_errors, read_payload, write_payload
 from .errors import ParseError
 from .losses import DICE_EPS, _clamp_prob
@@ -110,7 +110,9 @@ def compute_mask_logits(contents, features) -> SoftMaskSet:
         raise ValueError(
             f"feature dimension mismatch: contents {con.shape[1]} vs features {feats.shape[1]}"
         )
-    return SoftMaskSet(logits=con @ feats.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # SoftMaskSet rejects a non-finite logit
+        logits = con @ feats.T
+    return SoftMaskSet(logits=logits)
 
 
 def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
@@ -119,9 +121,7 @@ def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
     Predictions must lie in [0, 1] and are clamped to [1e-7, 1 - 1e-7] before
     the log terms; a nonzero GT value marks a member point.  Each query row is
     computed on its own, without BLAS, so its cost row depends only on its own
-    values: equal rows get equal bytes.  The rows are split into contiguous
-    ranges across the thread budget (``ARTIKIT_THREADS``), which therefore
-    does not change the result.
+    values: equal rows get equal bytes.
     """
     pred = _as_array(pred_soft, ("N", "M"), "pred_soft", None, UNIT_INTERVAL)
     gt = _as_array(gt_masks, ("K", "M"), "gt_masks", bool)
@@ -141,25 +141,22 @@ def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
     cost = np.empty((n, k))
     w_bce = float(_as_array(w_bce, (), "w_bce", domain=NON_NEGATIVE))
     w_dice = float(_as_array(w_dice, (), "w_dice", domain=NON_NEGATIVE))
-
-    def rows_of(rows):
-        p, log_q, logit = np.empty(m), np.empty(m), np.empty(m)
-        in_logit, in_p = np.zeros(k), np.zeros(k)
-        for i in range(rows.start, rows.stop):
-            p[...] = pred[i]  # float64 first, so the bounds are not rounded to float32
-            _clamp_prob(p, out=p)
-            np.log1p(np.negative(p, out=log_q), out=log_q)
-            np.subtract(np.log(p, out=logit), log_q, out=logit)
-            in_logit[filled] = np.add.reduceat(logit[members], starts)
-            in_p[filled] = np.add.reduceat(p[members], starts)
-            # log p over G_j and log(1 - p) off it: the row total of
-            # log(1 - p) plus log p - log(1 - p) over G_j
-            bce = -(log_q.sum() + in_logit) / m
-            dice = 1.0 - 2.0 * in_p / (p.sum() + sizes + DICE_EPS)
+    p, log_q, logit = np.empty(m), np.empty(m), np.empty(m)
+    in_logit, in_p = np.zeros(k), np.zeros(k)
+    for i in range(n):
+        p[...] = pred[i]  # float64 first, so the bounds are not rounded to float32
+        _clamp_prob(p, out=p)
+        np.log1p(np.negative(p, out=log_q), out=log_q)
+        np.subtract(np.log(p, out=logit), log_q, out=logit)
+        in_logit[filled] = np.add.reduceat(logit[members], starts)
+        in_p[filled] = np.add.reduceat(p[members], starts)
+        # log p over G_j and log(1 - p) off it: the row total of
+        # log(1 - p) plus log p - log(1 - p) over G_j
+        bce = -(log_q.sum() + in_logit) / m
+        dice = 1.0 - 2.0 * in_p / (p.sum() + sizes + DICE_EPS)
+        with np.errstate(over="ignore"):  # huge weights: the domain check below rejects inf
             cost[i] = w_bce * bce + w_dice * dice
-
-    _by_rows(n, rows_of)
-    return cost
+    return _as_array(cost, (n, k), "matching cost", domain=FINITE)
 
 
 def _row_order_total(cost: np.ndarray, pairs) -> float:
@@ -208,12 +205,14 @@ def hungarian(cost) -> MatchResult:
         # still take every free column
         may_skip = len(rows_left) >= len(free_cols)
         rest = _optimal_rest(matrix, rows_left, free_cols)
-        estimates = (
-            _row_order_total(matrix, committed)
-            + sum(float(matrix[q, g]) for q, g in rest)
-            + matrix[row, free_cols]
-            + _removal_costs(matrix, rest, free_cols, may_skip)
-        )
+        # an estimate may overflow only where tol is inf and every candidate is solved
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimates = (
+                _row_order_total(matrix, committed)
+                + sum(float(matrix[q, g]) for q, g in rest)
+                + matrix[row, free_cols]
+                + _removal_costs(matrix, rest, free_cols, may_skip)
+            )
 
         totals = {}
         lowest = np.inf
@@ -314,9 +313,11 @@ def residual_update(queries: QuerySet, delta_p, delta_c) -> QuerySet:
     """Additive refinement of positions and contents; other fields unchanged."""
     dp = _as_array(delta_p, queries.positions.shape, "delta_p")
     dc = _as_array(delta_c, queries.contents.shape, "delta_c")
+    with np.errstate(over="ignore", invalid="ignore"):  # QuerySet rejects a non-finite value
+        positions, contents = queries.positions + dp, queries.contents + dc
     return QuerySet(
-        positions=queries.positions + dp,
-        contents=queries.contents + dc,
+        positions=positions,
+        contents=contents,
         confidences=queries.confidences,
         part_logits=queries.part_logits,
     )

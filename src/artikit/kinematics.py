@@ -235,7 +235,7 @@ def pairwise_affinity(part_probs, compat, root_scores=None) -> AffinityMatrix:
     trained root embedding can pass their own.
     """
     probs = _prob_rows(part_probs, ("N", "N_c"), "part_probs")
-    comp = _as_array(compat, (probs.shape[1],) * 2, "compat")
+    comp = _as_array(compat, (probs.shape[1],) * 2, "compat", domain=TREE_SCORE)
     scores = probs @ comp @ probs.T
     if root_scores is None:
         root_scores = np.zeros(probs.shape[0])
@@ -248,7 +248,8 @@ def parent_distribution(aff: AffinityMatrix) -> ParentDistribution:
     cand = np.concatenate([aff.scores, aff.root_scores[:, None]], axis=1)
     mask = np.eye(n, n + 1, dtype=bool)
     cand = np.where(mask, -np.inf, cand)
-    cand -= cand.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a gap past the float range reads -inf: probability 0
+        cand -= cand.max(axis=1, keepdims=True)
     expd = np.exp(cand)
     probs = expd / expd.sum(axis=1, keepdims=True)
     probs[mask] = 0.0

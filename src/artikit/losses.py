@@ -106,8 +106,9 @@ def confidence_loss(c_hat: float, u: float, beta: float = 2.0) -> float:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - math.log(float(np.exp(shifted).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap past the float range reads -inf
+        shifted = logits - logits.max()
+        return shifted - math.log(float(np.exp(shifted).sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +159,7 @@ def motion_loss(pred: MotionPrediction, gt: JointSpec, weights: LossWeights = DE
         + weights.origin * l_origin
         + weights.limit * l_limit
     )
-    return total, breakdown
+    return float(_as_array(total, (), "motion loss", domain=FINITE)), breakdown
 
 
 def structure_loss(parent_probs, gt_parents) -> float:
@@ -177,7 +178,8 @@ def object_category_loss(logits, gt_index: int) -> float:
     """Softmax cross-entropy for the auxiliary object-category head."""
     logits = _as_array(logits, ("C",), "logits", domain=FINITE)
     gt_index = int(_as_array(gt_index, (), "gt_index", np.int64, _int_domain(0, logits.size - 1)))
-    return float(-_log_softmax(logits)[gt_index])
+    loss = -_log_softmax(logits)[gt_index]
+    return float(_as_array(loss, (), "object category loss", domain=FINITE))
 
 
 _STAGE_TERMS = {1: ("triplet",), 2: ("obj",), 3: ("triplet", "mask", "score", "motion"), 4: ("struct",)}
@@ -198,12 +200,13 @@ def stage_loss(stage: int, components, weights: LossWeights = DEFAULT_WEIGHTS, r
     ramp = float(_as_array(ramp, (), "ramp", domain=NON_NEGATIVE))
     if stage != 3:
         return terms[_STAGE_TERMS[stage][0]]
-    return (
+    total = (
         weights.triplet * terms["triplet"]
         + weights.mask * terms["mask"]
         + weights.score * terms["score"]
         + ramp * weights.motion * terms["motion"]
     )
+    return float(_as_array(total, (), "stage loss", domain=FINITE))
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,9 @@ def _as_array(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
     value or an object (``None``) raises ``ValueError("<name> must be numbers")``,
     and so does a bool unless ``dtype`` is ``bool`` or ``None`` (keep its own).
     An integer ``dtype`` takes no fraction, NaN, inf, bool or value outside its
-    range: each raises ``ValueError("<name> must be integers")``.  With a
+    range, and no float of magnitude 2**53 or more, which may stand for
+    several integers (numpy makes a float of ``[2**53 + 1, 0.0]``): each
+    raises ``ValueError("<name> must be integers")``.  With a
     ``domain`` ``(low, high, rule)``, every value must satisfy ``low <= v <=
     high``, or ``ValueError("<name> must be <rule>")`` is raised.  An array that
     already has the dtype is returned as it is, never copied.
@@ -84,7 +86,8 @@ def _as_array(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
     if kind == "i":  # cast only what is exact: numpy holds [2**63] as uint64
         info = np.iinfo(dtype)
         if arr.dtype.kind == "f":  # NaN fails every comparison; -info.min is past info.max
-            exact = np.all((arr == np.trunc(arr)) & (arr >= info.min) & (arr < -float(info.min)))
+            exact = np.all((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**53)
+                           & (arr >= info.min) & (arr < -float(info.min)))
         else:
             exact = not (arr.dtype.kind == "u" and arr.size and int(arr.max()) > info.max)
         if not exact:

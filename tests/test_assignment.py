@@ -1,12 +1,10 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import artikit
 from artikit import assignment
 from artikit.assignment import (
     MatchResult,
@@ -123,14 +121,9 @@ class TestMatchingCost:
         np.testing.assert_array_equal(pred, before)  # the caller's array is not clipped
 
     @pytest.mark.parametrize("m", [2000, 2001])
-    @pytest.mark.parametrize("threads", ["1", None])
-    def test_twin_query_rows_get_identical_cost_rows(self, monkeypatch, m, threads):
+    def test_twin_query_rows_get_identical_cost_rows(self, m):
         """Twins in opposite halves of the query list, GT as disjoint labels
-        with 10% of the bits flipped, serial and at the usable CPUs."""
-        if threads is None:
-            monkeypatch.delenv("ARTIKIT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("ARTIKIT_THREADS", threads)
+        with 10% of the bits flipped."""
         rng = np.random.default_rng(0)
         gt = rng.integers(0, 10, m) == np.arange(10)[:, None]
         distinct = gt[:5] ^ (rng.random((5, m)) < 0.1)
@@ -148,27 +141,9 @@ class TestMatchingCost:
             alone = matching_cost(pred[i : i + 1], gt, w_bce=0.5, w_dice=2.0)
             assert alone.tobytes() == cost[i : i + 1].tobytes()
 
-    def test_more_threads_than_cores_switching_fast(self, monkeypatch):
-        """Seven threads write their rows of one cost matrix while the
-        interpreter switches between them every microsecond."""
-        rng = np.random.default_rng(14)
-        gt = rng.random((5, 997)) < 0.3
-        pred = rng.random((23, 997))
-        monkeypatch.setattr(artikit, "_thread_budget", lambda: 1)
-        serial = matching_cost(pred, gt).tobytes()
-        monkeypatch.setattr(artikit, "_thread_budget", lambda: 7)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            split = [matching_cost(pred, gt).tobytes() for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
-        assert split == [serial] * 5
-
-    def test_working_set_is_a_few_rows(self, monkeypatch):
+    def test_working_set_is_a_few_rows(self):
         """No (N, M) or (K, M) float64 array: the peak traced allocation of a
-        serial call stays below eight float64 rows of M points."""
-        monkeypatch.setenv("ARTIKIT_THREADS", "1")
+        call stays below eight float64 rows of M points."""
         rng = np.random.default_rng(13)
         m = 20000
         gt = rng.integers(0, 24, m) == np.arange(24)[:, None]

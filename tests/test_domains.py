@@ -9,6 +9,7 @@ bool or another non-number raises ``ValueError("<name> must be numbers")``.
 """
 
 import ast
+import json
 import math
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 
 import artikit
 from artikit import _fmt, meshio
+from artikit.cli import main
 from artikit import model as model_module
 from artikit.assignment import (MatchResult, QuerySet, SoftMaskSet, compute_mask_logits,
                                 filter_queries, hungarian, matching_cost)
@@ -67,6 +69,8 @@ from artikit.model import (
     TriMesh,
     _as_array,
     _frozen,
+    model_to_dict,
+    save_model,
 )
 from tests.conftest import build_cabinet
 
@@ -225,6 +229,8 @@ NAN_ARGUMENTS = {
     "nearest_neighbor_distances-to_points": (
         lambda: nearest_neighbor_distances(CLOUD, _with_nan((2, 3))),
         f"to_points must be {NN_MAGNITUDE[2]}"),
+    "pairwise_affinity-compat": (lambda: pairwise_affinity([[0.5, 0.5]], _with_nan((2, 2), 3)),
+                                 f"compat must be {TREE_SCORE[2]}"),
     "chamfer-a": (lambda: chamfer(_with_nan((2, 3)), CLOUD), f"a must be {JOINT_RULE}"),
     "fscore-b": (lambda: fscore(CLOUD, _with_nan((2, 3))), f"b must be {JOINT_RULE}"),
 }
@@ -270,11 +276,13 @@ INTEGER_ARGUMENTS = {
                                       "unmatched_queries"),
     "sample_surface_points-seed": (lambda v: sample_surface_points(TRIANGLE, 1, v), "seed"),
 }
-# an integer argument rejects NaN, a fraction, a bool and a value past int64 alike
+# an integer argument rejects NaN, a fraction, a bool, a value past int64 and
+# a float too large to name one integer alike
 NAN_ARGUMENTS.update({
     f"{case}-{label}": (lambda call=call, v=v: call(v), f"{name} must be integers")
     for case, (call, name) in INTEGER_ARGUMENTS.items()
-    for label, v in (("nan", NAN), ("1.5", 1.5), ("True", True), ("2**63", 2**63))
+    for label, v in (("nan", NAN), ("1.5", 1.5), ("True", True), ("2**63", 2**63),
+                     ("2.0**53", 2.0**53))
 })
 
 
@@ -399,6 +407,28 @@ def test_only_numbers_pass(value):
                 _as_array(value, np.shape(value), "x", dtype)
 
 
+def test_a_float_of_2_53_or_more_is_no_integer():
+    """numpy holds [2**53 + 1, 0.0] as the floats [2**53, 0.0], and a float of
+    magnitude 2**53 or more may stand for several integers; Python ints alone
+    stay exact."""
+    for value in ([2**53 + 1, 0.0], [2**53, 0.0], [-(2**53), 0.0], [2.0**60]):
+        with pytest.raises(ValueError) as info:
+            _as_array(value, ("N",), "x", np.int64)
+        assert str(info.value) == "x must be integers"
+    assert _as_array([2**53 - 1, 0.0], ("N",), "x", np.int64).tolist() == [2**53 - 1, 0]
+    assert _as_array([2**53 + 1, 0], ("N",), "x", np.int64).tolist() == [2**53 + 1, 0]
+
+
+def test_a_model_file_index_past_2_53_beside_a_float_exits_2(tmp_path, capsys):
+    doc = model_to_dict(build_cabinet())
+    doc["parts"][0]["point_indices"] = [9007199254740993, 0.0]
+    pred, gt = tmp_path / "pred.json", tmp_path / "gt.json"
+    pred.write_text(json.dumps(doc))
+    save_model(build_cabinet(), gt)
+    assert main(["evaluate", str(pred), str(gt)]) == 2
+    assert capsys.readouterr().err == "error: parts[0]: point_indices must be integers\n"
+
+
 def test_bool_and_none_dtypes_take_bools():
     assert _as_array([True, False], ("N",), "x", bool).tolist() == [True, False]
     assert _as_array([True], ("N",), "x", None).dtype == bool
@@ -406,7 +436,8 @@ def test_bool_and_none_dtypes_take_bools():
 
 
 def test_a_bool_among_numbers_is_promoted_by_numpy():
-    """A known limit: numpy reads [0.1, False] as float64, so no rule sees the bool."""
+    """numpy reads [0.1, False] as float64, so no rule here sees the bool; in
+    a file, ``_fmt.read_json`` refuses it (tests/test_fuzz.py)."""
     assert _as_array([0.1, False], ("N",), "x").tolist() == [0.1, 0.0]
 
 

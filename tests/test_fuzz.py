@@ -6,8 +6,9 @@ accept the result or reject it with ParseError or ValidationError, and nothing
 else; the CLI exits 0, 2 or 3.  A grid or a soft-mask file edited to hold a
 value outside its domain must raise ParseError, and a `tree` score or a
 model's joint value outside its domain must exit 2.  So must a number of a
-model document or a JSON sidecar written as text, or as a bool where one
-number belongs.
+model document or a JSON sidecar written as text, and a number of any JSON
+input written as `true` or `false`.  A `features` query point outside the
+canonical cube exits 3.
 """
 
 import contextlib
@@ -37,7 +38,8 @@ from artikit.geometry import (
 )
 from artikit.kinematics import MAX_TREE_SCORE
 from artikit.meshio import load_ply, load_point_cloud_ply, save_ply, save_point_cloud_ply
-from artikit.model import MAX_JOINT_MAGNITUDE, TriMesh, load_model, model_to_dict, save_model
+from artikit.model import (CUBE_HALF, MAX_JOINT_MAGNITUDE, TriMesh, load_model, model_to_dict,
+                           save_model)
 from tests.conftest import FUZZ, build_cabinet
 
 def _grid(path):
@@ -387,35 +389,28 @@ def test_model_joint_values(data):
 
 
 def _model_numbers(doc) -> list:
-    """``(path, where, name, word, scalar)`` of every number of a model
-    document: its path in ``doc``, the field its error names, the argument,
-    ``numbers`` or ``integers``, and whether it stands alone."""
-    sites = [(("points", i, j), "points", "points", "numbers", False)
+    """``(path, where, name, word)`` of every number of a model document: its
+    path in ``doc``, the field its error names, the argument, and ``numbers``
+    or ``integers``."""
+    sites = [(("points", i, j), "points", "points", "numbers")
              for i in range(len(doc["points"])) for j in range(3)]
-    sites += [(("base_indices", i), "document", "base_indices", "integers", False)
+    sites += [(("base_indices", i), "document", "base_indices", "integers")
               for i in range(len(doc["base_indices"]))]
     for k, part in enumerate(doc["parts"]):
         where = f"parts[{k}]"
-        sites += [(("parts", k, key), where, key, "integers", True) for key in ("id", "label")]
-        sites += [(("parts", k, "point_indices", i), where, "point_indices", "integers", False)
+        sites += [(("parts", k, key), where, key, "integers") for key in ("id", "label")]
+        sites += [(("parts", k, "point_indices", i), where, "point_indices", "integers")
                   for i in range(len(part["point_indices"]))]
-        sites += [(("parts", k, "joint", key, i), where, f"joint {key}", "numbers", False)
+        sites += [(("parts", k, "joint", key, i), where, f"joint {key}", "numbers")
                   for key in ("axis", "pivot") for i in range(3)]
-        sites += [(("parts", k, "joint", key), where, f"joint {key}", "numbers", True)
+        sites += [(("parts", k, "joint", key), where, f"joint {key}", "numbers")
                   for key in ("center", "span")]
-    sites += [(("tree", key), "tree", "parents", "integers", True) for key in doc["tree"]]
+    sites += [(("tree", key), "tree", "parents", "integers") for key in doc["tree"]]
     return sites
 
 
 _DOC = model_to_dict(build_cabinet())
 _DOC_NUMBERS = _model_numbers(_DOC)
-
-
-def _not_a_number(data, value, scalar: bool):
-    """``value`` written as its decimal string, or, when it stands alone, as a bool."""
-    if scalar and data.draw(st.booleans()):
-        return data.draw(st.booleans())
-    return repr(value)
 
 
 def _run(argv) -> tuple:
@@ -428,13 +423,13 @@ def _run(argv) -> tuple:
 @settings(FUZZ, max_examples=80)
 @given(data=st.data())
 def test_a_model_number_that_is_no_json_number_exits_2(data):
-    path, where, name, word, scalar = data.draw(st.sampled_from(_DOC_NUMBERS))
+    path, where, name, word = data.draw(st.sampled_from(_DOC_NUMBERS))
     doc = json.loads(json.dumps(_DOC))
     *head, last = path
     node = doc
     for key in head:
         node = node[key]
-    node[last] = _not_a_number(data, node[last], scalar)
+    node[last] = repr(node[last])
     message = f"{where}: {name} must be {word}"
     with tempfile.TemporaryDirectory() as tmp:
         pred, gt = Path(tmp) / "pred.json", Path(tmp) / "gt.json"
@@ -466,7 +461,7 @@ def test_a_sidecar_size_that_is_no_json_number_raises_parse_error(fmt, data):
         sidecar = Path(str(path) + ".json")
         sizes = json.loads(sidecar.read_text())
         key = data.draw(st.sampled_from(sorted(sizes)))
-        sizes[key] = _not_a_number(data, sizes[key], True)
+        sizes[key] = repr(sizes[key])
         sidecar.write_text(json.dumps(sizes))
         message = f"{path}: bad sidecar: {key} must be integers"
         with pytest.raises(ParseError) as info:
@@ -475,3 +470,89 @@ def test_a_sidecar_size_that_is_no_json_number_raises_parse_error(fmt, data):
         if argv is not None:
             _bitset(root / "gt.bits")
             assert _run(argv(root, path)) == (2, f"error: {message}\n")
+
+
+def _number_paths(doc, path=()) -> list:
+    """The path of every number in the JSON document ``doc``, in document order."""
+    if isinstance(doc, dict):
+        return [p for key, value in doc.items() for p in _number_paths(value, path + (key,))]
+    if isinstance(doc, list):
+        return [p for i, value in enumerate(doc) for p in _number_paths(value, path + (i,))]
+    return [] if isinstance(doc, (bool, str)) or doc is None else [path]
+
+
+def _where(path) -> str:
+    """``path`` as ParseError names it: ``points[17][1]``, ``tree["1"]``, ``document[0]``."""
+    text = "document"
+    for key in path:
+        if isinstance(key, int) or not key.isidentifier():
+            text += f"[{json.dumps(key)}]"
+        else:
+            text = key if text == "document" else f"{text}.{key}"
+    return text
+
+
+def _tree_inputs(root: Path) -> None:
+    (root / "p.json").write_text(json.dumps([[0.25, 0.75], [1.0, 0.0]]))
+    (root / "c.json").write_text(json.dumps([[0.0, 1.0], [2.0, -1.0]]))
+    (root / "r.json").write_text(json.dumps([0.5, 0.0]))
+
+
+# JSON input -> (file name, writer of it and the other inputs under a
+# directory, argv from the directory and the file)
+_JSON_INPUTS = {
+    "model": ("pred.json", lambda d: (_model(d / "pred.json"), _model(d / "gt.json")),
+              lambda d, f: ["evaluate", f, d / "gt.json"]),
+    "points": ("pts.json", lambda d: (_points(d / "pts.json"), _grid(d / "grid.bin")),
+               lambda d, f: ["features", d / "grid.bin", f, "--triplane-resolution", 8,
+                             "--out", d / "out"]),
+    "tree-probs": ("p.json", _tree_inputs, lambda d, f: [
+        "tree", f, d / "c.json", "--root-scores", d / "r.json"]),
+    "tree-compat": ("c.json", _tree_inputs, lambda d, f: [
+        "tree", d / "p.json", f, "--root-scores", d / "r.json"]),
+    "tree-root": ("r.json", _tree_inputs, lambda d, f: [
+        "tree", d / "p.json", d / "c.json", "--root-scores", f]),
+    "mask-sidecar": ("pred.bits.json", lambda d: (_bitset(d / "pred.bits"), _bitset(d / "gt.bits")),
+                     lambda d, f: ["match", d / "pred.bits", d / "gt.bits"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JSON_INPUTS))
+@settings(FUZZ, max_examples=15)
+@given(data=st.data())
+def test_a_json_number_written_as_a_bool_exits_2(kind, data):
+    """No artikit file holds a bool; numpy would read one among numbers as 0 or 1."""
+    filename, write, argv = _JSON_INPUTS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write(root)
+        path = root / filename
+        doc = json.loads(path.read_text())
+        *head, last = data.draw(st.sampled_from(_number_paths(doc)))
+        node = doc
+        for key in head:
+            node = node[key]
+        value = data.draw(st.booleans())
+        node[last] = value
+        path.write_text(json.dumps(doc))
+        message = f"{path}: {_where((*head, last))} must be a number, not {json.dumps(value)}"
+        assert _run(argv(root, path)) == (2, f"error: {message}\n")
+
+
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+def test_a_query_point_outside_the_cube_exits_3(data):
+    """One coordinate of a JSON query point of ``features`` past the canonical cube."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _grid(root / "grid.bin")
+        _points(root / "pts.json")
+        pts = json.loads((root / "pts.json").read_text())
+        i, j = data.draw(st.integers(0, len(pts) - 1)), data.draw(st.integers(0, 2))
+        past = data.draw(st.floats(min_value=CUBE_HALF + 1e-6) | st.just(math.inf))
+        pts[i][j] = data.draw(st.sampled_from([past, -past]))
+        (root / "pts.json").write_text(json.dumps(pts))
+        code, err = _run(["features", root / "grid.bin", root / "pts.json",
+                          "--triplane-resolution", 8, "--out", root / "out"])
+    assert code == 3, err
+    assert err.startswith(f"error: point {i} outside the canonical cube") and "Traceback" not in err

@@ -5,17 +5,20 @@ One argument of a callable in ``artikit.__all__`` holds NaN, inf, -inf, -1,
 array, and every other argument is valid.  The call must give a result that
 holds finite numbers only, or raise ``ValueError``, ``GeometryError`` or, for
 a model that breaks an invariant, ``ValidationError``.  It must not warn:
-the test configuration turns every warning into an error.
+the test configuration turns every warning into an error.  A second sweep
+puts two values of the largest finite magnitude into one call, so that their
+sum, difference or product overflows, under the same rule.
 """
 
 import dataclasses
 import enum
+import functools
 import math
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import artikit
@@ -76,6 +79,7 @@ from artikit import (
 from tests.conftest import FUZZ, build_cabinet
 
 WILD = [math.nan, math.inf, -math.inf, -1, 2, 1e300, "1", True]
+MAX = float(np.finfo(np.float64).max)
 
 CABINET = build_cabinet()
 CLOUD = [[0.1, 0.2, 0.3], [-0.2, 0.1, 0.0], [0.3, -0.3, 0.2], [0.0, 0.0, -0.1]]
@@ -85,6 +89,7 @@ TETRA = ([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]]
          [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 MASKS = [[0.2, 0.7, 0.9], [0.5, 0.5, 0.1]]
 HARD = [[True, False, True], [False, True, False]]
+GT_VALUES = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 GT = [[True, True, False]]
 PARENT_PROBS = [[0.0, 0.25, 0.75], [0.5, 0.0, 0.5]]
 TYPES = [JointType.REVOLUTE, JointType.FIXED]
@@ -107,6 +112,28 @@ class Wild:
             return value
         out = np.array(usual, dtype=object)
         out.flat[self.data.draw(st.integers(0, out.size - 1))] = value
+        return out.tolist()
+
+
+class Huge:
+    """Hands each argument through ``__call__``; each of ``targets``, a call
+    index, makes that argument come back holding ``sign * MAX``: as a whole
+    when it is a scalar, else at flat entry ``entry``, one entry further on
+    for a second value in the same argument (indices wrap round)."""
+
+    def __init__(self, targets, signs, entry: int):
+        self.targets, self.signs, self.entry, self.calls = targets, signs, entry, 0
+
+    def __call__(self, usual):
+        self.calls += 1
+        hits = [sign for target, sign in zip(self.targets, self.signs) if target == self.calls - 1]
+        if not hits:
+            return usual
+        if np.ndim(usual) == 0:
+            return hits[-1] * MAX
+        out = np.array(usual, dtype=object)
+        for step, sign in enumerate(hits):
+            out.flat[(self.entry + step) % out.size] = sign * MAX
         return out.tolist()
 
 
@@ -189,8 +216,8 @@ CALLS = {
     "LossWeights": _weights,
     "MotionPrediction": _motion,
     "confidence_loss": lambda w: confidence_loss(w(0.3), w(0.5), w(2.0)),
-    "dice_loss": lambda w: dice_loss(w(MASKS), w(HARD)),
-    "focal_loss": lambda w: focal_loss(w(MASKS), w(HARD), w(2.0)),
+    "dice_loss": lambda w: dice_loss(w(MASKS), w(GT_VALUES)),
+    "focal_loss": lambda w: focal_loss(w(MASKS), w(GT_VALUES), w(2.0)),
     "motion_loss": lambda w: motion_loss(_motion(w), _joint(w), _weights(w)),
     "object_category_loss": lambda w: object_category_loss(w([0.5, 1.0, -0.5]), w(1)),
     "stage_loss": lambda w: stage_loss(w(3), {k: w(v) for k, v in STAGE_III.items()},
@@ -251,8 +278,64 @@ def test_a_wild_argument_gives_finite_numbers_or_a_value_error(name, target, dat
         result = CALLS[name](Wild(data, target))
     except (ValueError, GeometryError, ValidationError):
         return
+    _assert_finite(name, result)
+
+
+def _assert_finite(name, result):
     if isinstance(result, MatchResult):
         # no domain: hungarian's total of near-maximal finite costs may round to inf
         result = dataclasses.replace(result, total_cost=0.0)
     numbers = _numbers(result)
     assert np.all(np.isfinite(numbers)), (name, result)
+
+
+@functools.cache
+def _argument_count(name: str) -> int:
+    """How many arguments the call of ``name`` hands through its ``w``."""
+    counter = Huge((), (), 0)
+    CALLS[name](counter)
+    return counter.calls
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(FUZZ, max_examples=40)
+@given(targets=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+       signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+       entry=st.integers(0, 15))
+@example(targets=(0, 4), signs=(1, 1), entry=0)
+@example(targets=(0, 0), signs=(1, -1), entry=0)
+def test_two_huge_values_give_finite_numbers_or_a_value_error(name, targets, signs, entry):
+    """Two finite values of the largest magnitude, in two arguments or in one,
+    whose sum, difference or product overflows: the rule of the test above."""
+    count = _argument_count(name)
+    try:
+        result = CALLS[name](Huge([t % count for t in targets], signs, entry))
+    except (ValueError, GeometryError, ValidationError):
+        return
+    _assert_finite(name, result)
+
+
+# two finite values that overflow together, one case per kernel that met them
+OVERFLOWS = {
+    "compute_mask_logits": lambda: compute_mask_logits([[1e200, 0.0]], [[1e200, 0.0]]),
+    "object_category_loss": lambda: object_category_loss([MAX, -MAX], 1),
+    "residual_update": lambda: residual_update(
+        QuerySet([[MAX, 0.0, 0.0]], [[0.0]], [0.5], [[0.0]]), [[MAX, 0.0, 0.0]], [[0.0]]),
+    "motion_loss": lambda: motion_loss(_motion(lambda v: v), _joint(lambda v: v),
+                                       LossWeights(type=MAX, dir=MAX)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_finite_values_that_overflow_together_raise_a_value_error(name):
+    with pytest.raises(ValueError, match=" must be finite"):
+        OVERFLOWS[name]()
+
+
+def test_a_saturated_category_loss_is_exactly_zero():
+    assert object_category_loss([MAX, -MAX], 0) == 0.0
+
+
+def test_a_score_gap_past_the_float_range_gives_probability_zero():
+    probs = parent_distribution(AffinityMatrix([[0.0, MAX], [0.0, 0.0]], [-MAX, 0.0])).probs
+    assert probs.tolist() == [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]
