@@ -10,22 +10,21 @@ import os
 import threading
 
 
-def _threads_setting() -> int:
-    """``ARTIKIT_THREADS`` as a thread count; 0 when it is unset, 0, or not a
-    decimal integer (such a value is ignored)."""
-    text = os.environ.get("ARTIKIT_THREADS", "").strip()
-    return int(text) if text.isascii() and text.isdigit() else 0
-
-
 def _thread_budget() -> int:
-    """Threads the nearest-neighbour queries and grid kernels may use: the
-    CPUs this process may run on, capped by ``ARTIKIT_THREADS`` when that is
-    set.  Read at each call."""
+    """Threads artikit's own kernels may use: the KD-tree query workers, the
+    Chamfer fan-out and the row split of the grid kernels.  That is the CPUs
+    this process may run on (its affinity mask), capped by ``ARTIKIT_THREADS``
+    when that is a positive decimal integer; 0 or any other value, such as
+    ``-1`` or ``two``, is ignored, as if unset.  Read at each call.  BLAS is
+    not covered: NumPy sizes its pool from the caller's own
+    ``OPENBLAS_NUM_THREADS`` and the like, which artikit never sets."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(_threads_setting() or cpus, cpus)
+    text = os.environ.get("ARTIKIT_THREADS", "").strip()
+    setting = int(text) if text.isascii() and text.isdigit() else 0
+    return min(setting or cpus, cpus)
 
 
 def _fan_out(calls) -> list:
@@ -103,14 +102,6 @@ def _compiled_scipy(name: str):
             _compiled_modules[name] = module
     return _compiled_modules[name]
 
-
-# Honor ARTIKIT_THREADS before any submodule imports numpy, which sizes its
-# BLAS thread pool once, on import.  Best effort: has no effect if the host
-# process imported numpy before artikit.
-_threads = _threads_setting()
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, str(_threads))
 
 __version__ = "0.1.0"
 

@@ -365,7 +365,7 @@ def load_masks(path):
     f32_size = rows * m * 4
     if len(blob) == bits_size:
         packed = np.frombuffer(blob, dtype=np.uint8).reshape(rows, -1)
-        masks = np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(bool)
+        masks = np.unpackbits(packed, axis=1, count=m, bitorder="little").view(bool)
         return masks, False
     if len(blob) == f32_size:
         soft = np.frombuffer(blob, dtype="<f4").reshape(rows, m)

@@ -65,10 +65,12 @@ def _load_json_array(path, shape, name: str, domain=None) -> np.ndarray:
 
 
 def _load_points_file(path) -> np.ndarray:
-    text = str(path).lower()
-    if text.endswith(".ply"):
+    if str(path).lower().endswith(".ply"):
         return load_point_cloud_ply(path)
-    return _load_json_array(path, ("M", 3), "points")
+    with _fmt.parse_errors(path):
+        doc = _fmt.read_json(path)
+        # numpy reads [] as shape (0,); it is the empty cloud an empty PLY holds
+        return _as_array(np.empty((0, 3)) if doc == [] else doc, ("M", 3), "points")
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,20 @@ class TestFeatures:
         assert run(["features", grid, pts, "--out", out]) == 0
         np.testing.assert_array_equal(load_features(out / "f_geo.f32"), np.zeros((1, 4)))
 
+    def test_empty_json_and_empty_ply_write_the_same_zero_rows(self, tmp_path):
+        grid = tmp_path / "one.bin"
+        save_grid(SparseVoxelGrid(4, [[1, 2, 3]], [[1.0, 2.0]]), grid)
+        (tmp_path / "pts.json").write_text("[]")
+        save_point_cloud_ply(np.zeros((0, 3)), tmp_path / "pts.ply")
+        written = []
+        for name in ("pts.json", "pts.ply"):
+            out = tmp_path / f"feats_{name}"
+            assert run(["features", grid, tmp_path / name, "--out", out]) == 0
+            written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert written[0] == written[1]
+        assert load_features(tmp_path / "feats_pts.json" / "f_geo.f32").shape == (0, 2)
+        assert load_features(tmp_path / "feats_pts.json" / "f_tri.f32").shape == (0, 6)
+
     def test_out_of_cube_exits_3(self, tmp_path):
         grid = self.grid_file(tmp_path)
         pts = tmp_path / "pts.json"
@@ -555,6 +569,7 @@ _BAD_JSON = {
     "points-401-digits": ("pts.json", f"[[{10**400}, 0, 0]]", "points"),
     "points-5000-digits": ("pts.json", f"[[{'1' * 5000}, 0, 0]]", "points"),
     "points-nested": ("pts.json", _deep(), "points"),
+    "points-one-deeper": ("pts.json", "[[[0, 0, 0]]]", "points"),
 }
 
 

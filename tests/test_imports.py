@@ -252,10 +252,11 @@ def test_without_a_compiled_file_the_public_import_is_used():
     _python(_FALLBACK_WITHOUT_COMPILED_FILE)
 
 
-_NUMPY_SEES_THREADS = """
+_ENVIRON_UNTOUCHED = """
 import json, os, sys
 
 assert "numpy" not in sys.modules
+before = dict(os.environ)
 seen = []
 
 class Probe:
@@ -266,21 +267,20 @@ class Probe:
 
 sys.meta_path.insert(0, Probe())
 import artikit.cli
+assert dict(os.environ) == before
 assert seen == [json.loads(sys.argv[1])], seen
 """
 
 
-def test_artikit_threads_is_set_before_numpy_loads():
+@pytest.mark.parametrize("blas", [None, "2"])
+@pytest.mark.parametrize("value", [None, "1", "3", "two"])
+def test_importing_artikit_leaves_the_environment_as_it_was(value, blas):
+    """ARTIKIT_THREADS caps only artikit's own threads; NumPy sees the
+    caller's own BLAS setting, or none."""
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env["ARTIKIT_THREADS"] = "1"
-    _python(_NUMPY_SEES_THREADS, json.dumps("1"), env=env)
-
-
-@pytest.mark.parametrize("value", ["0", "two", "-1", "1.5"])
-def test_zero_or_ignored_artikit_threads_leaves_blas_at_its_default(value):
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env["ARTIKIT_THREADS"] = value
-    _python(_NUMPY_SEES_THREADS, json.dumps(None), env=env)
+    env.update({k: v for k, v in (("ARTIKIT_THREADS", value), ("OPENBLAS_NUM_THREADS", blas))
+                if v is not None})
+    _python(_ENVIRON_UNTOUCHED, json.dumps(blas), env=env)
 
 
 def test_every_traced_attribute_resolves_to_a_callable():
