@@ -27,7 +27,7 @@ from .model import (
     _int_domain,
     _magnitude,
     _prob_rows,
-    _tree_cycles,
+    _tree_walk,
     _unit_axis,
     _value_eq,
     require_valid,  # unused: kept for perfbench/spans.py, which wraps it here
@@ -142,19 +142,12 @@ def part_transforms(model: ArticulatedModel, state) -> dict:
         pid: joint_transform(part.joint, float(state[pid]))
         for pid, part in parts.items()
     }
-    composed: dict = {}
-
-    def resolve(pid: int):
-        if pid == ROOT_ID:
-            return np.eye(3), np.zeros(3)
-        if pid not in composed:
-            pr, pt = resolve(model.tree.parent[pid])
-            r, t = own[pid]
-            composed[pid] = (pr @ r, pr @ t + pt)
-        return composed[pid]
-
-    for pid in parts:
-        resolve(pid)
+    composed = {ROOT_ID: (np.eye(3), np.zeros(3))}
+    for pid in _tree_walk(model.tree.parent)[0]:  # parents first
+        pr, pt = composed[model.tree.parent[pid]]
+        r, t = own[pid]
+        composed[pid] = (pr @ r, pr @ t + pt)
+    del composed[ROOT_ID]
     return composed
 
 
@@ -274,7 +267,7 @@ def build_tree(dist: ParentDistribution) -> KinematicTree:
         return ROOT_ID if col == root_col else col
 
     direct = {i: to_parent(int(np.argmax(probs[i]))) for i in range(n)}
-    if not _tree_cycles(direct):
+    if not _tree_walk(direct)[1]:
         return KinematicTree(direct)
 
     order = sorted(range(n), key=lambda i: (-float(probs[i].max()), i))
@@ -288,7 +281,7 @@ def build_tree(dist: ParentDistribution) -> KinematicTree:
         )
         for col in cand:
             parent = to_parent(col)
-            if not _tree_cycles({**committed, i: parent}):
+            if not _tree_walk({**committed, i: parent})[1]:
                 committed[i] = parent
                 break
     return KinematicTree(committed)

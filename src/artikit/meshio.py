@@ -26,27 +26,30 @@ def load_obj(path) -> TriMesh:
     """Parse an ASCII OBJ file (v/f records, triangles only)."""
     vertices = []
     faces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            tag = fields[0]
-            if tag == "v":
-                if len(fields) < 4:
-                    raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                with parse_errors(f"{path}:{lineno}: bad vertex coordinate"):
-                    vertices.append([float(c) for c in fields[1:4]])
-            elif tag == "f":
-                if len(fields) != 4:
-                    raise ParseError(f"{path}:{lineno}: only triangular faces supported")
-                # OBJ counts from 1, so TriMesh takes an index below 1 as negative
-                with parse_errors(f"{path}:{lineno}: bad face index"):
-                    faces.append([int(token.split("/")[0]) - 1 for token in fields[1:4]])
-            # other record types (vn, vt, usemtl, ...) are ignored
+    with open(path, "r", encoding="utf-8") as fh, parse_errors(f"{path}: not UTF-8 text"):
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split()
+        tag = fields[0]
+        if tag == "v":
+            if len(fields) < 4:
+                raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
+            with parse_errors(f"{path}:{lineno}: bad vertex coordinate"):
+                vertices.append([float(c) for c in fields[1:4]])
+        elif tag == "f":
+            if len(fields) != 4:
+                raise ParseError(f"{path}:{lineno}: only triangular faces supported")
+            # OBJ counts from 1, so TriMesh takes an index below 1 as negative
+            with parse_errors(f"{path}:{lineno}: bad face index"):
+                faces.append([int(token.split("/")[0]) - 1 for token in fields[1:4]])
+        # other record types (vn, vt, usemtl, ...) are ignored
     if not vertices:
         raise ParseError(f"{path}: no vertices")
+    if not faces:
+        raise ParseError(f"{path}: no faces")
     with parse_errors(path):
         return TriMesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64).reshape(-1, 3))
 

@@ -2,8 +2,9 @@
 
 All geometry lives in canonical object coordinates: the object fits inside the
 axis-aligned cube [-0.5, 0.5]^3 and every joint frame coincides with the object
-frame in the canonical (rest) state.  Part ids are integers; the reserved
-parent id ``ROOT_ID`` (-1) marks attachment to the static base.
+frame in the canonical (rest) state.  Part ids are integers other than
+``ROOT_ID`` (-1), the reserved id of the static base; a part whose parent is
+``ROOT_ID`` is attached to the base.
 """
 
 from __future__ import annotations
@@ -327,32 +328,27 @@ class TriMesh:
 # validation
 
 
-def _tree_cycles(parent: dict) -> list:
-    """Return cycles in a parent map as sorted id lists."""
-    cycles = []
-    color = {}  # 0 visiting, 1 done
+def _tree_walk(parent: dict) -> tuple:
+    """``(order, cycles)`` of a parent map, from one walk up from each id.
+
+    ``cycles`` holds each cycle as a sorted id list, in the order the walk
+    meets them.  When there is none, ``order`` lists every id after its
+    parent.
+    """
+    order, cycles, placed = [], [], set()
     for start in parent:
-        if start in color:
-            continue
-        chain = []
+        chain = {}  # the ids walked up from start, in walk order
         cur = start
-        while True:
-            if cur == ROOT_ID or cur not in parent:
+        while cur != ROOT_ID and cur in parent and cur not in placed:
+            if cur in chain:
+                ids = list(chain)
+                cycles.append(sorted(ids[ids.index(cur):]))
                 break
-            state = color.get(cur)
-            if state == 1:
-                break
-            if state == 0:
-                # found a cycle: the tail of chain from cur onwards
-                idx = chain.index(cur)
-                cycles.append(sorted(chain[idx:]))
-                break
-            color[cur] = 0
-            chain.append(cur)
+            chain[cur] = None
             cur = parent[cur]
-        for node in chain:
-            color[node] = 1
-    return cycles
+        order.extend(reversed(chain))
+        placed.update(chain)
+    return order, cycles
 
 
 def _outside_cube(points: np.ndarray):
@@ -382,6 +378,8 @@ def require_valid(model: ArticulatedModel) -> None:
     part_ids = [p.id for p in model.parts]
     if len(set(part_ids)) != len(part_ids):
         out.append("parts: duplicate part id")
+    if ROOT_ID in part_ids:
+        out.append(f"parts: part id {ROOT_ID} is reserved for the base")
 
     # how many parts own each point; None once an index is out of range
     owner = np.zeros(m, dtype=np.int64)
@@ -415,7 +413,7 @@ def require_valid(model: ArticulatedModel) -> None:
             out.append(f"tree: parent {pa} of part {pid} is not a part")
         if pa == pid:
             out.append(f"tree: part {pid} is its own parent")
-    for cycle in _tree_cycles(parent):
+    for cycle in _tree_walk(parent)[1]:
         out.append("tree: cycle {%s}" % ", ".join(str(c) for c in cycle))
 
     # coverage: parts + base partition all point indices

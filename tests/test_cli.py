@@ -21,8 +21,8 @@ from artikit.geometry import (
     save_grid,
 )
 from artikit.meshio import load_point_cloud_ply, save_point_cloud_ply
-from artikit.model import (JOINT_MAGNITUDE, MAX_JOINT_MAGNITUDE, ArticulatedModel, KinematicTree,
-                           model_to_dict, save_model)
+from artikit.model import (JOINT_MAGNITUDE, MAX_JOINT_MAGNITUDE, ROOT_ID, ArticulatedModel,
+                           KinematicTree, PartSpec, model_to_dict, save_model)
 from perfbench import spans
 from tests.conftest import build_cabinet, build_random_model
 
@@ -248,6 +248,76 @@ def test_fewer_than_two_states_exit_2_for_a_model_without_parts(tmp_path, capsys
     assert captured.out == ""
     assert "state count must be at least 2" in captured.err
     assert not out.exists()
+
+
+def _chain(n: int) -> dict:
+    """The document of a valid model whose ``n`` parts form one chain, listed
+    children first: part i hangs from part i + 1 and the last from the base.
+    Each part owns one point and slides along x within [-0.001, 0.001]."""
+    joint = {"type": "prismatic", "axis": [1.0, 0.0, 0.0], "pivot": [0.0, 0.0, 0.0],
+             "center": 0.0, "span": 0.001}
+    return {
+        "points": [[0.0, 0.0, (i + 0.5) / n - 0.5] for i in range(n)],
+        "base_indices": [],
+        "parts": [{"id": i, "label": 0, "point_indices": [i], "joint": joint} for i in range(n)],
+        "tree": {str(i): i + 1 if i + 1 < n else ROOT_ID for i in range(n)},
+    }
+
+
+def test_a_chain_deeper_than_the_recursion_limit_is_posed(cabinet_file, tmp_path):
+    """Posing walks the tree in one loop, so no tree depth ends in a RecursionError."""
+    n = 1200
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_chain(n)))
+    assert run(["articulate", path, "--out", tmp_path / "out", "--states", 2]) == 0
+    # in the last state every part slides by 0.001, carrying all of its descendants
+    last = load_point_cloud_ply(tmp_path / "out" / "state_01.ply")
+    np.testing.assert_allclose(last[:, 0], 0.001 * np.arange(n, 0, -1), rtol=1e-6)
+    # a small ground truth keeps the 1200-part matching out of the test's time
+    assert run(["evaluate", path, cabinet_file, "--states", 2]) == 0
+
+
+@pytest.mark.parametrize("command", ["evaluate", "articulate"])
+def test_a_part_with_the_base_id_exits_2(tmp_path, capsys, command):
+    doc = model_to_dict(build_cabinet())
+    doc["parts"][0]["id"], doc["parts"][1]["id"] = ROOT_ID, 0
+    doc["tree"] = {str(ROOT_ID): 0, "0": ROOT_ID}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [command, path, path] if command == "evaluate" else [command, path, "--out", out]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "violation: parts: part id -1 is reserved for the base\n" in captured.err
+    assert not out.exists()
+
+
+def test_renamed_part_ids_give_the_same_clouds(tmp_path):
+    """Renaming the parts so that each child has a lower id than its parent,
+    and listing them children first, writes byte-identical clouds and the
+    same joint values under the new ids."""
+    model = build_random_model(np.random.default_rng(11), 6)
+    new_id = {ROOT_ID: ROOT_ID} | {pid: 3 * (6 - pid) for pid in model.tree.parent}
+    renamed = ArticulatedModel(
+        model.points,
+        tuple(PartSpec(new_id[p.id], p.label, p.point_indices, p.joint)
+              for p in reversed(model.parts)),
+        KinematicTree({new_id[pid]: new_id[pa]
+                       for pid, pa in reversed(model.tree.parent.items())}),
+        model.base_indices,
+    )
+    manifests = []
+    for name, built in (("original", model), ("renamed", renamed)):
+        save_model(built, tmp_path / f"{name}.json")
+        assert run(["articulate", tmp_path / f"{name}.json", "--out", tmp_path / name]) == 0
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    for k in range(6):
+        ply = f"state_{k:02}.ply"
+        assert (tmp_path / "original" / ply).read_bytes() == (tmp_path / "renamed" / ply).read_bytes()
+        values = manifests[0]["states"][k]["values"]
+        assert {str(new_id[int(pid)]): v for pid, v in values.items()} == \
+            manifests[1]["states"][k]["values"]
 
 
 class TestTree:

@@ -37,7 +37,8 @@ from artikit.geometry import (
     save_grid,
 )
 from artikit.kinematics import MAX_TREE_SCORE
-from artikit.meshio import load_ply, load_point_cloud_ply, save_ply, save_point_cloud_ply
+from artikit.meshio import (load_obj, load_ply, load_point_cloud_ply, save_obj, save_ply,
+                            save_point_cloud_ply)
 from artikit.model import (CUBE_HALF, MAX_JOINT_MAGNITUDE, TriMesh, load_model, model_to_dict,
                            save_model)
 from tests.conftest import FUZZ, build_cabinet
@@ -49,9 +50,16 @@ def _grid(path):
     save_grid(SparseVoxelGrid(8, list(cells), list(cells.values())), path)
 
 
+_TETRA = TriMesh([[0, 0, 0], [0.25, 0, 0], [0, 0.25, 0], [0, 0, 0.25]],
+                 [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+
+
 def _mesh(path):
-    save_ply(TriMesh([[0, 0, 0], [0.25, 0, 0], [0, 0.25, 0], [0, 0, 0.25]],
-                     [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]), path)
+    save_ply(_TETRA, path)
+
+
+def _obj(path):
+    save_obj(_TETRA, path)
 
 
 def _cloud(path):
@@ -84,6 +92,7 @@ def _points(path):
 FORMATS = {
     "grid": ("grid.bin", _grid, load_grid),
     "ply-mesh": ("mesh.ply", _mesh, load_ply),
+    "obj-mesh": ("mesh.obj", _obj, load_obj),
     "ply-cloud": ("cloud.ply", _cloud, load_point_cloud_ply),
     "bitset-masks": ("masks.bits", _bitset, load_masks),
     "f32-masks": ("masks.f32", _soft, load_masks),

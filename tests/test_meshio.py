@@ -45,6 +45,18 @@ def test_obj_quad_rejected(tmp_path):
         load_obj(path)
 
 
+@pytest.mark.parametrize("blob, message", [
+    (b"# \xff\xfe\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", ": not UTF-8 text: 'utf-8' codec"),
+    (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1", ": no faces"),
+], ids=["not-utf8", "truncated-before-the-faces"])
+def test_a_malformed_obj_raises_parse_error_naming_its_path(tmp_path, blob, message):
+    path = tmp_path / "m.obj"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError) as info:
+        load_obj(path)
+    assert str(info.value).startswith(f"{path}{message}")
+
+
 def test_obj_face_index_past_the_vertices_rejected(tmp_path):
     path = tmp_path / "f.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")

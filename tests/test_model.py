@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import artikit
 from artikit.errors import GeometryError, ParseError, ValidationError
@@ -19,6 +21,7 @@ from artikit.model import (
     KinematicTree,
     PartSpec,
     TriMesh,
+    _tree_walk,
     export_urdf,
     load_model,
     model_from_dict,
@@ -26,7 +29,7 @@ from artikit.model import (
     require_valid,
     save_model,
 )
-from tests.conftest import build_cabinet, build_random_model
+from tests.conftest import FUZZ, build_cabinet, build_random_model
 from tests.oracles import check_urdf
 
 
@@ -253,6 +256,44 @@ class TestValidation:
             with pytest.raises(ValidationError) as info:
                 _rebuilt(cabinet, **changes)
             assert info.value.violations, "corrupted model raised no violation"
+
+
+def _cycles_by_brute_force(parent: dict) -> list:
+    """Each cycle of ``parent`` as a sorted id list, in the order in which the
+    ids of ``parent`` first reach it: follow each id's parents until one
+    repeats or leaves the map."""
+    cycles = []
+    for pid in parent:
+        path = [pid]
+        while parent[path[-1]] in parent and parent[path[-1]] not in path:
+            path.append(parent[path[-1]])
+        if parent[path[-1]] in path:
+            cycle = sorted(path[path.index(parent[path[-1]]):])
+            if cycle not in cycles:
+                cycles.append(cycle)
+    return cycles
+
+
+@st.composite
+def _parent_maps(draw):
+    """A map from up to ten part ids to parents: any id, the base or one
+    outside the map, or else a forest listed in a shuffled order."""
+    ids = draw(st.lists(st.integers(0, 9), unique=True, max_size=10))
+    if draw(st.booleans()):
+        return {pid: draw(st.integers(ROOT_ID, 11)) for pid in ids}
+    parents = {pid: draw(st.sampled_from([ROOT_ID, *ids[:k]])) for k, pid in enumerate(ids)}
+    return {pid: parents[pid] for pid in draw(st.permutations(ids))}
+
+
+@settings(FUZZ, max_examples=300)
+@given(parent=_parent_maps())
+def test_tree_walk_finds_the_cycles_and_orders_parents_first(parent):
+    order, cycles = _tree_walk(parent)
+    assert cycles == _cycles_by_brute_force(parent)
+    if not cycles:
+        assert sorted(order) == sorted(parent)
+        position = {pid: k for k, pid in enumerate(order)}
+        assert all(position[pa] < position[pid] for pid, pa in parent.items() if pa in parent)
 
 
 class TestJsonRoundTrip:
