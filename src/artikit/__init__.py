@@ -11,20 +11,14 @@ import threading
 
 
 def _thread_budget() -> int:
-    """Threads artikit's own kernels may use: the KD-tree query workers, the
-    Chamfer fan-out and the row split of the grid kernels.  That is the CPUs
-    this process may run on (its affinity mask), capped by ``ARTIKIT_THREADS``
-    when that is a positive decimal integer; 0 or any other value, such as
-    ``-1`` or ``two``, is ignored, as if unset.  Read at each call.  BLAS is
-    not covered: NumPy sizes its pool from the caller's own
-    ``OPENBLAS_NUM_THREADS`` and the like, which artikit never sets."""
+    """Threads artikit's own kernels may use (KD-tree query workers, the Chamfer
+    fan-out, the row split of the grid kernels): the CPUs this process may run
+    on, read at each call, so a process pinned to one CPU runs them serially.
+    BLAS sizes its own pool, from the caller's ``OPENBLAS_NUM_THREADS`` and the
+    like, which artikit never sets."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    text = os.environ.get("ARTIKIT_THREADS", "").strip()
-    setting = int(text) if text.isascii() and text.isdigit() else 0
-    return min(setting or cpus, cpus)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fan_out(calls) -> list:

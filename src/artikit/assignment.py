@@ -103,7 +103,9 @@ class MatchResult:
 
 
 def compute_mask_logits(contents, features) -> SoftMaskSet:
-    """Part-mask logits as the affinity between content queries and point features."""
+    """Part-mask logits as the affinity between content queries and point
+    features.  ``con @ feats.T`` goes through BLAS, so the last bits can differ
+    between CPU kernels; no tie rule reads these logits."""
     con = _as_array(contents, ("N", "d"), "contents", domain=FINITE)
     feats = _as_array(features, ("M", "d"), "features", domain=FINITE)
     if con.shape[1] != feats.shape[1]:

@@ -261,7 +261,7 @@ def main(argv=None) -> int:
                 _diag(f"violation: {violation}")
         _diag(f"error: {exc}")
         return EXIT_INVALID
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _diag(f"error: {exc}")
         return EXIT_INVALID
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _by_rows, _compiled_scipy, _thread_budget
+from . import _by_rows, _compiled_scipy
 from ._fmt import parse_errors, read_payload, write_payload
 from .errors import GeometryError, ParseError
 from .model import (CUBE_HALF, FINITE, NON_NEGATIVE, TriMesh, _as_array, _int_domain, _magnitude,
@@ -313,10 +313,10 @@ def trilinear_interpolate(grid: SparseVoxelGrid, points) -> np.ndarray:
     """Blend the 8 surrounding cell features at each point; absent cells are zero.
 
     Exact at stored cell centers under the cell-center mapping.  The points
-    are split into contiguous ranges across the thread budget
-    (``ARTIKIT_THREADS``), and each range is blended in the order of its
-    points' base cell keys, block by block, so every corner looks its cells
-    up by sorted keys.  Each point is blended on its own, so the result
+    are split into contiguous ranges, one per CPU the process may run on
+    (``artikit._thread_budget``), and each range is blended in the order of
+    its points' base cell keys, block by block, so every corner looks its
+    cells up by sorted keys.  Each point is blended on its own, so the result
     depends on neither the split nor the visit order.
     """
     pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
@@ -386,10 +386,10 @@ def triplane_gather(stack: TriplaneStack, points) -> np.ndarray:
     """Bilinearly sample all three planes and concatenate XY || YZ || ZX.
 
     Each plane is read as ``(R * R, d)`` rows at the flat node index
-    ``u * R + v``.  The points are split into contiguous ranges across the
-    thread budget (``ARTIKIT_THREADS``) and blended block by block, each
-    plane into a block of its own before it is copied to its columns.  Each
-    point is blended on its own, so the result does not depend on the split.
+    ``u * R + v``.  The points are split into contiguous ranges, one per CPU
+    the process may run on (``artikit._thread_budget``), and blended block by
+    block, each plane into a block of its own before it is copied to its
+    columns.  Each point is blended on its own, so the split does not count.
     """
     pts = _check_in_cube(_as_array(points, ("M", 3), "points"))
     r, dim = stack.resolution, stack.feature_dim
@@ -424,9 +424,9 @@ def nearest_neighbors(from_points, to_points):
     and that target's index.
 
     KD-tree accelerated; results match the brute-force minimum exactly.  The
-    query points are split across the thread budget (``ARTIKIT_THREADS``);
-    each point is searched on its own, so distances, indices and ties do not
-    depend on the split.
+    query points are split across one KD-tree worker per CPU the process may
+    run on (``artikit._thread_budget``); each point is searched on its own,
+    so distances, indices and ties do not depend on the split.
     """
     src = _as_array(from_points, ("M", 3), "from_points", domain=NN_MAGNITUDE)
     dst = _as_array(to_points, ("N", 3), "to_points", domain=NN_MAGNITUDE)
@@ -434,6 +434,7 @@ def nearest_neighbors(from_points, to_points):
         raise ValueError("nearest_neighbors: 'to_points' must be non-empty")
     if src.shape[0] == 0:
         return np.zeros(0), np.zeros(0, dtype=np.intp)
+    from . import _thread_budget  # the package's, looked up at each call, as ``_by_rows`` does
     distances, indices = cKDTree(dst).query(src, k=1, workers=_thread_budget())
     return np.asarray(distances, dtype=np.float64), indices
 

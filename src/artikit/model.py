@@ -26,6 +26,7 @@ from .errors import GeometryError, ParseError, ValidationError
 ROOT_ID = -1
 
 UNIT_AXIS_TOL = 1e-6
+URDF_ROBOT_NAME = "artikit_object"  # the name of every exported URDF <robot>
 
 #: the canonical cube is [-CUBE_HALF, CUBE_HALF]^3; points may overshoot it by
 #: _CUBE_TOL (rounding) and no more
@@ -537,7 +538,7 @@ def _xyz(vec) -> str:
     return " ".join(fmt_float(c) for c in vec)
 
 
-def export_urdf(model: ArticulatedModel, mesh_paths=None, name="artikit_object") -> str:
+def export_urdf(model: ArticulatedModel, mesh_paths=None) -> str:
     """Render the model as a URDF document string.
 
     One link per part plus a base link; one joint per tree edge.  Joint
@@ -551,7 +552,7 @@ def export_urdf(model: ArticulatedModel, mesh_paths=None, name="artikit_object")
     def link_name(pid):
         return "base" if pid == ROOT_ID else f"part_{pid}"
 
-    robot = ET.Element("robot", {"name": name})
+    robot = ET.Element("robot", {"name": URDF_ROBOT_NAME})
 
     def add_link(pid):
         link = ET.SubElement(robot, "link", {"name": link_name(pid)})

@@ -1,3 +1,4 @@
+import contextlib
 import os
 from pathlib import Path
 
@@ -87,6 +88,20 @@ def build_random_model(rng, n_parts, points_per_part=30, n_base=10):
         tree=KinematicTree(tree),
         base_indices=np.arange(n_parts * points_per_part, total),
     )
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Pin this thread to its lowest allowed CPU while the block runs, then
+    restore its mask.  Child processes started inside inherit the pin, so
+    artikit's thread budget in them is 1, and OpenBLAS starts no helper
+    thread either."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 @pytest.fixture

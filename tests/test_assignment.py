@@ -121,14 +121,9 @@ class TestMatchingCost:
         np.testing.assert_array_equal(pred, before)  # the caller's array is not clipped
 
     @pytest.mark.parametrize("m", [2000, 2001])
-    @pytest.mark.parametrize("threads", ["1", None])
-    def test_twin_query_rows_get_identical_cost_rows(self, monkeypatch, m, threads):
+    def test_twin_query_rows_get_identical_cost_rows(self, m):
         """Twins in opposite halves of the query list, GT as disjoint labels
-        with 10% of the bits flipped, with ARTIKIT_THREADS at 1 and unset."""
-        if threads is None:
-            monkeypatch.delenv("ARTIKIT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("ARTIKIT_THREADS", threads)
+        with 10% of the bits flipped."""
         rng = np.random.default_rng(0)
         gt = rng.integers(0, 10, m) == np.arange(10)[:, None]
         distinct = gt[:5] ^ (rng.random((5, m)) < 0.1)

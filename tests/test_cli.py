@@ -1,7 +1,9 @@
+import contextlib
 import importlib
 import json
 import math
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from artikit.meshio import load_point_cloud_ply, save_point_cloud_ply
 from artikit.model import (JOINT_MAGNITUDE, MAX_JOINT_MAGNITUDE, ROOT_ID, ArticulatedModel,
                            KinematicTree, PartSpec, model_to_dict, save_model)
 from perfbench import spans
-from tests.conftest import build_cabinet, build_random_model
+from tests.conftest import build_cabinet, build_random_model, one_cpu
 
 
 @pytest.fixture
@@ -601,6 +603,23 @@ class TestFeatures:
         assert f"resolution must be in [1, {MAX_TRIPLANE_RESOLUTION}]" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
 
+    def test_an_allocation_the_host_cannot_make_exits_2(self, tmp_path):
+        """One d=1024 cell at the largest triplanes asks for 96 GiB; the child's
+        address space is capped at 8 GiB, so no host ever attempts it."""
+        grid = tmp_path / "grid.bin"
+        save_grid(SparseVoxelGrid(1, [[0, 0, 0]], np.ones((1, MAX_GRID_FEATURE_DIM))), grid)
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[0.0, 0.0, 0.0]]))
+        cap = 8 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "artikit", "features", str(grid), str(pts),
+             "--out", str(tmp_path / "f"), "--triplane-resolution", str(MAX_TRIPLANE_RESOLUTION)],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
 
 def _model_text(edit):
     doc = model_to_dict(build_cabinet())
@@ -687,76 +706,64 @@ class TestDefaults:
         assert fe.triplane_resolution == 128
 
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "ARTIKIT_THREADS")
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _on_every_cpu_then_one(argv, read=lambda proc: (proc.stdout, proc.stderr)) -> list:
+    """``read`` of ``python -m artikit argv`` run on every usable CPU, then
+    pinned to one CPU (serial), with no BLAS variable of the caller's."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    outputs = []
+    for pin in (contextlib.nullcontext, one_cpu):
+        with pin():
+            proc = subprocess.run([sys.executable, "-m", "artikit", *map(str, argv)],
+                                  capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(read(proc))
+    return outputs
 
 
 def test_evaluate_stdout_does_not_depend_on_artikit_threads(tmp_path):
-    """Serial (1), the usable CPUs (unset) and an ignored value give the same bytes."""
+    """Every usable CPU and one CPU (serial) give the same bytes."""
     rng = np.random.default_rng(5)
     save_model(build_random_model(rng, 4, points_per_part=600), tmp_path / "pred.json")
     save_model(build_random_model(rng, 3, points_per_part=800), tmp_path / "gt.json")
-    base_env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    outputs = {}
-    for value in (None, "1", "two", "-1"):
-        env = dict(base_env) if value is None else {**base_env, "ARTIKIT_THREADS": value}
-        proc = subprocess.run(
-            [sys.executable, "-m", "artikit", "evaluate",
-             str(tmp_path / "pred.json"), str(tmp_path / "gt.json")],
-            capture_output=True, env=env, timeout=120,
-        )
-        assert (proc.returncode, proc.stderr) == (0, b""), (value, proc.stderr)
-        outputs[value] = proc.stdout
-    assert len(set(outputs.values())) == 1
-    assert json.loads(outputs[None])["per_state"]
+    split, serial = _on_every_cpu_then_one(
+        ["evaluate", tmp_path / "pred.json", tmp_path / "gt.json"])
+    assert split == serial and serial[1] == b""
+    assert json.loads(serial[0])["per_state"]
 
 
 def test_match_stdout_does_not_depend_on_artikit_threads(tmp_path):
-    """Twin query rows in opposite halves tie exactly, so serial (1), the
-    usable CPUs (unset) and ignored values print the same pairs."""
+    """Twin query rows in opposite halves tie exactly, so every usable CPU and
+    one CPU print the same pairs."""
     rng = np.random.default_rng(0)
     m = 50_000
     gt = rng.integers(0, 50, m) == np.arange(50)[:, None]
     distinct = gt[:25] ^ (rng.random((25, m)) < 0.1)
     save_masks(np.concatenate([distinct, distinct]), tmp_path / "pred.bits")
     save_masks(gt, tmp_path / "gt.bits")
-    base_env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    outputs = {}
-    for value in (None, "1", "two", "-1"):
-        env = dict(base_env) if value is None else {**base_env, "ARTIKIT_THREADS": value}
-        proc = subprocess.run(
-            [sys.executable, "-m", "artikit", "match",
-             str(tmp_path / "pred.bits"), str(tmp_path / "gt.bits")],
-            capture_output=True, env=env, timeout=120,
-        )
-        assert (proc.returncode, proc.stderr) == (0, b""), (value, proc.stderr)
-        outputs[value] = proc.stdout
-    assert len(set(outputs.values())) == 1
-    assert len(json.loads(outputs[None])["pairs"]) == 50
+    split, serial = _on_every_cpu_then_one(["match", tmp_path / "pred.bits", tmp_path / "gt.bits"])
+    assert split == serial and serial[1] == b""
+    assert len(json.loads(serial[0])["pairs"]) == 50
 
 
 def test_features_files_do_not_depend_on_artikit_threads(tmp_path):
-    """The grid kernels split their points across the thread budget; serial (1),
-    the usable CPUs (unset) and ignored values write the same bytes."""
+    """The grid kernels split their points across the thread budget; every
+    usable CPU and one CPU write the same bytes."""
     rng = np.random.default_rng(6)
     keys = np.unique(np.floor(rng.random(500) * 16**3).astype(np.int64))
     ijk = np.stack([keys // 256, keys // 16 % 16, keys % 16], axis=1)
     save_grid(SparseVoxelGrid(16, ijk, rng.random((len(keys), 3)).astype(np.float32)),
               tmp_path / "grid.bin")
     (tmp_path / "pts.json").write_text(json.dumps((rng.random((2001, 3)) - 0.5).tolist()))
-    base_env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    outputs = {}
-    for value in (None, "1", "two", "-1"):
-        env = dict(base_env) if value is None else {**base_env, "ARTIKIT_THREADS": value}
-        out = tmp_path / f"out-{value}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "artikit", "features", str(tmp_path / "grid.bin"),
-             str(tmp_path / "pts.json"), "--out", str(out), "--triplane-resolution", "32"],
-            capture_output=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, (value, proc.stderr)
-        outputs[value] = tuple((out / name).read_bytes() for name in ("f_geo.f32", "f_tri.f32"))
-    assert len(set(outputs.values())) == 1
-    assert len(outputs[None][1]) == 2001 * 9 * 4
+    out = tmp_path / "out"
+    split, serial = _on_every_cpu_then_one(
+        ["features", tmp_path / "grid.bin", tmp_path / "pts.json", "--out", out,
+         "--triplane-resolution", "32"],
+        lambda proc: tuple((out / name).read_bytes() for name in ("f_geo.f32", "f_tri.f32")))
+    assert split == serial
+    assert len(serial[1]) == 2001 * 9 * 4
 
 
 def test_every_traced_call_site_is_reached(tmp_path, monkeypatch):

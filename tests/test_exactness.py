@@ -3,16 +3,19 @@
 The benchmark's seed-1 fixtures are built with ``perfbench.fixtures.build``
 and each case runs once through ``python -m artikit``.  Each workload's
 digest (stdout plus output files, ``Outcomes.workload_digest``) must equal the
-pinned value.  Every case then runs again fully serial, with
-``ARTIKIT_THREADS=1`` for artikit's own threads and the BLAS variables at 1,
-through the same ``Outcomes``, which records any byte that differs from the
-first run as a problem.  A change that moves a digest on purpose updates the pinned
-value and gives the reason in CHANGES.md.
+pinned value.  Every case then runs again fully serial, pinned to one CPU
+(``conftest.one_cpu``), so artikit's kernels and OpenBLAS each run on one
+thread, through the same ``Outcomes``, which records any byte that differs
+from the first run as a problem.  A change that moves a digest on purpose
+updates the pinned value and gives the reason in CHANGES.md.
 """
 
+import contextlib
 from pathlib import Path
 
 import pytest
+
+from tests.conftest import one_cpu
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,13 +57,11 @@ def test_seed_1_outputs_are_pinned_at_any_thread_count(workload, tmp_path, monke
     if workload == "evaluate":
         groups["articulate"] = _articulate_cases(fixtures, tmp_path)
     env = run.child_env()
-    env.pop("ARTIKIT_THREADS", None)
     outcomes = run.Outcomes()
-    serial = dict.fromkeys(("ARTIKIT_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                            "MKL_NUM_THREADS"), "1")
-    for pass_env in (env, {**env, **serial}):
-        for cases in groups.values():
-            run.run_untraced(cases, 0, pass_env, tmp_path, outcomes)  # one pass
+    for pin in (contextlib.nullcontext, one_cpu):
+        with pin():
+            for cases in groups.values():
+                run.run_untraced(cases, 0, env, tmp_path, outcomes)  # one pass
 
     assert outcomes.problems == [] and outcomes.failed == 0
     assert outcomes.attempted == 2 * sum(map(len, groups.values()))

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import os
 import struct
 import sys
 import threading
@@ -433,26 +432,20 @@ class TestNearestNeighbor:
         with pytest.raises(ValueError, match="non-empty"):
             nearest_neighbor_distances([[0, 0, 0]], np.zeros((0, 3)))
 
-    @pytest.mark.parametrize("threads", ["2", "3"])
+    @pytest.mark.parametrize("threads", [2, 3])
     def test_split_query_equals_serial_on_exact_ties(self, monkeypatch, threads):
         rng = np.random.default_rng(21)
         base = rng.uniform(-0.5, 0.5, size=(400, 3))
         targets = np.concatenate([base, base[::-1], base[:50]])  # every target repeated
         queries = np.concatenate([base, rng.uniform(-0.5, 0.5, size=(5000, 3)), base[::7]])
-        monkeypatch.setenv("ARTIKIT_THREADS", "1")
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: 1)
         serial = nearest_neighbors(queries, targets)
-        monkeypatch.setenv("ARTIKIT_THREADS", threads)
+        monkeypatch.setattr(artikit, "_thread_budget", lambda: threads)
         split = nearest_neighbors(queries, targets)
         assert split[0].tobytes() == serial[0].tobytes()
         np.testing.assert_array_equal(split[1], serial[1])
 
-    @pytest.mark.parametrize("value, workers", [
-        ("1", 1), ("2", 2), (" 2 ", 2), ("1000000", None), ("0", None), (None, None),
-        ("two", None), ("-1", None), ("1.5", None), ("\u00b2", None),
-    ])
-    def test_query_workers_follow_artikit_threads(self, monkeypatch, value, workers):
-        """A positive integer caps the workers at the usable CPUs; 0, unset and
-        other values give the usable CPUs."""
+    def test_query_workers_are_the_thread_budget(self, monkeypatch):
         seen = []
         build = geometry.cKDTree
 
@@ -465,13 +458,8 @@ class TestNearestNeighbor:
                 return self.tree.query(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "cKDTree", Spy)
-        if value is None:
-            monkeypatch.delenv("ARTIKIT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("ARTIKIT_THREADS", value)
         nearest_neighbors([[0.0, 0.0, 0.0]], [[0.1, 0.0, 0.0]])
-        cpus = len(os.sched_getaffinity(0))
-        assert seen == [min(workers or cpus, cpus)]
+        assert seen == [artikit._thread_budget()]
 
 
 class TestPooling:

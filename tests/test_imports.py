@@ -21,10 +21,10 @@ from artikit.assignment import save_masks
 from artikit.geometry import SparseVoxelGrid, save_grid
 from artikit.meshio import save_point_cloud_ply
 from artikit.model import save_model
-from tests.conftest import build_cabinet
+from tests.conftest import build_cabinet, one_cpu
 
 ROOT = Path(__file__).resolve().parent.parent
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "ARTIKIT_THREADS")
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _python(code, *args, env=None):
@@ -103,9 +103,28 @@ assert "concurrent.futures" not in sys.modules
 
 
 def test_a_budget_of_one_starts_no_thread_and_imports_no_executor():
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env["ARTIKIT_THREADS"] = "1"
-    _python(_SERIAL_AT_A_BUDGET_OF_ONE, env=env)
+    with one_cpu():
+        _python(_SERIAL_AT_A_BUDGET_OF_ONE)
+
+
+_BUDGET = """
+import os, sys
+import artikit
+assert artikit._thread_budget() == len(os.sched_getaffinity(0)) == int(sys.argv[1])
+"""
+
+
+def test_a_child_pinned_to_one_cpu_has_a_budget_of_one():
+    with one_cpu():
+        _python(_BUDGET, 1)
+
+
+def test_the_budget_is_the_affinity_mask_whatever_the_environment():
+    """The variable that once capped the budget is ignored."""
+    cpus = len(os.sched_getaffinity(0))
+    if cpus == 1:
+        pytest.skip("the affinity mask holds one CPU")
+    _python(_BUDGET, cpus, env={**os.environ, "ARTIKIT_THREADS": "1"})
 
 
 _SUBPACKAGES_NOT_LOADED = """
@@ -273,13 +292,11 @@ assert seen == [json.loads(sys.argv[1])], seen
 
 
 @pytest.mark.parametrize("blas", [None, "2"])
-@pytest.mark.parametrize("value", [None, "1", "3", "two"])
-def test_importing_artikit_leaves_the_environment_as_it_was(value, blas):
-    """ARTIKIT_THREADS caps only artikit's own threads; NumPy sees the
-    caller's own BLAS setting, or none."""
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env.update({k: v for k, v in (("ARTIKIT_THREADS", value), ("OPENBLAS_NUM_THREADS", blas))
-                if v is not None})
+def test_importing_artikit_leaves_the_environment_as_it_was(blas):
+    """NumPy sees the caller's own BLAS setting, or none."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
     _python(_ENVIRON_UNTOUCHED, json.dumps(blas), env=env)
 
 

@@ -20,6 +20,7 @@ from artikit.model import (
     JointType,
     KinematicTree,
     PartSpec,
+    URDF_ROBOT_NAME,
     TriMesh,
     _tree_walk,
     export_urdf,
@@ -377,6 +378,7 @@ class TestJsonRoundTrip:
 class TestUrdfExport:
     def test_counts(self, cabinet):
         doc = export_urdf(cabinet)
+        assert doc.count(f'<robot name="{URDF_ROBOT_NAME}">') == 1
         assert doc.count("<joint ") == len(cabinet.parts)
         assert doc.count("<link ") == len(cabinet.parts) + 1
 
