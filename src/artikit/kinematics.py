@@ -45,6 +45,34 @@ TREE_SCORE = _magnitude(MAX_TREE_SCORE)
 TWO_PI = 2.0 * math.pi
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product of ``a`` ``(..., K)`` and ``b`` ``(K,)`` or ``(K, N)``
+    with no BLAS: numpy ufuncs, which never fuse a multiply and an add, sum
+    the K terms one at a time in index order, so the float64 bytes are the
+    same on every CPU and OpenBLAS kernel.  Each ufunc call is one long pass
+    over the leading axes of ``a``, not one short pass per row."""
+    if b.ndim == 1:
+        return _product(a, b[:, None])[..., 0]
+    cols = np.moveaxis(a, -1, 0)[:, None]  # (K, 1, ...)
+    rows = b.reshape(b.shape + (1,) * (a.ndim - 1))  # (K, N, 1, ...)
+    out = cols[0] * rows[0]
+    for k in range(1, len(b)):
+        out += cols[k] * rows[k]
+    return np.moveaxis(out, 0, -1)
+
+
+def _apply(transform, points) -> np.ndarray:
+    """The rigid transform ``(R, t)`` applied to one point ``(3,)`` or each row
+    of ``(M, 3)``: ``out[..., i] = x*R[i,0] + y*R[i,1] + z*R[i,2] + t[i]``."""
+    rot, trans = transform
+    return _product(points, rot.T) + trans
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean length of a ``(3,)`` vector: the root of ``_product(v, v)``."""
+    return math.sqrt(_product(v, v))
+
+
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix for a unit axis ``(3,)`` and an angle in
     radians; an axis ``_unit_axis`` rejects or a non-finite angle raises ``ValueError``."""
@@ -59,7 +87,7 @@ def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
             [-axis[1], axis[0], 0.0],
         ]
     )
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * _product(k, k)
 
 
 def _check_limit(joint: JointSpec, value: float) -> None:
@@ -81,7 +109,7 @@ def _check_limit(joint: JointSpec, value: float) -> None:
 
 
 def joint_transform(joint: JointSpec, value: float):
-    """Rigid transform (R, t) of a joint at the given value; x -> R @ x + t."""
+    """Rigid transform (R, t) of a joint at the given value; x -> R x + t."""
     value = float(_as_array(value, (), "joint value", domain=FINITE))
     _check_limit(joint, value)
     if joint.jtype is JointType.FIXED:
@@ -89,7 +117,7 @@ def joint_transform(joint: JointSpec, value: float):
     if joint.jtype is JointType.PRISMATIC:
         return np.eye(3), value * joint.axis
     rot = _rodrigues(joint.axis, value)
-    return rot, joint.pivot - rot @ joint.pivot
+    return rot, joint.pivot - _product(rot, joint.pivot)
 
 
 def apply_joint(joint: JointSpec, value: float, points) -> np.ndarray:
@@ -97,8 +125,7 @@ def apply_joint(joint: JointSpec, value: float, points) -> np.ndarray:
     translation, or rotation about the axis line through the pivot."""
     shape = (3,) if np.ndim(points) == 1 else ("M", 3)
     pts = _as_array(points, shape, "points", domain=JOINT_MAGNITUDE)
-    rot, trans = joint_transform(joint, value)
-    return pts @ rot.T + trans
+    return _apply(joint_transform(joint, value), pts)
 
 
 def _state_count(n) -> int:
@@ -138,15 +165,12 @@ def part_transforms(model: ArticulatedModel, state) -> dict:
     if missing:
         raise ValueError(f"missing state value for part {missing[0]}")
 
-    own = {
-        pid: joint_transform(part.joint, float(state[pid]))
-        for pid, part in parts.items()
-    }
+    own = {pid: joint_transform(part.joint, state[pid]) for pid, part in parts.items()}
     composed = {ROOT_ID: (np.eye(3), np.zeros(3))}
     for pid in _tree_walk(model.tree.parent)[0]:  # parents first
-        pr, pt = composed[model.tree.parent[pid]]
+        parent = composed[model.tree.parent[pid]]
         r, t = own[pid]
-        composed[pid] = (pr @ r, pr @ t + pt)
+        composed[pid] = (_product(parent[0], r), _apply(parent, t))
     del composed[ROOT_ID]
     return composed
 
@@ -159,8 +183,7 @@ def pose(points, owner, transforms) -> np.ndarray:
     """
     out = points.copy()
     for pid, idx in owner.items():
-        rot, trans = transforms[pid]
-        out[idx] = points[idx] @ rot.T + trans
+        out[idx] = _apply(transforms[pid], points[idx])
     return out
 
 
@@ -229,7 +252,7 @@ def pairwise_affinity(part_probs, compat, root_scores=None) -> AffinityMatrix:
     """
     probs = _prob_rows(part_probs, ("N", "N_c"), "part_probs")
     comp = _as_array(compat, (probs.shape[1],) * 2, "compat", domain=TREE_SCORE)
-    scores = probs @ comp @ probs.T
+    scores = _product(_product(probs, comp), probs.T)
     if root_scores is None:
         root_scores = np.zeros(probs.shape[0])
     return AffinityMatrix(scores=scores, root_scores=root_scores)

@@ -25,7 +25,7 @@ import numpy as np
 from . import _fan_out, _fmt
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .geometry import _sample_from_meshes, nearest_neighbor_distances, nearest_neighbors
-from .kinematics import part_transforms, pose, state_grid
+from .kinematics import _norm, _product, part_transforms, pose, state_grid
 from .model import (JOINT_MAGNITUDE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array,
                     _int_domain)
 from .model import require_valid  # unused: kept for perfbench/spans.py, which wraps it here
@@ -87,11 +87,11 @@ def axis_error(a_p, a_g) -> float:
     """Unsigned angular deviation between axis directions, in [0, pi/2]."""
     ap = _as_array(a_p, (3,), "a_p", domain=JOINT_MAGNITUDE)
     ag = _as_array(a_g, (3,), "a_g", domain=JOINT_MAGNITUDE)
-    np_norm = float(np.linalg.norm(ap))
-    ng_norm = float(np.linalg.norm(ag))
+    np_norm = _norm(ap)
+    ng_norm = _norm(ag)
     if np_norm < _PARALLEL_EPS or ng_norm < _PARALLEL_EPS:
         raise ValueError("axis_error: zero-length axis")
-    dot = float(np.dot(ap, ag)) / (np_norm * ng_norm)
+    dot = float(_product(ap, ag)) / (np_norm * ng_norm)
     dot = min(1.0, max(-1.0, dot))
     return min(math.acos(dot), math.acos(-dot))
 
@@ -109,15 +109,15 @@ def pivot_error(o_p, a_p, o_g, a_g) -> float:
     og = _as_array(o_g, (3,), "o_g", domain=JOINT_MAGNITUDE)
     ap = _as_array(a_p, (3,), "a_p", domain=JOINT_MAGNITUDE)
     ag = _as_array(a_g, (3,), "a_g", domain=JOINT_MAGNITUDE)
-    if float(np.linalg.norm(ap)) < _PARALLEL_EPS or float(np.linalg.norm(ag)) < _PARALLEL_EPS:
+    if _norm(ap) < _PARALLEL_EPS or _norm(ag) < _PARALLEL_EPS:
         raise ValueError("pivot_error: zero-length axis")
     cross = np.cross(ap, ag)
-    cross_norm = float(np.linalg.norm(cross))
+    cross_norm = _norm(cross)
     if cross_norm > _PARALLEL_EPS:
-        return abs(float(np.dot(op - og, cross))) / cross_norm
-    unit_g = ag / float(np.linalg.norm(ag))
+        return abs(float(_product(op - og, cross))) / cross_norm
+    unit_g = ag / _norm(ag)
     delta = op - og
-    return float(np.linalg.norm(delta - float(np.dot(delta, unit_g)) * unit_g))
+    return _norm(delta - float(_product(delta, unit_g)) * unit_g)
 
 
 def type_accuracy(match: MatchResult, pred_types, gt_types):

@@ -1,14 +1,22 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from artikit.errors import ValidationError
 from artikit.kinematics import (
     AffinityMatrix,
     ParentDistribution,
+    _apply,
+    _norm,
+    _product,
     apply_joint,
     articulate,
     build_tree,
@@ -30,7 +38,11 @@ from artikit.model import (
     JointType,
     KinematicTree,
     PartSpec,
+    model_from_dict,
+    model_to_dict,
+    save_model,
 )
+from tests.conftest import build_random_model
 
 
 def revolute(axis, pivot, span=math.pi):
@@ -199,6 +211,12 @@ class TestArticulate:
     def test_missing_state_value(self, cabinet):
         with pytest.raises(ValueError, match="missing state value"):
             articulate(cabinet, {0: 0.0})
+
+    @pytest.mark.parametrize("value", ["0.5", True, b"0.5"], ids=["str", "bool", "bytes"])
+    def test_a_joint_value_that_is_no_number_is_rejected(self, cabinet, value):
+        # the value reaches joint_transform uncast, so articulate keeps its number rule
+        with pytest.raises(ValueError, match="joint value"):
+            articulate(cabinet, {0: 0.0, 1: value})
 
     def test_pose_moves_only_owned_points(self, cabinet):
         state = {0: 0.0, 1: 0.7}
@@ -390,3 +408,103 @@ def test_joint_values_give_finite_results_or_value_error(name, data):
         except ValueError:
             return
     assert np.all(np.isfinite(_numbers(result))), (name, result)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-order products behind posing, tree scores and joint errors
+
+_ENTRIES = st.floats(-1e3, 1e3, allow_nan=False)
+_POINT_SHAPES = st.one_of(st.just((3,)), st.integers(0, 8).map(lambda m: (m, 3)))
+
+
+def _assert_within_ulps(got, want, scale):
+    """``got`` equals ``want`` to within 4 ulps of ``scale`` (plus a few
+    subnormal steps, which a fused multiply-add may round differently)."""
+    assert got.shape == want.shape
+    tol = 4 * np.finfo(np.float64).eps * scale + 4 * np.finfo(np.float64).smallest_subnormal
+    assert np.all(np.abs(got - want) <= tol), (got, want)
+
+
+@settings(derandomize=True, deadline=None)
+@given(rot=hnp.arrays(np.float64, (3, 3), elements=_ENTRIES),
+       trans=hnp.arrays(np.float64, (3,), elements=_ENTRIES),
+       points=hnp.arrays(np.float64, _POINT_SHAPES, elements=_ENTRIES))
+def test_fixed_order_helpers_equal_matmul_within_a_few_ulps(rot, trans, points):
+    abs_rot = np.abs(rot)
+    _assert_within_ulps(_apply((rot, trans), points), points @ rot.T + trans,
+                        np.abs(points) @ abs_rot.T + np.abs(trans))
+    _assert_within_ulps(_product(rot, trans), rot @ trans, abs_rot @ np.abs(trans))
+    _assert_within_ulps(_product(rot, rot), rot @ rot, abs_rot @ abs_rot)
+    _assert_within_ulps(np.float64(_norm(trans)), np.linalg.norm(trans), np.linalg.norm(trans))
+
+
+_KERNEL_DIGEST = """
+import hashlib, json, sys
+import numpy as np
+from artikit.kinematics import articulate, pairwise_affinity, part_transforms, state_grid
+from artikit.metrics import evaluate
+from artikit.model import load_model
+
+pred, gt = load_model(sys.argv[1]), load_model(sys.argv[2])
+with open(sys.argv[3]) as fh:
+    probs, compat = json.load(fh)
+values = [pairwise_affinity(probs, compat).scores]
+for model in (pred, gt):
+    for state in state_grid(model, 6):
+        values.append(articulate(model, state))
+        for rot, trans in part_transforms(model, state).values():
+            values += [rot, trans]
+report = evaluate(pred, gt, n_states=6)
+assert len(report.axis_errors) == 6 and len(report.pivot_errors) == 4, report.per_joint
+values += [[s["cd"], s["fscore"]] for s in report.per_state]
+values += [report.axis_errors, report.pivot_errors]
+digest = hashlib.sha256()
+for value in values:
+    digest.update(np.asarray(value, dtype=np.float64).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _dynamic_openblas_with_avx2() -> bool:
+    """Whether numpy's OpenBLAS picks its kernels at run time and this CPU can
+    run the Haswell one (a kernel the CPU lacks can die with SIGILL)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # numpy without the dicts mode
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "") and bool(
+        __cpu_features__.get("AVX2"))
+
+
+def test_posing_tree_scores_and_joint_errors_have_the_same_bytes_on_every_kernel(tmp_path):
+    if not _dynamic_openblas_with_avx2():
+        pytest.skip("needs a DYNAMIC_ARCH OpenBLAS and an AVX2 CPU")
+    # built here once: build_random_model normalises its axes through BLAS
+    rng = np.random.default_rng(33)
+    gt = build_random_model(rng, 6)
+    doc = model_to_dict(gt)
+    doc["points"] = (gt.points + rng.normal(0, 0.005, gt.points.shape)).tolist()
+    for part in doc["parts"]:
+        axis = np.array(part["joint"]["axis"]) + rng.normal(0, 0.05, 3)
+        part["joint"]["axis"] = (axis / np.linalg.norm(axis)).tolist()
+        part["joint"]["pivot"] = (np.array(part["joint"]["pivot"]) + rng.normal(0, 0.02, 3)).tolist()
+    save_model(model_from_dict(doc), tmp_path / "pred.json")
+    save_model(gt, tmp_path / "gt.json")
+    (tmp_path / "tree.json").write_text(json.dumps(
+        [rng.dirichlet(np.ones(8), size=6).tolist(), rng.normal(size=(8, 8)).tolist()]))
+
+    paths = [str(tmp_path / name) for name in ("pred.json", "gt.json", "tree.json")]
+    digests = {}
+    for kernel in (None, "Prescott", "Haswell"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_DIGEST, *paths],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests[kernel] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
