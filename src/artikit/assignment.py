@@ -136,7 +136,7 @@ def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
     # the points of every GT row in one index list, row after row; reduceat
     # sums the non-empty rows only, as it gives an element, not 0, for an
     # empty one
-    members = np.nonzero(gt)[1]
+    members = np.flatnonzero(gt) % m
     sizes = np.count_nonzero(gt, axis=1)
     filled = sizes > 0
     starts = (np.cumsum(sizes) - sizes)[filled]

@@ -27,6 +27,7 @@ from .model import (
     _int_domain,
     _magnitude,
     _prob_rows,
+    _product,
     _tree_walk,
     _unit_axis,
     _value_eq,
@@ -45,32 +46,11 @@ TREE_SCORE = _magnitude(MAX_TREE_SCORE)
 TWO_PI = 2.0 * math.pi
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The matrix product of ``a`` ``(..., K)`` and ``b`` ``(K,)`` or ``(K, N)``
-    with no BLAS: numpy ufuncs, which never fuse a multiply and an add, sum
-    the K terms one at a time in index order, so the float64 bytes are the
-    same on every CPU and OpenBLAS kernel.  Each ufunc call is one long pass
-    over the leading axes of ``a``, not one short pass per row."""
-    if b.ndim == 1:
-        return _product(a, b[:, None])[..., 0]
-    cols = np.moveaxis(a, -1, 0)[:, None]  # (K, 1, ...)
-    rows = b.reshape(b.shape + (1,) * (a.ndim - 1))  # (K, N, 1, ...)
-    out = cols[0] * rows[0]
-    for k in range(1, len(b)):
-        out += cols[k] * rows[k]
-    return np.moveaxis(out, 0, -1)
-
-
 def _apply(transform, points) -> np.ndarray:
     """The rigid transform ``(R, t)`` applied to one point ``(3,)`` or each row
     of ``(M, 3)``: ``out[..., i] = x*R[i,0] + y*R[i,1] + z*R[i,2] + t[i]``."""
     rot, trans = transform
     return _product(points, rot.T) + trans
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean length of a ``(3,)`` vector: the root of ``_product(v, v)``."""
-    return math.sqrt(_product(v, v))
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import (FINITE, JOINT_MAGNITUDE, JOINT_TYPE_ORDER, NON_NEGATIVE, POSITIVE,
                     UNIT_INTERVAL, JointLimits, JointSpec, JointType, _as_array, _frozen,
-                    _int_domain, _prob_rows, _value_eq)
+                    _int_domain, _norm, _prob_rows, _product, _value_eq)
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1e-6
@@ -49,14 +49,6 @@ def _clamp_prob(p, out=None) -> np.ndarray:
     return np.clip(np.asarray(p, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP, out=out)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < NORM_EPS or nb < NORM_EPS:
-        raise ValueError("zero-norm embedding in cosine similarity")
-    return float(np.dot(a, b)) / (na * nb)
-
-
 def triplet_loss(h_a, h_b, h_c, tau: float) -> float:
     """Contrastive triplet loss on exp(cos/tau) similarities.
 
@@ -67,9 +59,13 @@ def triplet_loss(h_a, h_b, h_c, tau: float) -> float:
     a = _as_array(h_a, ("d",), "h_a", domain=JOINT_MAGNITUDE)
     b = _as_array(h_b, a.shape, "h_b", domain=JOINT_MAGNITUDE)
     c = _as_array(h_c, a.shape, "h_c", domain=JOINT_MAGNITUDE)
-    x_ab = _cosine(a, b) / tau
-    x_ac = _cosine(a, c) / tau
-    x_bc = _cosine(b, c) / tau
+    norms = [float(_norm(v)) for v in (a, b, c)]
+    if min(norms) < NORM_EPS:
+        raise ValueError("zero-norm embedding in cosine similarity")
+    na, nb, nc = norms
+    x_ab = float(_product(a, b)) / (na * nb) / tau
+    x_ac = float(_product(a, c)) / (na * nc) / tau
+    x_bc = float(_product(b, c)) / (nb * nc) / tau
     # log(s_ab / (s_ab + s_xy)) = x_ab - logaddexp(x_ab, x_xy)
     term_ac = x_ab - np.logaddexp(x_ab, x_ac)
     term_bc = x_ab - np.logaddexp(x_ab, x_bc)
@@ -141,13 +137,13 @@ def motion_loss(pred: MotionPrediction, gt: JointSpec, weights: LossWeights = DE
         raise ValueError("type_logits must cover every joint type")
     l_type = float(-_log_softmax(pred.type_logits)[gt_index])
 
-    na = float(np.linalg.norm(pred.axis))
-    ng = float(np.linalg.norm(gt.axis))
+    na = float(_norm(pred.axis))
+    ng = float(_norm(gt.axis))
     if na < NORM_EPS:
         raise ValueError("predicted axis has zero norm")
     if ng < NORM_EPS:
         raise ValueError("ground-truth axis has zero norm")
-    l_dir = 1.0 - abs(float(np.dot(pred.axis, gt.axis)) / (na * ng))
+    l_dir = 1.0 - abs(float(_product(pred.axis, gt.axis)) / (na * ng))
 
     l_origin = float(np.abs(pred.pivot - gt.pivot).sum())
     l_limit = abs(pred.center - gt.limits.center) + abs(pred.span - gt.limits.span)

@@ -25,9 +25,9 @@ import numpy as np
 from . import _fan_out, _fmt
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .geometry import _sample_from_meshes, nearest_neighbor_distances, nearest_neighbors
-from .kinematics import _norm, _product, part_transforms, pose, state_grid
+from .kinematics import part_transforms, pose, state_grid
 from .model import (JOINT_MAGNITUDE, POSITIVE, ROOT_ID, ArticulatedModel, JointType, _as_array,
-                    _int_domain)
+                    _int_domain, _norm, _product)
 from .model import require_valid  # unused: kept for perfbench/spans.py, which wraps it here
 
 _PARALLEL_EPS = 1e-9
@@ -112,12 +112,12 @@ def pivot_error(o_p, a_p, o_g, a_g) -> float:
     if _norm(ap) < _PARALLEL_EPS or _norm(ag) < _PARALLEL_EPS:
         raise ValueError("pivot_error: zero-length axis")
     cross = np.cross(ap, ag)
-    cross_norm = _norm(cross)
+    cross_norm = float(_norm(cross))
     if cross_norm > _PARALLEL_EPS:
         return abs(float(_product(op - og, cross))) / cross_norm
     unit_g = ag / _norm(ag)
     delta = op - og
-    return _norm(delta - float(_product(delta, unit_g)) * unit_g)
+    return float(_norm(delta - float(_product(delta, unit_g)) * unit_g))
 
 
 def type_accuracy(match: MatchResult, pred_types, gt_types):

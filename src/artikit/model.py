@@ -108,6 +108,29 @@ def _as_array(value, shape, name, dtype=np.float64, domain=None) -> np.ndarray:
     return arr
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product of ``a`` ``(..., K)`` and ``b`` ``(K,)`` or ``(K, N)``
+    with no BLAS: the K terms are added one at a time in index order, so the
+    float64 bytes are the same on every CPU and OpenBLAS kernel.  NumPy
+    ufuncs never fuse a multiply and an add.  For a vector ``b`` the running
+    sum is one ``np.add.accumulate`` pass in C; for a matrix each ufunc call
+    is one long pass over the leading axes of ``a``, not one short pass per row."""
+    if b.ndim == 1:
+        return np.add.accumulate(a * b, axis=-1)[..., -1]
+    cols = np.moveaxis(a, -1, 0)[:, None]  # (K, 1, ...)
+    rows = b.reshape(b.shape + (1,) * (a.ndim - 1))  # (K, N, 1, ...)
+    out = cols[0] * rows[0]
+    for k in range(1, len(b)):
+        out += cols[k] * rows[k]
+    return np.moveaxis(out, 0, -1)
+
+
+def _norm(v: np.ndarray):
+    """Euclidean length along the last axis of ``v`` ``(..., K)``: the root of
+    the squares summed in index order, as ``_product`` sums them."""
+    return np.sqrt(np.add.accumulate(v * v, axis=-1)[..., -1])
+
+
 def _prob_rows(value, shape, name) -> np.ndarray:
     """``_as_array`` of probability rows, each summing to 1 within ``PROB_ROW_TOL``."""
     probs = _as_array(value, shape, name, domain=PROBABILITY)
@@ -121,9 +144,9 @@ def _unit_axis(axis) -> np.ndarray:
     ``UNIT_AXIS_TOL`` of 1, the one axis rule of every moving joint."""
     axis = _as_array(axis, (3,), "axis", domain=FINITE)
     with np.errstate(over="ignore"):  # a norm beyond the float range reads inf
-        norm = float(np.linalg.norm(axis))
+        norm = float(_norm(axis))
     if abs(norm - 1.0) > UNIT_AXIS_TOL:
-        raise ValueError(f"joint axis not unit length (norm={norm:.6g})")
+        raise ValueError(f"joint axis not unit length (norm={norm:.9g})")
     return axis
 
 
@@ -322,7 +345,7 @@ class TriMesh:
         a = self.vertices[self.faces[:, 0]]
         b = self.vertices[self.faces[:, 1]]
         c = self.vertices[self.faces[:, 2]]
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        return 0.5 * _norm(np.cross(b - a, c - a))
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,23 @@ and each case runs once through ``python -m artikit``.  Each workload's
 digest (stdout plus output files, ``Outcomes.workload_digest``) must equal the
 pinned value.  Every case then runs again fully serial, pinned to one CPU
 (``conftest.one_cpu``), so artikit's kernels and OpenBLAS each run on one
-thread, through the same ``Outcomes``, which records any byte that differs
-from the first run as a problem.  A change that moves a digest on purpose
-updates the pinned value and gives the reason in CHANGES.md.
+thread, and, on a CPU where NumPy dispatches AVX-512 kernels, once more with
+those kernels disabled (``NPY_DISABLE_CPU_FEATURES``), so ``np.log``,
+``np.log1p`` and ``np.exp`` take their AVX2 or baseline paths.  Each pass goes
+through the same ``Outcomes``, which records any byte that differs from the
+first run as a problem.  A change that moves a digest on purpose updates the
+pinned value and gives the reason in CHANGES.md.
 """
 
 import contextlib
 from pathlib import Path
 
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from tests.conftest import one_cpu
 
@@ -26,6 +34,12 @@ PINNED = {
     # articulate --states 6 on the two models of the evaluate jitter case
     "articulate": "43f68a006a7ee4b106d440c2f8a6b631a04e9d3096474985e392f597b0da15c6",
 }
+
+
+#: the AVX-512 targets NumPy dispatches to on this CPU ("X86_V4 AVX512_ICL
+#: AVX512_SPR" on numpy 2.4; AVX512F and the other AVX512_* on numpy 1.x)
+AVX512_TARGETS = " ".join(t for t in __cpu_dispatch__
+                          if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__.get(t))
 
 
 def _no_stdout(stdout: str):
@@ -57,13 +71,16 @@ def test_seed_1_outputs_are_pinned_at_any_thread_count(workload, tmp_path, monke
     if workload == "evaluate":
         groups["articulate"] = _articulate_cases(fixtures, tmp_path)
     env = run.child_env()
+    passes = [(contextlib.nullcontext, env), (one_cpu, env)]
+    if AVX512_TARGETS:
+        passes.append((contextlib.nullcontext, {**env, "NPY_DISABLE_CPU_FEATURES": AVX512_TARGETS}))
     outcomes = run.Outcomes()
-    for pin in (contextlib.nullcontext, one_cpu):
+    for pin, pass_env in passes:
         with pin():
             for cases in groups.values():
-                run.run_untraced(cases, 0, env, tmp_path, outcomes)  # one pass
+                run.run_untraced(cases, 0, pass_env, tmp_path, outcomes)  # one pass
 
     assert outcomes.problems == [] and outcomes.failed == 0
-    assert outcomes.attempted == 2 * sum(map(len, groups.values()))
+    assert outcomes.attempted == len(passes) * sum(map(len, groups.values()))
     digests = {name: outcomes.workload_digest(cases) for name, cases in groups.items()}
     assert digests == {name: PINNED[name] for name in groups}

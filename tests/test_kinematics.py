@@ -15,8 +15,6 @@ from artikit.kinematics import (
     AffinityMatrix,
     ParentDistribution,
     _apply,
-    _norm,
-    _product,
     apply_joint,
     articulate,
     build_tree,
@@ -38,6 +36,8 @@ from artikit.model import (
     JointType,
     KinematicTree,
     PartSpec,
+    _norm,
+    _product,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -119,11 +119,14 @@ class TestApplyJoint:
             ([0, 0], r"axis must have shape \(3,\), got \(2,\)"),
             ([[0, 0, 1]], r"axis must have shape \(3,\), got \(1, 3\)"),
             ([0, 0, 2], r"joint axis not unit length \(norm=2\)"),
-            ([0.6, 0.8, 2e-3], r"joint axis not unit length \(norm=1\)"),
+            ([0.6, 0.8, 2e-3], r"joint axis not unit length \(norm=1\.000002\)"),
+            # one OpenBLAS kernel's dot product put this norm within UNIT_AXIS_TOL of 1
+            ([0.029019990276583692, -0.9993684665169563, 0.020555006613820138],
+             r"joint axis not unit length \(norm=1\.000001\)"),
             ([0, float("nan"), 1], "axis must be finite"),
             ([0, 0, float("inf")], "axis must be finite"),
         ],
-        ids=["short", "2d", "norm-2", "norm-1.000002", "nan", "inf"],
+        ids=["short", "2d", "norm-2", "norm-1.000002", "norm-1.000001", "nan", "inf"],
     )
     def test_rotation_about_axis_rejects_bad_axes(self, axis, message):
         with pytest.raises(ValueError, match=message):
@@ -411,7 +414,8 @@ def test_joint_values_give_finite_results_or_value_error(name, data):
 
 
 # ---------------------------------------------------------------------------
-# the fixed-order products behind posing, tree scores and joint errors
+# the fixed-order products and norms behind posing, tree scores, joint errors,
+# losses and the joint-axis check
 
 _ENTRIES = st.floats(-1e3, 1e3, allow_nan=False)
 _POINT_SHAPES = st.one_of(st.just((3,)), st.integers(0, 8).map(lambda m: (m, 3)))
@@ -436,14 +440,17 @@ def test_fixed_order_helpers_equal_matmul_within_a_few_ulps(rot, trans, points):
     _assert_within_ulps(_product(rot, trans), rot @ trans, abs_rot @ np.abs(trans))
     _assert_within_ulps(_product(rot, rot), rot @ rot, abs_rot @ abs_rot)
     _assert_within_ulps(np.float64(_norm(trans)), np.linalg.norm(trans), np.linalg.norm(trans))
+    row_norms = np.linalg.norm(points, axis=-1)
+    _assert_within_ulps(np.asarray(_norm(points)), row_norms, row_norms)
 
 
 _KERNEL_DIGEST = """
 import hashlib, json, sys
 import numpy as np
 from artikit.kinematics import articulate, pairwise_affinity, part_transforms, state_grid
+from artikit.losses import MotionPrediction, motion_loss, triplet_loss
 from artikit.metrics import evaluate
-from artikit.model import load_model
+from artikit.model import _unit_axis, load_model
 
 pred, gt = load_model(sys.argv[1]), load_model(sys.argv[2])
 with open(sys.argv[3]) as fh:
@@ -458,6 +465,20 @@ report = evaluate(pred, gt, n_states=6)
 assert len(report.axis_errors) == 6 and len(report.pivot_errors) == 4, report.per_joint
 values += [[s["cd"], s["fscore"]] for s in report.per_state]
 values += [report.axis_errors, report.pivot_errors]
+try:  # its norm is 1.000001: past UNIT_AXIS_TOL, or not, by the last bits of the sum
+    _unit_axis([0.029019990276583692, -0.9993684665169563, 0.020555006613820138])
+    values.append(1.0)
+except ValueError:
+    values.append(0.0)
+rng = np.random.default_rng(35)
+for d in (16, 256):
+    for _ in range(20):
+        values.append(triplet_loss(*rng.normal(size=(3, d)), tau=0.07))
+for joint in [part.joint for part in gt.parts] * 4:
+    pred = MotionPrediction(rng.normal(size=4), rng.normal(size=3), rng.normal(size=3),
+                            rng.normal(), rng.uniform())
+    total, breakdown = motion_loss(pred, joint)
+    values += [total, breakdown["dir"]]
 digest = hashlib.sha256()
 for value in values:
     digest.update(np.asarray(value, dtype=np.float64).tobytes())
@@ -480,7 +501,7 @@ def _dynamic_openblas_with_avx2() -> bool:
         __cpu_features__.get("AVX2"))
 
 
-def test_posing_tree_scores_and_joint_errors_have_the_same_bytes_on_every_kernel(tmp_path):
+def test_products_and_norms_have_the_same_bytes_on_every_kernel(tmp_path):
     if not _dynamic_openblas_with_avx2():
         pytest.skip("needs a DYNAMIC_ARCH OpenBLAS and an AVX2 CPU")
     # built here once: build_random_model normalises its axes through BLAS

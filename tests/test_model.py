@@ -76,6 +76,46 @@ def test_the_joint_rule_has_one_home():
     assert "joint" not in inspect.getsource(require_valid)
 
 
+#: names whose call goes to BLAS (or, for ``einsum``, may)
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def _is_blas(node) -> bool:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Attribute):
+        return node.attr in _BLAS_NAMES
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name in _BLAS_NAMES for alias in node.names) or "linalg" in (
+            node.module or "")
+    return isinstance(node, ast.Import) and any("linalg" in a.name for a in node.names)
+
+
+def _blas_sites(node, where="<module>"):
+    """The enclosing function of every ``@``, BLAS name or linalg import under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if _is_blas(node):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _blas_sites(child, where)
+
+
+def test_products_and_norms_have_one_home():
+    """``@``, ``np.dot``, ``np.matmul``, ``np.inner``, ``np.einsum`` and
+    ``np.linalg`` appear only in ``compute_mask_logits``, the one product left
+    on BLAS; every other product and norm goes through ``model._product`` and
+    ``model._norm``, which are defined nowhere else."""
+    src = Path(artikit.__file__).parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    sites = [(name, where) for name, tree in trees.items() for where in _blas_sites(tree)]
+    assert sites == [("assignment.py", "compute_mask_logits")], sites
+    for helper in ("_product", "_norm"):
+        homes = [name for name, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == helper]
+        assert homes == ["model.py"], (helper, homes)
+
+
 class TestValidation:
     @pytest.mark.parametrize("coord, violation", [
         (0.5 + 1e-9, None),
