@@ -116,7 +116,6 @@ from .model import (
 from .geometry import (
     SparseVoxelGrid,
     TriplaneStack,
-    global_pool_concat,
     load_grid,
     nearest_neighbor_distances,
     sample_surface_points,
@@ -139,14 +138,9 @@ from .kinematics import (
 )
 from .assignment import (
     MatchResult,
-    QuerySet,
-    SoftMaskSet,
-    compute_mask_logits,
     confidence_targets,
-    filter_queries,
     hungarian,
     matching_cost,
-    residual_update,
 )
 from .losses import (
     LossWeights,
@@ -188,7 +182,6 @@ __all__ = [
     "save_model",
     "SparseVoxelGrid",
     "TriplaneStack",
-    "global_pool_concat",
     "load_grid",
     "nearest_neighbor_distances",
     "sample_surface_points",
@@ -207,14 +200,9 @@ __all__ = [
     "parent_distribution",
     "sample_states",
     "MatchResult",
-    "QuerySet",
-    "SoftMaskSet",
-    "compute_mask_logits",
     "confidence_targets",
-    "filter_queries",
     "hungarian",
     "matching_cost",
-    "residual_update",
     "LossWeights",
     "MotionPrediction",
     "confidence_loss",

@@ -1,5 +1,5 @@
-"""Query-to-part matching: mask logits, Hungarian assignment, confidence targets,
-residual query updates and confidence filtering.
+"""Query-to-part matching: matching cost, Hungarian assignment, confidence
+targets and mask interchange.
 
 The bipartite matcher minimizes total cost over min(N, K) pairs and breaks
 ties toward the lexicographically smallest pair list, so results are
@@ -16,64 +16,9 @@ from . import _compiled_scipy
 from ._fmt import parse_errors, read_payload, write_payload
 from .errors import ParseError
 from .losses import DICE_EPS, _clamp_prob
-from .model import FINITE, NON_NEGATIVE, UNIT_INTERVAL, _as_array, _frozen, _value_eq
+from .model import FINITE, NON_NEGATIVE, UNIT_INTERVAL, _as_array
 
 HARD_MASK_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True, eq=False)
-class QuerySet:
-    """Paired position/content queries with confidences and part logits.
-
-    All fields are row-aligned: positions (N, 3), contents (N, d), confidences
-    (N,) in [0, 1], part_logits (N, C).
-    """
-
-    positions: np.ndarray
-    contents: np.ndarray
-    confidences: np.ndarray
-    part_logits: np.ndarray
-
-    __eq__ = _value_eq
-
-    def __post_init__(self):
-        pos = _frozen(self.positions, ("N", 3), "positions", domain=FINITE)
-        n = pos.shape[0]
-        con = _frozen(self.contents, (n, "d"), "contents", domain=FINITE)
-        conf = _frozen(self.confidences, (n,), "confidences", domain=UNIT_INTERVAL)
-        logits = _frozen(self.part_logits, (n, "C"), "part_logits", domain=FINITE)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "contents", con)
-        object.__setattr__(self, "confidences", conf)
-        object.__setattr__(self, "part_logits", logits)
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class SoftMaskSet:
-    """Raw query-to-point affinity logits (N_q, M)."""
-
-    logits: np.ndarray
-
-    __eq__ = _value_eq
-
-    def __post_init__(self):
-        logits = _as_array(self.logits, ("N_q", "M"), "logits", domain=FINITE)
-        object.__setattr__(self, "logits", logits)
-
-    @property
-    def soft(self) -> np.ndarray:
-        """Sigmoid of the logits: per-point soft assignment in (0, 1)."""
-        from scipy.special import expit
-
-        return expit(self.logits)
-
-    @property
-    def hard(self) -> np.ndarray:
-        """Soft assignment thresholded at 0.5."""
-        return self.soft > HARD_MASK_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -100,21 +45,6 @@ class MatchResult:
         object.__setattr__(self, "unmatched_queries", unmatched)
         # no domain: a total of near-maximal finite costs may round to inf
         object.__setattr__(self, "total_cost", float(_as_array(self.total_cost, (), "total_cost")))
-
-
-def compute_mask_logits(contents, features) -> SoftMaskSet:
-    """Part-mask logits as the affinity between content queries and point
-    features.  ``con @ feats.T`` goes through BLAS, so the last bits can differ
-    between CPU kernels; no tie rule reads these logits."""
-    con = _as_array(contents, ("N", "d"), "contents", domain=FINITE)
-    feats = _as_array(features, ("M", "d"), "features", domain=FINITE)
-    if con.shape[1] != feats.shape[1]:
-        raise ValueError(
-            f"feature dimension mismatch: contents {con.shape[1]} vs features {feats.shape[1]}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):  # SoftMaskSet rejects a non-finite logit
-        logits = con @ feats.T
-    return SoftMaskSet(logits=logits)
 
 
 def matching_cost(pred_soft, gt_masks, w_bce=1.0, w_dice=1.0) -> np.ndarray:
@@ -309,31 +239,6 @@ def confidence_targets(pred_hard, gt_masks, match: MatchResult) -> np.ndarray:
         union = np.count_nonzero(pred[q] | gt[g])
         out[q] = inter / union if union else 0.0
     return out
-
-
-def residual_update(queries: QuerySet, delta_p, delta_c) -> QuerySet:
-    """Additive refinement of positions and contents; other fields unchanged."""
-    dp = _as_array(delta_p, queries.positions.shape, "delta_p")
-    dc = _as_array(delta_c, queries.contents.shape, "delta_c")
-    with np.errstate(over="ignore", invalid="ignore"):  # QuerySet rejects a non-finite value
-        positions, contents = queries.positions + dp, queries.contents + dc
-    return QuerySet(
-        positions=positions,
-        contents=contents,
-        confidences=queries.confidences,
-        part_logits=queries.part_logits,
-    )
-
-
-def filter_queries(queries: QuerySet, threshold: float = 0.5) -> QuerySet:
-    """Drop rows with confidence strictly below the threshold; order preserved."""
-    keep = queries.confidences >= _as_array(threshold, (), "threshold", domain=UNIT_INTERVAL)
-    return QuerySet(
-        positions=queries.positions[keep],
-        contents=queries.contents[keep],
-        confidences=queries.confidences[keep],
-        part_logits=queries.part_logits[keep],
-    )
 
 
 # ---------------------------------------------------------------------------

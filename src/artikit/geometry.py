@@ -444,15 +444,6 @@ def nearest_neighbor_distances(from_points, to_points) -> np.ndarray:
     return nearest_neighbors(from_points, to_points)[0]
 
 
-def global_pool_concat(h, f_geo) -> np.ndarray:
-    """Mean-pool two aligned feature sets over points and concatenate them."""
-    h = _as_array(h, ("M", "d"), "h", domain=FINITE)
-    f = _as_array(f_geo, (h.shape[0], "d"), "f_geo", domain=FINITE)
-    if h.shape[0] == 0:
-        raise ValueError("cannot pool an empty feature set")
-    return np.concatenate([h.mean(axis=0), f.mean(axis=0)])
-
-
 # ---------------------------------------------------------------------------
 # feature-set interchange: raw little-endian float32 plus a JSON sidecar
 

@@ -8,63 +8,15 @@ from hypothesis import given, settings, strategies as st
 from artikit import assignment
 from artikit.assignment import (
     MatchResult,
-    QuerySet,
-    compute_mask_logits,
     confidence_targets,
-    filter_queries,
     hungarian,
     load_masks,
     matching_cost,
-    residual_update,
     save_masks,
 )
 from artikit.errors import ParseError
 from tests.conftest import criterion3_matrices
 from tests.oracles import brute_force_assignment, hungarian_reference, matching_cost_fsum
-
-
-def make_queries(n=4, d=3, c=5, seed=0):
-    rng = np.random.default_rng(seed)
-    return QuerySet(
-        positions=rng.normal(size=(n, 3)),
-        contents=rng.normal(size=(n, d)),
-        confidences=rng.random(n),
-        part_logits=rng.normal(size=(n, c)),
-    )
-
-
-class TestMaskLogits:
-    def test_zero_content_gives_half_soft(self):
-        masks = compute_mask_logits(np.zeros((1, 4)), np.ones((6, 4)))
-        np.testing.assert_array_equal(masks.logits, np.zeros((1, 6)))
-        np.testing.assert_allclose(masks.soft, np.full((1, 6), 0.5))
-
-    def test_orthonormal_features_pick_one_point(self):
-        feats = np.eye(3)
-        masks = compute_mask_logits(feats[0][None], feats)
-        np.testing.assert_allclose(masks.logits, [[1.0, 0.0, 0.0]])
-
-    def test_logits_scale_linearly(self):
-        rng = np.random.default_rng(2)
-        contents = rng.normal(size=(2, 5))
-        feats = rng.normal(size=(7, 5))
-        base = compute_mask_logits(contents, feats).logits
-        scaled = compute_mask_logits(3.0 * contents, feats).logits
-        np.testing.assert_allclose(scaled, 3.0 * base, atol=1e-12)
-
-    def test_hard_mask_invariant_to_orthogonal_shift(self):
-        # features span the first two coordinates; the shift lives in the third
-        feats = np.array([[1.0, 0, 0], [0, 1.0, 0], [0.5, 0.5, 0]])
-        contents = np.array([[0.3, -0.2, 0.0], [1.0, 2.0, 0.0]])
-        shift = np.array([0.0, 0.0, 5.0])
-        before = compute_mask_logits(contents, feats)
-        after = compute_mask_logits(contents + shift, feats)
-        np.testing.assert_array_equal(before.hard, after.hard)
-        np.testing.assert_allclose(before.logits, after.logits, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            compute_mask_logits(np.zeros((1, 4)), np.zeros((5, 3)))
 
 
 class TestMatchingCost:
@@ -323,69 +275,6 @@ class TestConfidenceTargets:
             for q, g in match.pairs:
                 if targets[q] == 1.0:
                     assert np.array_equal(pred[q], gt[g])
-
-
-class TestQueryOps:
-    def test_residual_zero_identity(self):
-        q = make_queries()
-        out = residual_update(q, np.zeros((4, 3)), np.zeros((4, 3)))
-        np.testing.assert_array_equal(out.positions, q.positions)
-        np.testing.assert_array_equal(out.contents, q.contents)
-
-    def test_sequential_updates_sum(self):
-        q = make_queries(seed=3)
-        rng = np.random.default_rng(9)
-        d1p, d2p = rng.normal(size=(2, 4, 3))
-        d1c, d2c = rng.normal(size=(2, 4, 3))
-        stepwise = residual_update(residual_update(q, d1p, d1c), d2p, d2c)
-        summed = residual_update(q, d1p + d2p, d1c + d2c)
-        np.testing.assert_allclose(stepwise.positions, summed.positions, atol=1e-12)
-        np.testing.assert_allclose(stepwise.contents, summed.contents, atol=1e-12)
-
-    def test_negative_positions_cancel(self):
-        q = make_queries(seed=4)
-        out = residual_update(q, -q.positions, np.zeros_like(q.contents))
-        np.testing.assert_array_equal(out.positions, np.zeros((4, 3)))
-
-    def test_filter_strict_below(self):
-        q = QuerySet(
-            positions=np.zeros((3, 3)),
-            contents=np.zeros((3, 2)),
-            confidences=np.array([0.9, 0.4, 0.5]),
-            part_logits=np.zeros((3, 2)),
-        )
-        kept = filter_queries(q, 0.5)
-        np.testing.assert_array_equal(kept.confidences, [0.9, 0.5])
-
-    def test_filter_zero_threshold_identity(self):
-        q = make_queries(seed=5)
-        kept = filter_queries(q, 0.0)
-        assert len(kept) == len(q)
-
-    def test_filter_can_empty(self):
-        q = make_queries(seed=6)
-        kept = filter_queries(q, 1.0)
-        assert len(kept) <= len(q)
-        again = filter_queries(kept, 1.0)
-        assert len(again) == len(kept)
-
-    @given(st.floats(0.0, 1.0))
-    @settings(max_examples=25)
-    def test_filter_idempotent(self, threshold):
-        q = make_queries(seed=7)
-        once = filter_queries(q, threshold)
-        twice = filter_queries(once, threshold)
-        np.testing.assert_array_equal(once.confidences, twice.confidences)
-        np.testing.assert_array_equal(once.positions, twice.positions)
-
-    def test_confidence_range_enforced(self):
-        with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            QuerySet(
-                positions=np.zeros((1, 3)),
-                contents=np.zeros((1, 2)),
-                confidences=np.array([1.5]),
-                part_logits=np.zeros((1, 2)),
-            )
 
 
 class TestMaskInterchange:

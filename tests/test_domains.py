@@ -20,9 +20,8 @@ import artikit
 from artikit import _fmt, meshio
 from artikit.cli import main
 from artikit import model as model_module
-from artikit.assignment import (MatchResult, QuerySet, SoftMaskSet, compute_mask_logits,
-                                filter_queries, hungarian, matching_cost)
-from artikit.geometry import (NN_MAGNITUDE, SparseVoxelGrid, TriplaneStack, global_pool_concat,
+from artikit.assignment import MatchResult, hungarian, matching_cost
+from artikit.geometry import (NN_MAGNITUDE, SparseVoxelGrid, TriplaneStack,
                               nearest_neighbor_distances, sample_surface_points,
                               triplane_scatter)
 from artikit.kinematics import (
@@ -80,10 +79,6 @@ PROB_RULE = f"finite and non-negative and at most 1 + {PROB_ROW_TOL:g}"
 JOINT_RULE = JOINT_MAGNITUDE[2]
 
 
-def _queries(confidences=(0.5, 0.5)):
-    return QuerySet(np.zeros((2, 3)), np.zeros((2, 4)), confidences, np.zeros((2, 5)))
-
-
 def _stack(weights):
     return TriplaneStack(2, np.zeros((3, 2, 2, 1)), weights)
 
@@ -110,9 +105,6 @@ def _with_nan(shape, at=0):
 
 # entry point -> (call with NaN in one argument, the message it must give)
 NAN_ARGUMENTS = {
-    "QuerySet-confidences": (lambda: _queries((0.5, NAN)),
-                             "confidences must be finite and lie in [0, 1]"),
-    "SoftMaskSet-logits": (lambda: SoftMaskSet(_with_nan((2, 3))), "logits must be finite"),
     "TriplaneStack-weights": (lambda: _stack(_with_nan((3, 2, 2), 5)),
                               "weights must be finite and non-negative"),
     "AffinityMatrix-scores": (lambda: AffinityMatrix(_with_nan((2, 2), 1), np.zeros(2)),
@@ -126,8 +118,6 @@ NAN_ARGUMENTS = {
                          "loss weight mask must be finite and non-negative"),
     "confidence_loss-u": (lambda: confidence_loss(0.0, NAN),
                           "target u must be finite and lie in [0, 1]"),
-    "filter_queries-threshold": (lambda: filter_queries(_queries(), NAN),
-                                 "threshold must be finite and lie in [0, 1]"),
     "triplet_loss-tau": (lambda: triplet_loss(np.ones(2), np.ones(2), np.ones(2), tau=NAN),
                          "tau must be positive and finite"),
     "fscore-tau": (lambda: fscore(CLOUD, CLOUD, tau=NAN), "tau must be positive and finite"),
@@ -195,10 +185,6 @@ NAN_ARGUMENTS = {
                              "component mask must be finite"),
     "stage_loss-ramp": (lambda: stage_loss(3, STAGE_III, ramp=NAN),
                         "ramp must be finite and non-negative"),
-    "global_pool_concat-h": (lambda: global_pool_concat(_with_nan((2, 3), 4), np.zeros((2, 1))),
-                             "h must be finite"),
-    "global_pool_concat-f_geo": (lambda: global_pool_concat(np.zeros((2, 3)), _with_nan((2, 1))),
-                                 "f_geo must be finite"),
     "JointLimits-center": (lambda: JointLimits(NAN, 0.25), f"joint center must be {JOINT_RULE}"),
     "JointLimits-span": (lambda: JointLimits(0.5, NAN), f"joint span must be {JOINT_SPAN[2]}"),
     "JointSpec-pivot": (lambda: JointSpec(JointType.REVOLUTE, [0, 0, 1], [NAN, 0, 0]),
@@ -209,20 +195,10 @@ NAN_ARGUMENTS = {
                              "w_dice must be finite and non-negative"),
     "focal_loss-gamma": (lambda: focal_loss([0.5], [1.0], NAN),
                          "gamma must be finite and non-negative"),
-    "QuerySet-positions": (lambda: QuerySet(_with_nan((2, 3)), np.zeros((2, 4)), [0.5, 0.5],
-                                            np.zeros((2, 5))), "positions must be finite"),
-    "QuerySet-contents": (lambda: QuerySet(np.zeros((2, 3)), _with_nan((2, 4)), [0.5, 0.5],
-                                           np.zeros((2, 5))), "contents must be finite"),
-    "QuerySet-part_logits": (lambda: QuerySet(np.zeros((2, 3)), np.zeros((2, 4)), [0.5, 0.5],
-                                              _with_nan((2, 5))), "part_logits must be finite"),
     "TriplaneStack-planes": (lambda: TriplaneStack(2, _with_nan((3, 2, 2, 1)), np.ones((3, 2, 2))),
                              "planes must be finite"),
     "triplane_scatter-features": (lambda: triplane_scatter(np.zeros((1, 3)), [[NAN]], 2),
                                   "features must be finite"),
-    "compute_mask_logits-contents": (
-        lambda: compute_mask_logits(_with_nan((1, 2)), np.ones((3, 2))), "contents must be finite"),
-    "compute_mask_logits-features": (
-        lambda: compute_mask_logits(np.ones((1, 2)), _with_nan((3, 2))), "features must be finite"),
     "nearest_neighbor_distances-from_points": (
         lambda: nearest_neighbor_distances(_with_nan((2, 3)), CLOUD),
         f"from_points must be {NN_MAGNITUDE[2]}"),
@@ -296,7 +272,6 @@ def test_nan_is_rejected_naming_the_argument(case):
 
 # entry point -> call with a value just outside the domain of one argument
 OUTSIDE = {
-    "QuerySet-confidences-above": lambda: _queries((0.5, 1.0 + 1e-12)),
     "matching_cost-pred_soft-two": lambda: matching_cost(np.full((1, 3), 2.0), np.ones((1, 3))),
     "TriplaneStack-weights-negative": lambda: _stack(np.full((3, 2, 2), -1e-300)),
     "TriplaneStack-resolution-zero": lambda: TriplaneStack(0, np.zeros((3, 0, 0, 1)),
@@ -319,8 +294,6 @@ OUTSIDE = {
     "confidence_loss-beta-negative": lambda: confidence_loss(0.0, 0.5, beta=-1.0),
     "stage_loss-component-infinite": lambda: stage_loss(1, {"triplet": math.inf}),
     "stage_loss-ramp-negative": lambda: stage_loss(3, STAGE_III, ramp=-1e-300),
-    "global_pool_concat-f_geo-infinite": lambda: global_pool_concat(np.zeros((1, 2)),
-                                                                    [[math.inf]]),
 }
 
 
@@ -357,9 +330,6 @@ def test_the_bounds_are_in_the_domain_and_their_neighbours_are_not(domain, low, 
 
 
 def test_public_entry_points_take_the_bounds():
-    assert _queries((0.0, 1.0)).confidences.tolist() == [0.0, 1.0]
-    assert len(filter_queries(_queries((0.0, 1.0)), 0.0)) == 2
-    assert len(filter_queries(_queries((0.0, 1.0)), 1.0)) == 1
     assert confidence_loss(0.0, 0.0) > 0 and confidence_loss(0.0, 1.0) > 0
     assert _stack(np.zeros((3, 2, 2))).weights.max() == 0.0
     assert LossWeights(**{name: 0.0 for name in vars(LossWeights())}).mask == 0.0

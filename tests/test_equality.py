@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import artikit
-from artikit.assignment import QuerySet, SoftMaskSet
 from artikit.geometry import SparseVoxelGrid, TriplaneStack
 from artikit.kinematics import AffinityMatrix, ParentDistribution
 from artikit.losses import MotionPrediction
@@ -84,16 +83,6 @@ VALUES = {
         dict(probs=[[0.0, 0.5, 0.5], [0.25, 0.0, 0.75]]),
         dict(probs=[[[0.0, 0.0, 1.0], [0.25, 0.0, 0.75]], [[0.0, 1.0]]]),
     ),
-    QuerySet: (
-        dict(positions=np.zeros((2, 3)), contents=np.zeros((2, 4)), confidences=[0.5, 0.5],
-             part_logits=np.zeros((2, 5))),
-        dict(positions=[np.full((2, 3), 0.25)], contents=[np.ones((2, 4)), np.zeros((2, 3))],
-             confidences=[[0.5, 1.0]], part_logits=[np.full((2, 5), 0.5)]),
-    ),
-    SoftMaskSet: (
-        dict(logits=np.zeros((2, 3))),
-        dict(logits=[np.ones((2, 3)), np.zeros((3, 2))]),
-    ),
     MotionPrediction: (
         dict(type_logits=np.zeros(4), axis=[0, 0, 1], pivot=np.zeros(3), center=0.5, span=0.25),
         dict(type_logits=[np.zeros(3)], axis=[[0, 0, -1]], pivot=[[0, 0, -0.125]],
@@ -137,7 +126,7 @@ def test_a_value_differs_when_one_field_changes(cls, name, k):
 
 
 # (type, an array field); no type takes NaN, so the field is set past the constructor
-NAN_FIELDS = [(TriplaneStack, "planes"), (QuerySet, "part_logits")]
+NAN_FIELDS = [(TriplaneStack, "planes")]
 
 
 def _holding_nan(cls, name):

@@ -16,7 +16,6 @@ from artikit.errors import GeometryError, ParseError
 from artikit import geometry
 from artikit.geometry import (
     SparseVoxelGrid,
-    global_pool_concat,
     load_features,
     load_grid,
     nearest_neighbor_distances,
@@ -460,24 +459,6 @@ class TestNearestNeighbor:
         monkeypatch.setattr(geometry, "cKDTree", Spy)
         nearest_neighbors([[0.0, 0.0, 0.0]], [[0.1, 0.0, 0.0]])
         assert seen == [artikit._thread_budget()]
-
-
-class TestPooling:
-    def test_constant_rows(self):
-        h = np.tile([1.0, 2.0], (5, 1))
-        f = np.tile([7.0], (5, 1))
-        np.testing.assert_allclose(global_pool_concat(h, f), [1, 2, 7])
-
-    def test_documented_example(self):
-        h = np.array([[1.0, 0.0], [0.0, 1.0]])
-        f = np.array([[2.0], [4.0]])
-        np.testing.assert_allclose(global_pool_concat(h, f), [0.5, 0.5, 3.0])
-
-    def test_mismatch_and_empty(self):
-        with pytest.raises(ValueError):
-            global_pool_concat(np.zeros((2, 2)), np.zeros((3, 1)))
-        with pytest.raises(ValueError):
-            global_pool_concat(np.zeros((0, 2)), np.zeros((0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""What importing artikit costs and sets up, checked in fresh child processes.
+"""What importing artikit costs and sets up, checked in fresh child processes,
+and what its modules import, checked in their source.
 
 SciPy takes most of the CLI's start-up time, so only the functions that call
 it load it, and they load only SciPy's compiled assignment and KD-tree
@@ -6,6 +7,7 @@ modules, not the subpackages around them; the tracer in
 ``perfbench/spans.py`` must still find every function it wraps.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -309,3 +311,51 @@ def test_every_traced_attribute_resolves_to_a_callable():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing
+
+
+SRC = ROOT / "src" / "artikit"
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_scipy_loads_only_its_two_compiled_kernels():
+    """No module imports SciPy itself; ``_compiled_scipy`` loads the KD-tree
+    and the assignment solver, and nothing else."""
+    imports, loaded = [], []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [(name, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                imports.append((name, node.module))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "_compiled_scipy"):
+                loaded += [ast.literal_eval(arg) for arg in node.args]
+    assert imports == []
+    assert sorted(loaded) == ["scipy.optimize._lsap", "scipy.spatial._ckdtree"]
+
+
+# (module, name) imported for perfbench/spans.py to wrap, not for the module's
+# own use; ROADMAP item 7 replaces the wrapping and removes both
+KEPT_FOR_PERFBENCH = [("kinematics.py", "require_valid"), ("metrics.py", "require_valid")]
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in _trees().items():
+        if name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+                unused += [(name, b) for b in bound if b not in used]
+    assert sorted(unused) == KEPT_FOR_PERFBENCH
+    for name, bound in KEPT_FOR_PERFBENCH:
+        marked = [line for line in (SRC / name).read_text().splitlines()
+                  if bound in line and "# unused: kept for perfbench/spans.py" in line]
+        assert len(marked) == 1, (name, bound)

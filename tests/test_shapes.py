@@ -12,9 +12,6 @@ import pytest
 
 import artikit
 from artikit.assignment import (
-    QuerySet,
-    SoftMaskSet,
-    compute_mask_logits,
     confidence_targets,
     hungarian,
     matching_cost,
@@ -22,7 +19,6 @@ from artikit.assignment import (
 from artikit.geometry import (
     SparseVoxelGrid,
     TriplaneStack,
-    global_pool_concat,
     nearest_neighbor_distances,
     nearest_neighbors,
     save_features,
@@ -48,12 +44,6 @@ def _joint(axis=(0, 0, 1), pivot=(0, 0, 0)):
 def _stack(planes=None, weights=None):
     return TriplaneStack(2, np.zeros((3, 2, 2, 1)) if planes is None else planes,
                          np.zeros((3, 2, 2)) if weights is None else weights)
-
-
-def _queries(**changes):
-    fields = dict(positions=np.zeros((2, 3)), contents=np.zeros((2, 4)),
-                  confidences=np.zeros(2), part_logits=np.zeros((2, 5)))
-    return QuerySet(**{**fields, **changes})
 
 
 def _cabinet(points):
@@ -95,10 +85,6 @@ WRONG_SHAPES = {
                                       "from_points must have shape (M, 3), got (4, 2)"),
     "nearest_neighbors-to_points": (lambda: nearest_neighbors(CLOUD, BAD_CLOUD),
                                     "to_points must have shape (N, 3), got (4, 2)"),
-    "global_pool_concat-h": (lambda: global_pool_concat(np.zeros(4), np.zeros((4, 1))),
-                             "h must have shape (M, d), got (4,)"),
-    "global_pool_concat-f_geo": (lambda: global_pool_concat(np.zeros((4, 1)), np.zeros((3, 1))),
-                                 "f_geo must have shape (4, d), got (3, 1)"),
     "save_features-features": (lambda: save_features(np.zeros(4), "unused.f32"),
                                "features must have shape (M, d), got (4,)"),
     "chamfer-a": (lambda: chamfer(BAD_CLOUD, CLOUD), "a must have shape (M, 3), got (4, 2)"),
@@ -109,20 +95,6 @@ WRONG_SHAPES = {
                         "o_g must have shape (3,), got (1, 3)"),
     "save_point_cloud_ply-points": (lambda: save_point_cloud_ply(BAD_CLOUD, "unused.ply"),
                                     "points must have shape (M, 3), got (4, 2)"),
-    "QuerySet-positions": (lambda: _queries(positions=np.zeros((2, 2))),
-                           "positions must have shape (N, 3), got (2, 2)"),
-    "QuerySet-contents": (lambda: _queries(contents=np.zeros((3, 4))),
-                          "contents must have shape (2, d), got (3, 4)"),
-    "QuerySet-confidences": (lambda: _queries(confidences=np.zeros((2, 1))),
-                             "confidences must have shape (2,), got (2, 1)"),
-    "QuerySet-part_logits": (lambda: _queries(part_logits=np.zeros(2)),
-                             "part_logits must have shape (2, C), got (2,)"),
-    "SoftMaskSet-logits": (lambda: SoftMaskSet(np.zeros(3)),
-                           "logits must have shape (N_q, M), got (3,)"),
-    "compute_mask_logits-contents": (lambda: compute_mask_logits(np.zeros(3), np.zeros((4, 3))),
-                                     "contents must have shape (N, d), got (3,)"),
-    "compute_mask_logits-features": (lambda: compute_mask_logits(np.zeros((2, 3)), np.zeros(3)),
-                                     "features must have shape (M, d), got (3,)"),
     "matching_cost-pred_soft": (lambda: matching_cost(np.zeros(4), np.zeros((2, 4))),
                                 "pred_soft must have shape (N, M), got (4,)"),
     "matching_cost-gt_masks": (lambda: matching_cost(np.zeros((2, 4)), np.zeros(4)),

@@ -35,8 +35,6 @@ from artikit import (
     MotionPrediction,
     ParentDistribution,
     PartSpec,
-    QuerySet,
-    SoftMaskSet,
     SparseVoxelGrid,
     TriMesh,
     TriplaneStack,
@@ -46,15 +44,12 @@ from artikit import (
     axis_error,
     build_tree,
     chamfer,
-    compute_mask_logits,
     confidence_loss,
     confidence_targets,
     dice_loss,
     evaluate,
-    filter_queries,
     focal_loss,
     fscore,
-    global_pool_concat,
     hungarian,
     limits_from_range,
     limits_to_range,
@@ -65,7 +60,6 @@ from artikit import (
     pairwise_affinity,
     parent_distribution,
     pivot_error,
-    residual_update,
     sample_states,
     sample_surface_points,
     stage_loss,
@@ -84,7 +78,6 @@ MAX = float(np.finfo(np.float64).max)
 CABINET = build_cabinet()
 CLOUD = [[0.1, 0.2, 0.3], [-0.2, 0.1, 0.0], [0.3, -0.3, 0.2], [0.0, 0.0, -0.1]]
 FEATURES = [[1.0, 0.5], [0.0, -1.0], [2.0, 0.25], [0.5, 0.5]]
-CONTENTS = [[1.0, 0.0], [0.5, 0.5]]
 TETRA = ([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]],
          [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 MASKS = [[0.2, 0.7, 0.9], [0.5, 0.5, 0.1]]
@@ -145,10 +138,6 @@ def _joint(w):
     return JointSpec(w("revolute"), w([0.0, 0.0, 1.0]), w([0.1, 0.0, 0.0]), _limits(w))
 
 
-def _queries(w):
-    return QuerySet(w(CLOUD[:2]), w(CONTENTS), w([0.5, 0.9]), w([[0.1, 0.2, 0.3], [0.0] * 3]))
-
-
 def _motion(w):
     return MotionPrediction(w([0.1, 0.2, 0.0, -0.1]), w([0.0, 0.6, 0.8]), w([0.1, 0.0, 0.0]),
                             w(0.5), w(0.25))
@@ -183,7 +172,6 @@ CALLS = {
     "TriMesh": lambda w: TriMesh(w(TETRA[0]), w(TETRA[1])),
     "SparseVoxelGrid": _grid,
     "TriplaneStack": _stack,
-    "global_pool_concat": lambda w: global_pool_concat(w(FEATURES), w(FEATURES)),
     "nearest_neighbor_distances": lambda w: nearest_neighbor_distances(w(CLOUD), w(CLOUD[1:])),
     "sample_surface_points": lambda w: sample_surface_points(TriMesh(*TETRA), w(5), w(0)),
     "triplane_gather": lambda w: triplane_gather(_stack(w), w(CLOUD)),
@@ -203,16 +191,10 @@ CALLS = {
         AffinityMatrix(w([[0.0, 1.0], [0.5, 0.0]]), w([1.0, 0.5]))),
     "sample_states": lambda w: sample_states(_limits(w), w("revolute"), w(6)),
     "MatchResult": lambda w: MatchResult(w([[0, 0]]), w([1]), w(0.5)),
-    "QuerySet": _queries,
-    "SoftMaskSet": lambda w: SoftMaskSet(w(MASKS)),
-    "compute_mask_logits": lambda w: compute_mask_logits(w(CONTENTS), w(FEATURES)),
     "confidence_targets": lambda w: confidence_targets(w(HARD), w(GT),
                                                        MatchResult([(0, 0)], [1], 0.5)),
-    "filter_queries": lambda w: filter_queries(_queries(w), w(0.5)),
     "hungarian": lambda w: hungarian(w([[0.1, 0.5], [0.3, 0.2], [0.9, 0.0]])),
     "matching_cost": lambda w: matching_cost(w(MASKS), w(GT), w(1.0), w(1.0)),
-    "residual_update": lambda w: residual_update(_queries(w), w(np.zeros((2, 3)).tolist()),
-                                                 w(np.zeros((2, 2)).tolist())),
     "LossWeights": _weights,
     "MotionPrediction": _motion,
     "confidence_loss": lambda w: confidence_loss(w(0.3), w(0.5), w(2.0)),
@@ -317,10 +299,7 @@ def test_two_huge_values_give_finite_numbers_or_a_value_error(name, targets, sig
 
 # two finite values that overflow together, one case per kernel that met them
 OVERFLOWS = {
-    "compute_mask_logits": lambda: compute_mask_logits([[1e200, 0.0]], [[1e200, 0.0]]),
     "object_category_loss": lambda: object_category_loss([MAX, -MAX], 1),
-    "residual_update": lambda: residual_update(
-        QuerySet([[MAX, 0.0, 0.0]], [[0.0]], [0.5], [[0.0]]), [[MAX, 0.0, 0.0]], [[0.0]]),
     "motion_loss": lambda: motion_loss(_motion(lambda v: v), _joint(lambda v: v),
                                        LossWeights(type=MAX, dir=MAX)),
 }
