@@ -131,7 +131,6 @@ from .kinematics import (
     articulate,
     build_tree,
     limits_from_range,
-    limits_to_range,
     pairwise_affinity,
     parent_distribution,
     sample_states,
@@ -195,7 +194,6 @@ __all__ = [
     "articulate",
     "build_tree",
     "limits_from_range",
-    "limits_to_range",
     "pairwise_affinity",
     "parent_distribution",
     "sample_states",

@@ -29,7 +29,6 @@ from .model import (
     _prob_rows,
     _product,
     _tree_walk,
-    _unit_axis,
     _value_eq,
     require_valid,  # unused: kept for perfbench/spans.py, which wraps it here
 )
@@ -51,12 +50,6 @@ def _apply(transform, points) -> np.ndarray:
     of ``(M, 3)``: ``out[..., i] = x*R[i,0] + y*R[i,1] + z*R[i,2] + t[i]``."""
     rot, trans = transform
     return _product(points, rot.T) + trans
-
-
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix for a unit axis ``(3,)`` and an angle in
-    radians; an axis ``_unit_axis`` rejects or a non-finite angle raises ``ValueError``."""
-    return _rodrigues(_unit_axis(axis), float(_as_array(angle, (), "angle", domain=FINITE)))
 
 
 def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -299,8 +292,3 @@ def limits_from_range(l_min: float, l_max: float) -> JointLimits:
     l_min = float(_as_array(l_min, (), "l_min", domain=JOINT_MAGNITUDE))
     l_max = float(_as_array(l_max, (), "l_max", domain=JOINT_MAGNITUDE))
     return JointLimits(center=0.5 * (l_min + l_max), span=0.5 * (l_max - l_min))
-
-
-def limits_to_range(limits: JointLimits):
-    """Inverse of limits_from_range."""
-    return limits.lower, limits.upper

@@ -219,7 +219,6 @@ def selftest() -> list:
     """Evaluate every documented kernel example; returns rows of
     {name, value, expected, tol, passed}."""
     e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
     neg = np.array([-1.0, 0.0])
     half = np.full(4, 0.5)
     half_gt = np.array([1.0, 1.0, 0.0, 0.0])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fan_out, _fmt
+from . import _fan_out
 from .assignment import MatchResult, confidence_targets, hungarian, matching_cost
 from .geometry import _sample_from_meshes, nearest_neighbor_distances, nearest_neighbors
 from .kinematics import part_transforms, pose, state_grid
@@ -158,9 +158,6 @@ class MetricReport:
             "per_state": self.per_state,
             "per_joint": self.per_joint,
         }
-
-    def to_json(self) -> str:
-        return _fmt.dumps(self.to_dict())
 
 
 def _mean_or_none(values):

@@ -54,6 +54,10 @@ class TestMatchingCost:
         with pytest.raises(ValueError, match="mismatch"):
             matching_cost(np.zeros((1, 4)), np.zeros((1, 5)))
 
+    def test_masks_over_no_point_are_rejected(self):
+        with pytest.raises(ValueError, match="masks must cover at least one point"):
+            matching_cost(np.zeros((2, 0)), np.zeros((1, 0)))
+
     @pytest.mark.parametrize("kind", ["f64", "f32", "bool"])
     def test_close_to_fsum_oracle(self, kind):
         """Every entry within 1e-12 of an exactly summed oracle, with overlapping
@@ -263,6 +267,16 @@ class TestConfidenceTargets:
         targets = confidence_targets(pred, gt, match)
         assert targets[0] == 0.0 and targets[2] == 0.0 and targets[1] == 1.0
 
+    def test_point_count_mismatch_is_rejected(self):
+        match = MatchResult(pairs=((0, 0),), unmatched_queries=(), total_cost=0.0)
+        with pytest.raises(ValueError, match="point count mismatch: 4 vs 5"):
+            confidence_targets(np.ones((1, 4), dtype=bool), np.ones((1, 5), dtype=bool), match)
+
+    def test_a_pair_outside_the_masks_is_rejected(self):
+        match = MatchResult(pairs=((0, 1),), unmatched_queries=(), total_cost=0.0)
+        with pytest.raises(ValueError, match=r"match pair \(0, 1\) outside mask shapes"):
+            confidence_targets(np.ones((1, 4), dtype=bool), np.ones((1, 4), dtype=bool), match)
+
     def test_range_and_identity_property(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -295,6 +309,13 @@ class TestMaskInterchange:
         got, soft = load_masks(path)
         assert soft
         np.testing.assert_array_equal(got, masks)
+
+    def test_no_rows_round_trip(self, tmp_path):
+        path = tmp_path / "m.bits"
+        save_masks(np.zeros((0, 7), dtype=bool), path)
+        assert path.read_bytes() == b""
+        got, soft = load_masks(path)
+        assert not soft and got.shape == (0, 7) and got.dtype == bool
 
     def test_size_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.bits"

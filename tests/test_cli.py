@@ -146,6 +146,36 @@ class TestEvaluate:
         assert run(["evaluate", path, cabinet_file]) == 2
         assert "parts" in capsys.readouterr().err
 
+    def test_two_parts_with_one_id_exit_2(self, cabinet_file, tmp_path, capsys):
+        doc = model_to_dict(build_cabinet())
+        doc["parts"][1]["id"] = doc["parts"][0]["id"]
+        doc["tree"] = {str(doc["parts"][0]["id"]): ROOT_ID}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert run(["evaluate", path, cabinet_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("violation: parts: duplicate part id\n"
+                                "error: model validation failed: parts: duplicate part id\n")
+
+    @pytest.mark.parametrize("field, where", [("part", "parts[1]"), ("joint", "parts[1].joint"),
+                                              ("tree", "tree")])
+    def test_a_field_that_is_no_object_exits_2(self, cabinet_file, tmp_path, capsys, field,
+                                               where):
+        doc = model_to_dict(build_cabinet())
+        if field == "part":
+            doc["parts"][1] = 5
+        elif field == "joint":
+            doc["parts"][1]["joint"] = 5
+        else:
+            doc["tree"] = 5
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run(["evaluate", path, cabinet_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: expected an object\n"
+
     @pytest.mark.parametrize("tau", ["0", "-0.05", "inf", "nan"])
     def test_non_positive_tau_exits_2(self, cabinet_file, capsys, tau):
         assert run(["evaluate", cabinet_file, cabinet_file, "--tau", tau]) == 2
@@ -489,6 +519,32 @@ class TestMatch:
         assert run(argv) == 0
         assert json.loads(capsys.readouterr().out)["confident"] == confident
 
+    def test_soft_gt_masks_exit_2(self, tmp_path, capsys):
+        save_masks(np.ones((2, 8), dtype=bool), tmp_path / "pred.bits")
+        gt = tmp_path / "gt.f32"
+        save_masks(np.full((2, 8), 0.5, dtype=np.float32), gt)
+        assert run(["match", tmp_path / "pred.bits", gt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {gt}: ground-truth masks must be binary bitsets\n"
+
+    def test_a_mask_file_without_rows_matches_nothing(self, tmp_path, capsys):
+        save_masks(np.zeros((0, 8), dtype=bool), tmp_path / "pred.bits")
+        save_masks(np.ones((2, 8), dtype=bool), tmp_path / "gt.bits")
+        assert run(["match", tmp_path / "pred.bits", tmp_path / "gt.bits"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pairs"] == [] and payload["confidence_targets"] == []
+
+    def test_a_mask_file_without_rows_but_with_a_payload_exits_2(self, tmp_path, capsys):
+        pred = tmp_path / "pred.bits"
+        save_masks(np.zeros((0, 8), dtype=bool), pred)
+        pred.write_bytes(b"\x00")
+        save_masks(np.ones((2, 8), dtype=bool), tmp_path / "gt.bits")
+        assert run(["match", pred, tmp_path / "gt.bits"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {pred}: expected empty payload for rows=0\n"
+
     def test_m_mismatch_exits_2(self, tmp_path):
         save_masks(np.ones((1, 8), dtype=bool), tmp_path / "pred.bits")
         save_masks(np.ones((1, 9), dtype=bool), tmp_path / "gt.bits")
@@ -582,6 +638,17 @@ class TestFeatures:
         pts.write_text(json.dumps([[0.0, 0.0, 0.0]]))
         assert run(["features", grid, pts, "--out", tmp_path / "f"]) == 2
         assert "cell (2, 5, 1) has a non-finite feature" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
+    def test_truncated_grid_header_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "short.bin"
+        grid.write_bytes(GRID_MAGIC + struct.pack("<II", 8, 2))
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[0.0, 0.0, 0.0]]))
+        assert run(["features", grid, pts, "--out", tmp_path / "f"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {grid}: truncated header\n"
         assert not (tmp_path / "f").exists()
 
     def test_grid_dim_above_cap_exits_2(self, tmp_path, capsys):

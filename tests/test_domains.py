@@ -33,7 +33,6 @@ from artikit.kinematics import (
     joint_transform,
     limits_from_range,
     pairwise_affinity,
-    rotation_about_axis,
     sample_states,
     state_grid,
 )
@@ -142,8 +141,6 @@ NAN_ARGUMENTS = {
     "joint_transform-axis": (
         lambda: joint_transform(JointSpec(JointType.PRISMATIC, [0, NAN, 1], [0, 0, 0]), 0.0),
         "joint axis must be finite"),
-    "rotation_about_axis-axis": (lambda: rotation_about_axis([NAN, 0.0, 1.0], 0.5),
-                                 "axis must be finite"),
     "apply_joint-points": (
         lambda: apply_joint(JointSpec(JointType.REVOLUTE, [0, 0, 1], [0, 0, 0]), 0.0,
                             _with_nan((2, 3), 4)),
@@ -230,8 +227,6 @@ INTEGER_ARGUMENTS = {
     "SparseVoxelGrid-resolution": (lambda v: SparseVoxelGrid(v, [[0, 0, 0]], [[1.0]]),
                                    "resolution"),
     "SparseVoxelGrid-ijk": (lambda v: SparseVoxelGrid(8, [[v, v, v]], [[1.0]]), "ijk"),
-    "features_at-ijk": (lambda v: SparseVoxelGrid(8, [[0, 0, 0]], [[1.0]]).features_at(
-        [[v, v, v]]), "ijk"),
     "TriplaneStack-resolution": (lambda v: TriplaneStack(v, np.zeros((3, 2, 2, 1)),
                                                          np.zeros((3, 2, 2))), "resolution"),
     "triplane_scatter-resolution": (

@@ -476,6 +476,10 @@ class TestSparseVoxelGrid:
         assert grid == SparseVoxelGrid(16, ijk, feats)
         assert grid.n_active == 300 and grid.feature_dim == 5
 
+    def test_cell_and_feature_counts_must_agree(self):
+        with pytest.raises(ValueError, match="cell/feature count mismatch: 2 vs 1"):
+            SparseVoxelGrid(8, [[0, 0, 0], [1, 1, 1]], [[1.0]])
+
     @pytest.mark.parametrize(
         "resolution, ijk, dim, message",
         [
@@ -492,16 +496,10 @@ class TestSparseVoxelGrid:
         with pytest.raises(ValueError, match=message):
             SparseVoxelGrid(resolution, ijk, np.ones((len(ijk), dim)))
 
-    @pytest.mark.parametrize("ijk", [[[0, 0, 8], [-1, 9, 0]], [[0, 0, 8]], [[-1, 9, 0]]],
-                             ids=["both", "past-R", "negative"])
-    def test_features_at_rejects_cells_outside_the_grid(self, ijk):
-        # (0, 0, 8) and (-1, 9, 0) have the flat key of the stored cell (0, 1, 0)
-        grid = SparseVoxelGrid(8, [[0, 1, 0]], [[5.0]])
-        with pytest.raises(ValueError, match=r"ijk must be in \[0, 7\]"):
-            grid.features_at(ijk)
-
 
 class TestFeaturesAt:
+    """The cell lookup by flat key ``(i * R + j) * R + k`` that trilinear uses."""
+
     CELLS = [[1, 2, 3], [0, 0, 1], [3, 4, 4]]  # keys 38, 1 and 99 at R = 5
     FEATURES = np.array([[0.1, -2.5], [1e-3, 3.0], [-0.7, 7.25]], dtype=np.float32)
 
@@ -509,28 +507,21 @@ class TestFeaturesAt:
     def grid(self):
         return SparseVoxelGrid(5, self.CELLS, self.FEATURES)
 
-    def test_batched_cells_keep_their_shape(self, grid):
-        ijk = np.zeros((2, 4, 3), dtype=np.int64)
-        ijk[1, 2] = [3, 4, 4]
-        got = grid.features_at(ijk)
-        assert got.shape == (2, 4, 2) and got.dtype == np.float64
-        assert got[1, 2].tolist() == self.FEATURES[2].astype(np.float64).tolist()
-        assert not got[0].any() and not got[1, [0, 1, 3]].any()
-
     def test_absent_cells_give_positive_zero(self, grid):
-        # below the first key, between keys, and past the last key
-        got = grid.features_at([[0, 0, 0], [0, 0, 2], [2, 0, 0], [3, 4, 3], [4, 4, 4]])
+        # below the first key, between keys, and past the last key: cells
+        # (0, 0, 0), (0, 0, 2), (2, 0, 0), (3, 4, 3) and (4, 4, 4)
+        got = grid._at_keys(np.array([0, 2, 50, 98, 124]))
         assert got.shape == (5, 2)
         assert (got == 0.0).all() and not np.signbit(got).any()
 
     def test_present_cells_are_their_float32_features_upcast(self, grid):
-        got = grid.features_at(self.CELLS)
+        got = grid._at_keys(np.array([38, 1, 99]))
         assert got.tobytes() == self.FEATURES.astype(np.float64).tobytes()
         assert got[0, 0] != 0.1  # the float32 value, not the float64 literal
 
     def test_empty_grid_gives_zeros(self):
         grid = SparseVoxelGrid(3, np.zeros((0, 3)), np.zeros((0, 4)))
-        got = grid.features_at([[0, 0, 0], [2, 2, 2]])
+        got = grid._at_keys(np.array([0, 26]))  # cells (0, 0, 0) and (2, 2, 2)
         assert got.shape == (2, 4) and got.dtype == np.float64
         assert (got == 0.0).all() and not np.signbit(got).any()
 

@@ -359,3 +359,33 @@ def test_every_imported_name_is_used():
         marked = [line for line in (SRC / name).read_text().splitlines()
                   if bound in line and "# unused: kept for perfbench/spans.py" in line]
         assert len(marked) == 1, (name, bound)
+
+
+def _own_nodes(func):
+    """The nodes of ``func``'s body, without those of the functions, lambdas
+    and classes defined in it."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_every_assigned_local_is_read():
+    """A name a function binds by ``=`` is read somewhere in it, nested
+    functions included; ``+=`` counts as a read and ``_`` names are exempt."""
+    unused = []
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {name_node.id for node in _own_nodes(func) if isinstance(node, ast.Assign)
+                     for target in node.targets for name_node in ast.walk(target)
+                     if isinstance(name_node, ast.Name) and isinstance(name_node.ctx, ast.Store)}
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            read |= {node.target.id for node in ast.walk(func)
+                     if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+            unused += [(name, func.name, b) for b in sorted(bound - read) if not b.startswith("_")]
+    assert unused == []

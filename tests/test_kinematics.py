@@ -19,13 +19,12 @@ from artikit.kinematics import (
     articulate,
     build_tree,
     canonical_state,
+    joint_transform,
     limits_from_range,
-    limits_to_range,
     pairwise_affinity,
     parent_distribution,
     part_transforms,
     pose,
-    rotation_about_axis,
     sample_states,
 )
 from artikit.model import (
@@ -130,12 +129,12 @@ class TestApplyJoint:
     )
     def test_rotation_about_axis_rejects_bad_axes(self, axis, message):
         with pytest.raises(ValueError, match=message):
-            rotation_about_axis(axis, 1.0)
+            JointSpec(JointType.REVOLUTE, axis, [0, 0, 0], JointLimits(0, 1))
 
     def test_rotation_about_axis_is_a_rotation(self):
         # within UNIT_AXIS_TOL of unit length, as joint axes are checked
         axis = np.array([1.0, 2.0, 2.0]) / 3.0 * (1 + 5e-7)
-        rot = rotation_about_axis(axis, 1.0)
+        rot, _ = joint_transform(JointSpec(JointType.CONTINUOUS, axis, [0, 0, 0]), 1.0)
         np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-5)
         np.testing.assert_allclose(rot @ axis, axis, atol=1e-12)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-5)
@@ -306,6 +305,19 @@ class TestTreeOps:
             tree = build_tree(ParentDistribution(probs))
             assert_tree_valid(tree, n)
 
+    def test_non_square_scores_are_rejected(self):
+        with pytest.raises(ValueError, match=r"scores must be square \(N, N\) with N >= 1, "
+                                             r"got \(2, 3\)"):
+            AffinityMatrix(scores=np.zeros((2, 3)), root_scores=np.zeros(2))
+
+    def test_probs_without_one_more_column_than_rows_are_rejected(self):
+        with pytest.raises(ValueError, match=r"probs must be \(N, N\+1\), got \(1, 3\)"):
+            ParentDistribution(np.array([[0.0, 0.5, 0.5]]))
+
+    def test_a_part_that_may_parent_itself_is_rejected(self):
+        with pytest.raises(ValueError, match="self-parent probabilities must be 0"):
+            ParentDistribution(np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]))
+
 
 def assert_tree_valid(tree, n):
     assert sorted(tree.parent) == list(range(n))
@@ -340,7 +352,8 @@ class TestLimitsRoundTrip:
     )
     def test_round_trip_identity(self, lo, width):
         hi = lo + width
-        back_lo, back_hi = limits_to_range(limits_from_range(lo, hi))
+        limits = limits_from_range(lo, hi)
+        back_lo, back_hi = limits.lower, limits.upper
         assert abs(back_lo - lo) <= 1e-12 and abs(back_hi - hi) <= 1e-12
 
 
@@ -386,8 +399,6 @@ JOINT_CALLS = {
         _limits(data), data.draw(st.sampled_from(JointType)), _scalar(data, 6)),
     "limits_from_range": lambda data: limits_from_range(_scalar(data, 0.0, 0.5),
                                                         _scalar(data, 0.0, 0.5)),
-    "rotation_about_axis": lambda data: rotation_about_axis(_vector(data, [0, 0, 1]),
-                                                            _scalar(data, 0.3)),
 }
 
 

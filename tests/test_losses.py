@@ -174,6 +174,17 @@ class TestMotion:
         with pytest.raises(ValueError, match="zero norm"):
             motion_loss(pred, self.gt_joint())
 
+    def test_a_fixed_gt_joint_with_a_zero_axis_is_rejected(self):
+        # a fixed joint's axis is not held to unit length, so it may be zero
+        gt = JointSpec(JointType.FIXED, [0, 0, 0], [0, 0, 0])
+        with pytest.raises(ValueError, match="ground-truth axis has zero norm"):
+            motion_loss(self.exact_pred(), gt)
+
+    def test_type_logits_must_cover_the_gt_type(self):
+        pred = MotionPrediction([0.0], [0, 0, 1], [0.1, 0.2, 0.0], 0.4, 0.2)
+        with pytest.raises(ValueError, match="type_logits must cover every joint type"):
+            motion_loss(pred, self.gt_joint())
+
     def test_weighted_total(self):
         weights = LossWeights(type=2.0, dir=3.0, origin=0.5, limit=0.0)
         pred = MotionPrediction([0.0, 30.0, 0.0, 0.0], [1, 0, 0], [0.2, 0.0, 0.0], 0.0, 0.0)
@@ -196,6 +207,10 @@ class TestStructure:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             structure_loss(np.array([[1.0, 0.0]]), [5])
+
+    def test_no_matched_query_is_rejected(self):
+        with pytest.raises(ValueError, match="structure loss needs at least one matched query"):
+            structure_loss(np.zeros((0, 2)), [])
 
 
 class TestObjectCategory:

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import artikit.geometry
 import artikit.metrics
+from artikit import _fmt
 from artikit.assignment import MatchResult
 from artikit.geometry import nearest_neighbor_distances
-from artikit.kinematics import rotation_about_axis
+from artikit.kinematics import joint_transform
 from artikit.metrics import (
     _cd_fscore,
     axis_error,
@@ -20,7 +21,7 @@ from artikit.metrics import (
     pivot_error,
     type_accuracy,
 )
-from artikit.model import ArticulatedModel, JointType, KinematicTree, TriMesh, ROOT_ID
+from artikit.model import ArticulatedModel, JointSpec, JointType, KinematicTree, TriMesh, ROOT_ID
 from tests.conftest import build_cabinet, build_random_model
 
 TRIANGLE = TriMesh([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]], [[0, 1, 2]])
@@ -45,7 +46,8 @@ class TestChamfer:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(30, 3))
         b = rng.normal(size=(30, 3))
-        rot = rotation_about_axis(np.array([1.0, 2.0, 2.0]) / 3.0, 0.83)
+        axis = np.array([1.0, 2.0, 2.0]) / 3.0
+        rot, _ = joint_transform(JointSpec(JointType.CONTINUOUS, axis, [0, 0, 0]), 0.83)
         assert chamfer(a @ rot.T, b @ rot.T) == pytest.approx(chamfer(a, b), abs=1e-9)
 
     def test_empty_rejected(self):
@@ -211,6 +213,12 @@ class TestPivotError:
         assert base == pytest.approx(slid, abs=1e-12)
         assert base == pytest.approx(math.hypot(0.2, 0.1), abs=1e-12)
 
+    @pytest.mark.parametrize("zero", ["pred", "gt"])
+    def test_a_zero_axis_is_rejected(self, zero):
+        a_p, a_g = ([0, 0, 0], [0, 0, 1]) if zero == "pred" else ([0, 0, 1], [0, 0, 0])
+        with pytest.raises(ValueError, match="pivot_error: zero-length axis"):
+            pivot_error([0, 0, 0], a_p, [0, 0, 0], a_g)
+
 
 class TestTypeAccuracy:
     def test_all_equal(self):
@@ -322,6 +330,11 @@ class TestEvaluate:
                                              r"the base id -1"):
             evaluate(cabinet, cabinet, pred_meshes=meshes, gt_meshes=meshes, n_points=1000)
 
+    def test_a_part_without_a_mesh_rejected(self, cabinet):
+        meshes = {0: TRIANGLE, ROOT_ID: TRIANGLE}
+        with pytest.raises(ValueError, match="no mesh for part 1"):
+            evaluate(cabinet, cabinet, pred_meshes=meshes, gt_meshes=meshes, n_points=10)
+
     def test_empty_mesh_map_rejected(self):
         base_only = ArticulatedModel([[0.0, 0.0, 0.0]], (), KinematicTree({}), [0])
         with pytest.raises(ValueError, match="no meshes to sample"):
@@ -353,16 +366,24 @@ class TestEvaluate:
 
     def test_report_json_keys_and_formatting(self, cabinet):
         report = evaluate(cabinet, cabinet, n_states=2, n_points=50, seed=0)
-        payload = json.loads(report.to_json())
+        payload = json.loads(_fmt.dumps(report.to_dict()))
         assert list(payload) == [
             "cd_mean", "fscore_mean", "type_accuracy",
             "axis_err_mean", "pivot_err_mean", "per_state", "per_joint",
         ]
         assert len(payload["per_state"]) == 2
         # nine significant digits: a third is rendered as 0.333333333
-        from artikit._fmt import fmt_float
-        assert fmt_float(1.0 / 3.0) == "0.333333333"
-        assert fmt_float(math.pi) == "3.14159265"
+        assert _fmt.fmt_float(1.0 / 3.0) == "0.333333333"
+        assert _fmt.fmt_float(math.pi) == "3.14159265"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_float_is_not_rendered(self, value):
+        with pytest.raises(ValueError, match="cannot render non-finite float"):
+            _fmt.fmt_float(value)
+
+    def test_a_value_of_no_json_type_is_not_serialized(self):
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            _fmt.dumps({"ids": {1, 2}})
 
     def test_invalid_model_rejected(self, cabinet):
         from artikit.model import ArticulatedModel, KinematicTree

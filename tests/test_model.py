@@ -472,6 +472,11 @@ class TestTypes:
         lim = JointLimits(center=0.5, span=0.25)
         assert lim.lower == 0.25 and lim.upper == 0.75
 
+    def test_part_by_id_of_a_missing_part_raises_key_error(self, cabinet):
+        assert cabinet.part_by_id(1).id == 1
+        with pytest.raises(KeyError, match="no part with id 7"):
+            cabinet.part_by_id(7)
+
     def test_model_immutability(self, cabinet):
         with pytest.raises(ValueError):
             cabinet.points[0, 0] = 9.0

@@ -52,7 +52,6 @@ from artikit import (
     fscore,
     hungarian,
     limits_from_range,
-    limits_to_range,
     matching_cost,
     motion_loss,
     nearest_neighbor_distances,
@@ -183,7 +182,6 @@ CALLS = {
     "articulate": lambda w: articulate(CABINET, {0: w(0.0), 1: w(0.5)}),
     "build_tree": lambda w: build_tree(ParentDistribution(w(PARENT_PROBS))),
     "limits_from_range": lambda w: limits_from_range(w(0.0), w(0.5)),
-    "limits_to_range": lambda w: limits_to_range(_limits(w)),
     "pairwise_affinity": lambda w: pairwise_affinity(w([[0.25, 0.75], [1.0, 0.0]]),
                                                      w([[0.0, 1.0], [2.0, -1.0]]),
                                                      w([0.5, 0.0])),
